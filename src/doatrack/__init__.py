@@ -35,7 +35,6 @@ from .frame_metrics import (
     count_broken,
     count_swaps,
     frame_metrics_report,
-    idsw,
     mean_localization_error,
     mota,
     ospa_frame,

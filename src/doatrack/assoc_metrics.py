@@ -38,11 +38,6 @@ class CoupleCounts:
     fpa: int
     fna: int
 
-    @property
-    def multiplicity(self) -> int:
-        """Number of TPs carrying this couple; equals tpa by definition."""
-        return self.tpa
-
 
 @dataclass(frozen=True)
 class AssociationCounts:
@@ -79,7 +74,8 @@ def _mean_over_tps(counts: AssociationCounts, denom) -> float:
         raise UndefinedOnEmptyTP("no true positives in the match sequence")
     total = Fraction(0)
     for cc in counts.couples.values():
-        total += cc.multiplicity * Fraction(cc.tpa, denom(cc))
+        # each of the couple's tpa TPs contributes the same ratio
+        total += cc.tpa * Fraction(cc.tpa, denom(cc))
     return float(total / counts.total_tp)
 
 

@@ -15,10 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -44,6 +46,7 @@ from .trackmodel import (
     read_manifest,
     read_observations,
     read_trackset,
+    write_json,
     write_manifest,
     write_observations,
     write_trackset,
@@ -71,133 +74,83 @@ def derive_seed(*key: int) -> int:
 # JSON <-> config translation (degrees at the boundary)
 # ---------------------------------------------------------------------------
 
-_SCENARIO_KEYS = {
-    "n_speakers",
-    "mode",
-    "n_positions",
-    "min_separation_deg",
-    "duration_s",
-    "frame_period_s",
-    "segment_len_s",
-    "gap_len_s",
-    "angular_speed_deg_s",
-    "exclude_previous",
-    "max_attempts",
+# Radian fields and the JSON keys that carry them in degrees.
+_DEGREE_KEYS = {
+    "min_separation": "min_separation_deg",
+    "angular_speed": "angular_speed_deg_s",
+    "angular_noise_sigma": "angular_noise_sigma_deg",
+    "assoc_gate": "assoc_gate_deg",
+    "process_noise_sigma": "process_noise_sigma_deg",
+    "likelihood_sigma": "likelihood_sigma_deg",
 }
 
-_OBSERVATION_KEYS = {"angular_noise_sigma_deg", "p_miss", "clutter_rate"}
+# Configs whose seed derives per scene from the master seed: not a JSON key.
+_SEEDED_PER_SCENE = (ScenarioConfig, ObservationModel)
 
-_TRACKER_KEYS = {
-    "type",
-    "k_max",
-    "max_active",
-    "assoc_gate_deg",
-    "birth_frames",
-    "death_frames",
-    "n_particles",
-    "process_noise_sigma_deg",
-    "likelihood_sigma_deg",
-    "seed",
-    "k",
-    "period_s",
-}
+# Tracker JSON keys read by the adversary trackers, not by the PF.
+_ADVERSARY_KEYS = ("type", "k", "period_s")
+
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
 
-def _reject_unknown(doc: dict, allowed: set, what: str) -> None:
-    unknown = set(doc) - allowed
+def _json_fields(cls) -> list:
+    """(field, JSON key) for every field a config JSON may set."""
+    return [
+        (f, _DEGREE_KEYS.get(f.name, f.name))
+        for f in fields(cls)
+        if not (f.name == "seed" and cls in _SEEDED_PER_SCENE)
+    ]
+
+
+def _coerce(value, hint, key: str):
+    """Check one JSON value against a field type; never truncate or reinterpret."""
+    args = get_args(hint)
+    if type(None) in args:
+        return None if value is None else _coerce(value, args[0], key)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list) or len(value) != len(args):
+            raise InvalidConfig(f"{key} must be a list of {len(args)} numbers, got {value!r}")
+        return tuple(_coerce(v, t, key) for v, t in zip(value, args))
+    if hint in (bool, str):
+        ok = isinstance(value, hint)
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if ok and isinstance(value, float):
+            ok = math.isfinite(value) and (hint is float or value.is_integer())
+    if not ok:
+        raise InvalidConfig(f"{key} must be {_TYPE_NAMES[hint]}, got {value!r}")
+    return hint(value)
+
+
+def config_from_json(cls, doc: dict, what: str):
+    """Build a config dataclass from its JSON object (angles in degrees)."""
+    if not isinstance(doc, dict):
+        raise InvalidConfig(f"{what} config must be a JSON object")
+    pairs = _json_fields(cls)
+    unknown = set(doc) - {key for _f, key in pairs}
     if unknown:
         raise InvalidConfig(f"unknown {what} keys: {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f, key in pairs:
+        if key not in doc:
+            if f.default is MISSING:
+                raise InvalidConfig(f"{what} config requires {key}")
+            continue
+        value = _coerce(doc[key], hints[f.name], key)
+        kwargs[f.name] = math.radians(value) if f.name in _DEGREE_KEYS else value
+    return cls(**kwargs)
 
 
-def scenario_from_json(doc: dict, seed: int = 0) -> ScenarioConfig:
-    _reject_unknown(doc, _SCENARIO_KEYS, "scenario")
-    if "n_speakers" not in doc:
-        raise InvalidConfig("scenario config requires n_speakers")
-    kwargs: dict = {"n_speakers": int(doc["n_speakers"]), "seed": seed}
-    if "mode" in doc:
-        kwargs["mode"] = str(doc["mode"])
-    if "n_positions" in doc:
-        kwargs["n_positions"] = int(doc["n_positions"])
-    if "min_separation_deg" in doc:
-        kwargs["min_separation"] = math.radians(float(doc["min_separation_deg"]))
-    if "duration_s" in doc:
-        kwargs["duration_s"] = float(doc["duration_s"])
-    if "frame_period_s" in doc:
-        kwargs["frame_period_s"] = float(doc["frame_period_s"])
-    if "segment_len_s" in doc:
-        kwargs["segment_len_s"] = tuple(float(x) for x in doc["segment_len_s"])
-    if "gap_len_s" in doc:
-        kwargs["gap_len_s"] = tuple(float(x) for x in doc["gap_len_s"])
-    if "angular_speed_deg_s" in doc:
-        kwargs["angular_speed"] = math.radians(float(doc["angular_speed_deg_s"]))
-    if "exclude_previous" in doc:
-        kwargs["exclude_previous"] = bool(doc["exclude_previous"])
-    if "max_attempts" in doc:
-        kwargs["max_attempts"] = int(doc["max_attempts"])
-    return ScenarioConfig(**kwargs)
-
-
-def scenario_to_json(cfg: ScenarioConfig) -> dict:
-    return {
-        "n_speakers": cfg.n_speakers,
-        "mode": cfg.mode,
-        "n_positions": cfg.n_positions,
-        "min_separation_deg": math.degrees(cfg.min_separation),
-        "duration_s": cfg.duration_s,
-        "frame_period_s": cfg.frame_period_s,
-        "segment_len_s": list(cfg.segment_len_s),
-        "gap_len_s": list(cfg.gap_len_s),
-        "angular_speed_deg_s": math.degrees(cfg.angular_speed),
-        "exclude_previous": cfg.exclude_previous,
-        "max_attempts": cfg.max_attempts,
-    }
-
-
-def observation_from_json(doc: dict, seed: int = 0) -> ObservationModel:
-    _reject_unknown(doc, _OBSERVATION_KEYS, "observation")
-    kwargs: dict = {"seed": seed}
-    if "angular_noise_sigma_deg" in doc:
-        kwargs["angular_noise_sigma"] = math.radians(float(doc["angular_noise_sigma_deg"]))
-    if "p_miss" in doc:
-        kwargs["p_miss"] = float(doc["p_miss"])
-    if "clutter_rate" in doc:
-        kwargs["clutter_rate"] = float(doc["clutter_rate"])
-    return ObservationModel(**kwargs)
-
-
-def observation_to_json(om: ObservationModel) -> dict:
-    return {
-        "angular_noise_sigma_deg": math.degrees(om.angular_noise_sigma),
-        "p_miss": om.p_miss,
-        "clutter_rate": om.clutter_rate,
-    }
-
-
-def tracker_config_from_json(doc: dict, default_max_active: int | None) -> TrackerConfig:
-    _reject_unknown(doc, _TRACKER_KEYS, "tracker")
-    max_active = doc.get("max_active", default_max_active)
-    if max_active is None:
-        raise InvalidConfig(
-            "tracker config requires max_active (no corpus default available)"
-        )
-    kwargs: dict = {"max_active": int(max_active)}
-    if "k_max" in doc:
-        kwargs["k_max"] = None if doc["k_max"] is None else int(doc["k_max"])
-    if "assoc_gate_deg" in doc:
-        kwargs["assoc_gate"] = math.radians(float(doc["assoc_gate_deg"]))
-    if "birth_frames" in doc:
-        kwargs["birth_frames"] = int(doc["birth_frames"])
-    if "death_frames" in doc:
-        kwargs["death_frames"] = int(doc["death_frames"])
-    if "n_particles" in doc:
-        kwargs["n_particles"] = int(doc["n_particles"])
-    if "process_noise_sigma_deg" in doc:
-        kwargs["process_noise_sigma"] = math.radians(float(doc["process_noise_sigma_deg"]))
-    if "likelihood_sigma_deg" in doc:
-        kwargs["likelihood_sigma"] = math.radians(float(doc["likelihood_sigma_deg"]))
-    if "seed" in doc:
-        kwargs["seed"] = int(doc["seed"])
-    return TrackerConfig(**kwargs)
+def config_to_json(cfg) -> dict:
+    """JSON object of a config dataclass (angles in degrees)."""
+    doc = {}
+    for f, key in _json_fields(type(cfg)):
+        value = getattr(cfg, f.name)
+        if f.name in _DEGREE_KEYS:
+            value = math.degrees(value)
+        doc[key] = list(value) if isinstance(value, tuple) else value
+    return doc
 
 
 def _load_json(path: str | Path) -> dict:
@@ -209,11 +162,19 @@ def _load_json(path: str | Path) -> dict:
         raise InvalidConfig(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _write_json(doc: dict, path: Path) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _clamp_jobs(jobs: int, cpus: int) -> int:
+    """Worker processes for --jobs: never more than the CPUs available."""
+    return min(jobs, cpus)
+
+
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _map_jobs(worker, tasks: list, jobs: int) -> list:
+    jobs = _clamp_jobs(jobs, _available_cpus())
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -243,16 +204,16 @@ def simulate_corpus(
     """Write a seeded scene corpus; per-scene seeds derive from the master."""
     if n_scenes < 1:
         raise InvalidConfig("n_scenes must be >= 1")
-    base = scenario_from_json(scenario_doc)
-    om_base = observation_from_json(observation_doc)
+    base = config_from_json(ScenarioConfig, scenario_doc, "scenario")
+    om_base = config_from_json(ObservationModel, observation_doc, "observation")
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = base.grid
     write_manifest(
         grid,
         out_dir / "manifest.json",
         extra={
-            "scenario": scenario_to_json(base),
-            "observation": observation_to_json(om_base),
+            "scenario": config_to_json(base),
+            "observation": config_to_json(om_base),
             "n_scenes": n_scenes,
             "seed": master_seed,
         },
@@ -267,15 +228,16 @@ def simulate_corpus(
 
 def cmd_simulate(args) -> int:
     doc = _load_json(args.config)
-    master = args.seed if args.seed is not None else int(doc.get("seed", 0))
+    master = args.seed if args.seed is not None else _coerce(doc.get("seed", 0), int, "seed")
+    n_scenes = _coerce(doc.get("n_scenes", 1), int, "n_scenes")
     simulate_corpus(
         doc.get("scenario", {}),
         doc.get("observation", {}),
-        int(doc.get("n_scenes", 1)),
+        n_scenes,
         master,
         Path(args.out),
     )
-    print(f"simulate: wrote {int(doc.get('n_scenes', 1))} scenes to {args.out}")
+    print(f"simulate: wrote {n_scenes} scenes to {args.out}")
     return EXIT_OK
 
 
@@ -286,7 +248,7 @@ def cmd_simulate(args) -> int:
 
 def _run_tracker_scene(task: tuple) -> tuple[str, str | None]:
     """Worker: produce one prediction CSV. Returns (scene_id, error)."""
-    scene_id, scene_index, scenes_dir, out_dir, period, n_frames, doc = task
+    scene_id, scene_index, scenes_dir, out_dir, period, n_frames, doc, pf_cfg = task
     grid = FrameGrid(period, n_frames)
     scenes = Path(scenes_dir)
     ttype = doc.get("type", "pf")
@@ -299,11 +261,7 @@ def _run_tracker_scene(task: tuple) -> tuple[str, str | None]:
             if ttype == "oracle":
                 preds = oracle_tracker(obs)
             else:
-                cfg = tracker_config_from_json(
-                    {k: v for k, v in doc.items() if k not in ("type", "_default_max_active")},
-                    default_max_active=doc.get("_default_max_active"),
-                )
-                cfg = replace(cfg, seed=derive_seed(cfg.seed, scene_index, 2))
+                cfg = replace(pf_cfg, seed=derive_seed(pf_cfg.seed, scene_index, 2))
                 preds = pf_tracker(obs, cfg)
         else:
             gt_path = scenes / f"{scene_id}.gt.csv"
@@ -311,11 +269,11 @@ def _run_tracker_scene(task: tuple) -> tuple[str, str | None]:
                 raise FileNotFoundError(f"missing ground-truth file {gt_path}")
             gt = read_trackset(gt_path, grid)
             if ttype == "splitter":
-                preds = splitter_tracker(gt, int(doc["k"]))
+                preds = splitter_tracker(gt, _coerce(doc["k"], int, "k"))
             elif ttype == "merger":
                 preds = merger_tracker(gt)
             elif ttype == "swapper":
-                preds = swapper_tracker(gt, float(doc["period_s"]))
+                preds = swapper_tracker(gt, _coerce(doc["period_s"], float, "period_s"))
             else:
                 raise InvalidConfig(f"unknown tracker type {ttype!r}")
         write_trackset(preds, Path(out_dir) / f"{scene_id}.pred.csv")
@@ -331,17 +289,18 @@ def track_corpus(scenes_dir: Path, tracker_doc: dict, out_dir: Path, jobs: int =
     if not scene_ids:
         raise InvalidConfig(f"no scenes found in {scenes_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    doc = dict(tracker_doc)
-    if doc.get("type", "pf") == "pf":
-        # Validate once up front; per-scene workers re-derive seeds only.
+    pf_cfg = None
+    if tracker_doc.get("type", "pf") == "pf":
+        # Parsed once; per-scene workers only derive their seeds from it.
+        pf_doc = {k: v for k, v in tracker_doc.items() if k not in _ADVERSARY_KEYS}
         default_max_active = manifest.get("scenario", {}).get("n_speakers")
-        tracker_config_from_json(
-            {k: v for k, v in doc.items() if k != "type"}, default_max_active
-        )
-        doc["_default_max_active"] = default_max_active
+        if default_max_active is not None:
+            pf_doc.setdefault("max_active", default_max_active)
+        pf_cfg = config_from_json(TrackerConfig, pf_doc, "tracker")
     write_manifest(grid, out_dir / "manifest.json")
     tasks = [
-        (sid, i, str(scenes_dir), str(out_dir), grid.frame_period, grid.n_frames, doc)
+        (sid, i, str(scenes_dir), str(out_dir), grid.frame_period, grid.n_frames,
+         tracker_doc, pf_cfg)
         for i, sid in enumerate(scene_ids)
     ]
     results = _map_jobs(_run_tracker_scene, tasks, jobs)
@@ -426,10 +385,7 @@ def evaluate_corpus(
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "per_scene.csv").write_text(report_csv_rows(reports), encoding="utf-8")
         if aggregate is not None:
-            _write_json(
-                {**aggregate, "gate_deg": math.degrees(gate)},
-                out_dir / "aggregate.json",
-            )
+            write_json({**aggregate, "gate_deg": math.degrees(gate)}, out_dir / "aggregate.json")
     return reports, aggregate, failures
 
 
@@ -459,7 +415,7 @@ def cmd_evaluate(args) -> int:
 
 
 def _kmax_label(k) -> str:
-    return "inf" if k is None else str(int(k))
+    return "inf" if k is None else str(_coerce(k, int, "k_max"))
 
 
 def check_trends(
@@ -510,17 +466,17 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
     tracker_doc.setdefault("type", "pf")
     if tracker_doc["type"] != "pf":
         raise InvalidConfig("sweep supports only the pf tracker")
-    gate = math.radians(float(doc.get("gate_deg", DEFAULT_GATE_DEG)))
+    gate = math.radians(_coerce(doc.get("gate_deg", DEFAULT_GATE_DEG), float, "gate_deg"))
     boot = doc.get("bootstrap", {})
-    fraction = float(boot.get("fraction", 0.8))
-    replicates = int(boot.get("replicates", 100))
+    fraction = _coerce(boot.get("fraction", 0.8), float, "fraction")
+    replicates = _coerce(boot.get("replicates", 100), int, "replicates")
     out_dir.mkdir(parents=True, exist_ok=True)
     results: dict[str, dict] = {}
     long_rows = ["subset,k_max,metric,mean,std"]
     for si, sub in enumerate(subsets):
-        n_speakers = int(sub["n_speakers"])
+        n_speakers = _coerce(sub.get("n_speakers"), int, "n_speakers")
         name = str(sub.get("name", f"{n_speakers}spk"))
-        n_scenes = int(sub.get("n_scenes", 150))
+        n_scenes = _coerce(sub.get("n_scenes", 150), int, "n_scenes")
         scenes_dir = out_dir / name / "scenes"
         sub_scenario = {**scenario_doc, "n_speakers": n_speakers}
         simulate_corpus(
@@ -531,7 +487,6 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
             label = _kmax_label(k)
             cell_dir = out_dir / name / f"kmax_{label}"
             cell_tracker = {**tracker_doc, "k_max": k}
-            cell_tracker.setdefault("max_active", n_speakers)
             cell_tracker.setdefault("seed", derive_seed(master_seed, si, ki, 11))
             failures = track_corpus(scenes_dir, cell_tracker, cell_dir / "preds", jobs)
             if failures:
@@ -565,13 +520,13 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
         "k_max_values": [_kmax_label(k) for k in k_values],
         "subsets": results,
     }
-    _write_json(summary, out_dir / "sweep.json")
+    write_json(summary, out_dir / "sweep.json")
     return summary
 
 
 def cmd_sweep(args) -> int:
     doc = _load_json(args.config)
-    master = args.seed if args.seed is not None else int(doc.get("seed", 0))
+    master = args.seed if args.seed is not None else _coerce(doc.get("seed", 0), int, "seed")
     summary = run_sweep(doc, Path(args.out), master, args.jobs)
     print(f"sweep: results written to {args.out}")
     if not args.assert_trends:

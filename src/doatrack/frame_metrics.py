@@ -46,11 +46,6 @@ def count_swaps(ms: MatchSequence) -> int:
     return swaps
 
 
-def idsw(ms: MatchSequence) -> int:
-    """Identity switches; same counting rule as count_swaps."""
-    return count_swaps(ms)
-
-
 def count_broken(ms: MatchSequence, gts: TrackSet) -> int:
     """(gt, frame) pairs that are matched at f and FN at f+1 while active."""
     broken = 0
@@ -159,6 +154,7 @@ class FrameMetricsReport:
     mota and mean_loc_error are None when undefined (no ground-truth
     detections / no TPs); ospa_mean is None when no frame has entities.
     Per-track rate variants divide by the number of ground-truth tracks.
+    ospa_mean and mean_loc_error are radians.
     """
 
     n_tp: int
@@ -166,7 +162,6 @@ class FrameMetricsReport:
     n_fn: int
     n_swaps: int
     n_broken: int
-    n_idsw: int
     tsr: float
     tfr: float
     tsr_per_track: float | None
@@ -206,7 +201,6 @@ def frame_metrics_report(
         n_fn=n_fn,
         n_swaps=n_swaps,
         n_broken=n_broken,
-        n_idsw=n_swaps,
         tsr=tsr(n_swaps, duration),
         tfr=tfr(n_swaps, n_broken, duration),
         tsr_per_track=(

@@ -35,7 +35,10 @@ class Direction:
         el = float(self.elevation)
         if not -math.pi / 2 - 1e-12 <= el <= math.pi / 2 + 1e-12:
             raise ValueError(f"elevation {el!r} outside [-pi/2, pi/2]")
-        az = math.remainder(float(self.azimuth), TWO_PI)
+        az = float(self.azimuth)
+        if math.isnan(az):
+            raise ValueError("azimuth is NaN")
+        az = math.remainder(az, TWO_PI)
         if az >= math.pi:  # remainder() yields (-pi, pi]; the convention is [-pi, pi)
             az -= TWO_PI
         object.__setattr__(self, "azimuth", az)

@@ -15,67 +15,45 @@ import numpy as np
 
 from .assoc_metrics import association_scores
 from .errors import InsufficientData, UndefinedOnEmptyTP
-from .frame_metrics import frame_metrics_report
+from .frame_metrics import FrameMetricsReport, frame_metrics_report
 from .matching import match_sequence
 from .trackmodel import TrackSet
 
-REPORT_COLUMNS = [
-    "scene_id",
-    "n_tp",
-    "n_fp",
-    "n_fn",
-    "tsr",
-    "tfr",
-    "idsw",
-    "mota",
-    "ospa_mean",
-    "mean_loc_error_deg",
-    "ass_a",
-    "ass_pr",
-    "ass_re",
+# One row per reported metric: per_scene.csv column, MetricsReport
+# attribute (angles leave in degrees), written to per_scene.csv,
+# aggregated. Columns and aggregates keep table order; aggregation order
+# is the order the bootstrap generator is consumed in.
+METRICS = [
+    ("scene_id", "scene_id", True, False),
+    ("n_tp", "n_tp", True, False),
+    ("n_fp", "n_fp", True, False),
+    ("n_fn", "n_fn", True, False),
+    ("tsr", "tsr", True, True),
+    ("tfr", "tfr", True, True),
+    ("idsw", "n_swaps", True, True),
+    ("mota", "mota", True, True),
+    ("ospa_mean", "ospa_mean_deg", True, True),
+    ("mean_loc_error_deg", "mean_loc_error_deg", True, True),
+    ("ass_a", "ass_a", True, True),
+    ("ass_pr", "ass_pr", True, True),
+    ("ass_re", "ass_re", True, True),
+    ("tsr_per_track", "tsr_per_track", False, True),
+    ("tfr_per_track", "tfr_per_track", False, True),
 ]
-
-# Aggregated metric -> MetricsReport attribute (angles leave in degrees).
-AGGREGATE_METRICS = {
-    "tsr": "tsr",
-    "tfr": "tfr",
-    "idsw": "n_idsw",
-    "mota": "mota",
-    "ospa_mean": "ospa_mean_deg",
-    "mean_loc_error_deg": "mean_loc_error_deg",
-    "ass_a": "ass_a",
-    "ass_pr": "ass_pr",
-    "ass_re": "ass_re",
-    "tsr_per_track": "tsr_per_track",
-    "tfr_per_track": "tfr_per_track",
-}
+REPORT_COLUMNS = [column for column, _attr, in_csv, _agg in METRICS if in_csv]
+AGGREGATE_METRICS = {column: attr for column, attr, _csv, agg in METRICS if agg}
+_CSV_ATTRS = [attr for _column, attr, in_csv, _agg in METRICS if in_csv]
 
 
 @dataclass(frozen=True)
-class MetricsReport:
-    """All scalar metric outputs for one scene."""
+class MetricsReport(FrameMetricsReport):
+    """All scalar metric outputs for one scene: the frame-level report
+    plus the scene id and the association scores (None without TPs)."""
 
     scene_id: str
-    n_tp: int
-    n_fp: int
-    n_fn: int
-    n_swaps: int
-    n_broken: int
-    n_idsw: int
-    tsr: float
-    tfr: float
-    tsr_per_track: float | None
-    tfr_per_track: float | None
-    mota: float | None
-    ospa_mean: float | None  # radians
-    mean_loc_error: float | None  # radians
     ass_a: float | None
     ass_pr: float | None
     ass_re: float | None
-    n_gt_tracks: int
-    n_pred_tracks: int
-    n_gt_detections: int
-    gate: float
 
     @property
     def ospa_mean_deg(self) -> float | None:
@@ -103,34 +81,14 @@ def evaluate_scene(
     except UndefinedOnEmptyTP:
         ass_a = ass_pr = ass_re = None
     return MetricsReport(
-        scene_id=scene_id,
-        n_tp=fm.n_tp,
-        n_fp=fm.n_fp,
-        n_fn=fm.n_fn,
-        n_swaps=fm.n_swaps,
-        n_broken=fm.n_broken,
-        n_idsw=fm.n_idsw,
-        tsr=fm.tsr,
-        tfr=fm.tfr,
-        tsr_per_track=fm.tsr_per_track,
-        tfr_per_track=fm.tfr_per_track,
-        mota=fm.mota,
-        ospa_mean=fm.ospa_mean,
-        mean_loc_error=fm.mean_loc_error,
-        ass_a=ass_a,
-        ass_pr=ass_pr,
-        ass_re=ass_re,
-        n_gt_tracks=len(gts.entries),
-        n_pred_tracks=len(preds.entries),
-        n_gt_detections=gts.n_entries(),
-        gate=gate,
+        **vars(fm), scene_id=scene_id, ass_a=ass_a, ass_pr=ass_pr, ass_re=ass_re
     )
 
 
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return str(value)
     return repr(float(value))
 
@@ -139,25 +97,7 @@ def report_csv_rows(reports: list[MetricsReport]) -> str:
     """Per-scene table, sorted by scene id; repr floats round-trip exactly."""
     lines = [",".join(REPORT_COLUMNS)]
     for r in sorted(reports, key=lambda r: r.scene_id):
-        lines.append(
-            ",".join(
-                [
-                    r.scene_id,
-                    _cell(r.n_tp),
-                    _cell(r.n_fp),
-                    _cell(r.n_fn),
-                    _cell(r.tsr),
-                    _cell(r.tfr),
-                    _cell(r.n_idsw),
-                    _cell(r.mota),
-                    _cell(r.ospa_mean_deg),
-                    _cell(r.mean_loc_error_deg),
-                    _cell(r.ass_a),
-                    _cell(r.ass_pr),
-                    _cell(r.ass_re),
-                ]
-            )
-        )
+        lines.append(",".join(_cell(getattr(r, attr)) for attr in _CSV_ATTRS))
     return "\n".join(lines) + "\n"
 
 

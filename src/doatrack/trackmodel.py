@@ -266,14 +266,17 @@ def _parse_rows(stream: TextIO, grid: FrameGrid, expect_source: bool):
     return rows
 
 
+def write_json(doc: dict, path: str | Path) -> None:
+    """Write a JSON document with sorted keys, 2-space indent and a final newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def write_manifest(grid: FrameGrid, path: str | Path, extra: dict | None = None) -> None:
     """Write the sidecar manifest; extra keys are merged in verbatim."""
     doc = {"frame_period_s": grid.frame_period, "n_frames": grid.n_frames}
     if extra:
         doc.update(extra)
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(doc, path)
 
 
 def read_manifest(path: str | Path) -> tuple[FrameGrid, dict]:

@@ -52,7 +52,6 @@ def test_perfect_match_counts():
     assert set(counts.couples) == {("p", "g")}
     cc = counts.couples[("p", "g")]
     assert cc.tpa == 40 and cc.fpa == 0 and cc.fna == 0
-    assert cc.multiplicity == cc.tpa
     assert counts.total_tp == 40
 
 
@@ -73,7 +72,7 @@ def test_merge_counts_match_worked_example():
 def test_multiplicity_totals_cover_all_tps():
     _gts, ms = random_match_sequence(np.random.default_rng(0))
     counts = count_associations(ms)
-    assert sum(cc.multiplicity for cc in counts.couples.values()) == counts.total_tp
+    assert sum(cc.tpa for cc in counts.couples.values()) == counts.total_tp
 
 
 def test_perfect_match_scores_are_one():

@@ -2,8 +2,9 @@ import hashlib
 import json
 from pathlib import Path
 
-from doatrack.cli import main
+from doatrack.cli import _available_cpus, _clamp_jobs, config_from_json, main
 from doatrack.geometry import Direction
+from doatrack.trackers import TrackerConfig
 from doatrack.trackmodel import (
     FrameGrid,
     TrackSet,
@@ -71,8 +72,16 @@ def test_simulate_three_speaker_subset(tmp_path):
 
 
 def test_simulate_rejects_bad_config(tmp_path):
-    cfg = write_config(tmp_path, "sim.json", {"scenario": {"n_speakers": 0}})
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    bad_docs = [
+        {"scenario": {"n_speakers": 0}},
+        # booleans must be JSON booleans, integers integral: never coerced
+        {"scenario": {"n_speakers": 1, "exclude_previous": "false"}},
+        {"scenario": {"n_speakers": 2.7}},
+        {"scenario": {"n_speakers": 1}, "n_scenes": 1.5},
+    ]
+    for doc in bad_docs:
+        cfg = write_config(tmp_path, "sim.json", doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1, doc
 
 
 def test_simulate_rejects_unknown_keys(tmp_path):
@@ -156,6 +165,11 @@ def test_track_reports_missing_observation_file(tmp_path, capsys):
     # other scenes still produced
     assert (tmp_path / "p" / "scene_0000.pred.csv").exists()
     assert (tmp_path / "p" / "scene_0002.pred.csv").exists()
+    # a fractional k_max is a config error, raised before any scene runs
+    tcfg = write_config(tmp_path, "pf.json", {"type": "pf", "k_max": 2.5, "seed": 1})
+    code = main(["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(tmp_path / "q")])
+    assert code == 1
+    assert "k_max" in capsys.readouterr().err
 
 
 def _write_manual_corpus(root: Path, scenes: dict[str, TrackSet], grid: FrameGrid):
@@ -214,6 +228,22 @@ def test_merger_corpus_on_disjoint_speakers(tmp_path):
         assert float(row["ass_pr"]) == 0.5
         assert float(row["ass_re"]) == 1.0
         assert float(row["tsr"]) == 0.0
+
+
+def test_evaluate_reports_nan_azimuth_per_scene(tmp_path, capsys):
+    corpus = _simulated_corpus(tmp_path)
+    tcfg = write_config(tmp_path, "oracle.json", {"type": "oracle"})
+    preds = tmp_path / "preds"
+    assert main(["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(preds)]) == 0
+    target = preds / "scene_0001.pred.csv"
+    header, first, *rest = target.read_text().split("\n")
+    cells = first.split(",")
+    cells[3] = "nan"
+    target.write_text("\n".join([header, ",".join(cells), *rest]))
+    assert main(["evaluate", "--gt", str(corpus), "--pred", str(preds)]) == 2
+    err = capsys.readouterr().err
+    assert "scene_0001" in err and "ParseError" in err
+    assert "Traceback" not in err
 
 
 def test_evaluate_rejects_mismatched_scene_sets(tmp_path):
@@ -322,3 +352,84 @@ def test_jobs_flag_matches_serial_run(tmp_path):
         "--jobs", "2",
     ]) == 0
     assert dir_digest(eval_serial) == dir_digest(eval_parallel)
+
+
+def test_jobs_clamped_to_available_cpus():
+    assert _clamp_jobs(64, 2) == 2
+    assert _clamp_jobs(2, 8) == 2
+    assert _clamp_jobs(1, 1) == 1
+    assert _available_cpus() >= 1
+
+
+# Every scenario and observation key, degree keys and tuple keys included.
+# The manifest bytes were recorded before the config converter was
+# generalized; the echo must not move by one byte.
+FULL_SIM_DOC = {
+    "scenario": {
+        "n_speakers": 2, "mode": "jump", "n_positions": 5, "min_separation_deg": 60,
+        "duration_s": 30, "frame_period_s": 0.1, "segment_len_s": [1, 4.5],
+        "gap_len_s": [0.5, 2], "angular_speed_deg_s": 12.5, "exclude_previous": False,
+        "max_attempts": 300,
+    },
+    "observation": {"angular_noise_sigma_deg": 3, "p_miss": 0.1, "clutter_rate": 0.25},
+    "n_scenes": 1,
+    "seed": 17,
+}
+
+FULL_SIM_MANIFEST = """{
+  "frame_period_s": 0.1,
+  "n_frames": 300,
+  "n_scenes": 1,
+  "observation": {
+    "angular_noise_sigma_deg": 3.0000000000000004,
+    "clutter_rate": 0.25,
+    "p_miss": 0.1
+  },
+  "scenario": {
+    "angular_speed_deg_s": 12.5,
+    "duration_s": 30.0,
+    "exclude_previous": false,
+    "frame_period_s": 0.1,
+    "gap_len_s": [
+      0.5,
+      2.0
+    ],
+    "max_attempts": 300,
+    "min_separation_deg": 59.99999999999999,
+    "mode": "jump",
+    "n_positions": 5,
+    "n_speakers": 2,
+    "segment_len_s": [
+      1.0,
+      4.5
+    ]
+  },
+  "seed": 17
+}
+"""
+
+
+def test_simulate_manifest_echo_is_pinned(tmp_path):
+    out = tmp_path / "corpus"
+    cfg = write_config(tmp_path, "sim.json", FULL_SIM_DOC)
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "manifest.json").read_bytes() == FULL_SIM_MANIFEST.encode()
+
+
+def test_tracker_config_from_every_json_key():
+    doc = {
+        "k_max": 6, "max_active": 3, "assoc_gate_deg": 12, "birth_frames": 4,
+        "death_frames": 7, "n_particles": 50, "process_noise_sigma_deg": 0.75,
+        "likelihood_sigma_deg": 4, "seed": 99,
+    }
+    assert config_from_json(TrackerConfig, doc, "tracker") == TrackerConfig(
+        max_active=3,
+        k_max=6,
+        assoc_gate=0.20943951023931956,
+        birth_frames=4,
+        death_frames=7,
+        n_particles=50,
+        process_noise_sigma=0.013089969389957472,
+        likelihood_sigma=0.06981317007977318,
+        seed=99,
+    )

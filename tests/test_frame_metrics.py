@@ -13,7 +13,6 @@ from doatrack.frame_metrics import (
     count_broken,
     count_swaps,
     frame_metrics_report,
-    idsw,
     mean_localization_error,
     mota,
     ospa_frame,
@@ -34,7 +33,6 @@ def D(az_deg, el_deg=0.0):
 def test_perfect_tracker_has_no_swaps():
     ms = ms_from([([("p", "g")], [], [])] * 30)
     assert count_swaps(ms) == 0
-    assert idsw(ms) == 0
 
 
 def test_contiguous_split_counts_one_swap():
