@@ -24,8 +24,10 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import DoatrackError, InvalidConfig
+from .errors import DoatrackError, InvalidConfig, ParseError
+from .frame_metrics import check_ospa
 from .geometry import angular_distance
+from .matching import check_gate
 from .reporting import (
     AGGREGATE_METRICS,
     aggregate_reports,
@@ -153,13 +155,20 @@ def config_to_json(cfg) -> dict:
     return doc
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise InvalidConfig(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def _load_json(path: str | Path) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise InvalidConfig(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"malformed JSON in {path}: {exc}") from exc
+    return _json_object(doc, f"config {path}")
 
 
 def _clamp_jobs(jobs: int, cpus: int) -> int:
@@ -187,6 +196,30 @@ def _scene_name(index: int) -> str:
 
 def _list_scene_ids(directory: Path, suffix: str) -> list[str]:
     return sorted(p.name[: -len(suffix)] for p in directory.glob(f"scene_*{suffix}"))
+
+
+def _corpus_scene_ids(directory: Path, manifest: dict) -> list[str]:
+    """Ground-truth scene ids of a corpus, checked against its manifest.
+
+    A manifest with n_scenes names exactly scene_0000 .. scene_{n-1}; any
+    other file set (left over from an earlier, larger corpus, or cut
+    short) is a data error.
+    """
+    scene_ids = _list_scene_ids(directory, ".gt.csv")
+    if "n_scenes" not in manifest:
+        return scene_ids
+    n = manifest["n_scenes"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ParseError(f"bad manifest in {directory}: n_scenes {n!r}")
+    expected = [_scene_name(i) for i in range(n)]
+    if scene_ids != expected:
+        extra = sorted(set(scene_ids) - set(expected))
+        missing = sorted(set(expected) - set(scene_ids))
+        raise DoatrackError(
+            f"{directory} does not hold the {n} scenes its manifest names: "
+            f"extra {extra}, missing {missing}"
+        )
+    return scene_ids
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +279,43 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _tracker_spec(doc: dict, manifest: dict) -> tuple[str, object]:
+    """(type, parameter) of a tracker config, checked once per corpus.
+
+    The parameter is the TrackerConfig for pf, the splitter's k, the
+    swapper's period_s, and None for oracle and merger.
+    """
+    ttype = doc.get("type", "pf")
+    if ttype == "pf":
+        pf_doc = {k: v for k, v in doc.items() if k not in _ADVERSARY_KEYS}
+        default_max_active = manifest.get("scenario", {}).get("n_speakers")
+        if default_max_active is not None:
+            pf_doc.setdefault("max_active", default_max_active)
+        return ttype, config_from_json(TrackerConfig, pf_doc, "tracker")
+    if ttype in ("oracle", "merger"):
+        return ttype, None
+    if ttype == "splitter":
+        if "k" not in doc:
+            raise InvalidConfig("splitter config requires k")
+        k = _coerce(doc["k"], int, "k")
+        if k < 1:
+            raise InvalidConfig(f"k must be >= 1, got {k}")
+        return ttype, k
+    if ttype == "swapper":
+        if "period_s" not in doc:
+            raise InvalidConfig("swapper config requires period_s")
+        period_s = _coerce(doc["period_s"], float, "period_s")
+        if period_s <= 0:
+            raise InvalidConfig(f"period_s must be > 0, got {period_s}")
+        return ttype, period_s
+    raise InvalidConfig(f"unknown tracker type {ttype!r}")
+
+
 def _run_tracker_scene(task: tuple) -> tuple[str, str | None]:
     """Worker: produce one prediction CSV. Returns (scene_id, error)."""
-    scene_id, scene_index, scenes_dir, out_dir, period, n_frames, doc, pf_cfg = task
+    scene_id, scene_index, scenes_dir, out_dir, period, n_frames, ttype, param = task
     grid = FrameGrid(period, n_frames)
     scenes = Path(scenes_dir)
-    ttype = doc.get("type", "pf")
     try:
         if ttype in ("oracle", "pf"):
             obs_path = scenes / f"{scene_id}.obs.csv"
@@ -261,7 +325,7 @@ def _run_tracker_scene(task: tuple) -> tuple[str, str | None]:
             if ttype == "oracle":
                 preds = oracle_tracker(obs)
             else:
-                cfg = replace(pf_cfg, seed=derive_seed(pf_cfg.seed, scene_index, 2))
+                cfg = replace(param, seed=derive_seed(param.seed, scene_index, 2))
                 preds = pf_tracker(obs, cfg)
         else:
             gt_path = scenes / f"{scene_id}.gt.csv"
@@ -269,13 +333,11 @@ def _run_tracker_scene(task: tuple) -> tuple[str, str | None]:
                 raise FileNotFoundError(f"missing ground-truth file {gt_path}")
             gt = read_trackset(gt_path, grid)
             if ttype == "splitter":
-                preds = splitter_tracker(gt, _coerce(doc["k"], int, "k"))
+                preds = splitter_tracker(gt, param)
             elif ttype == "merger":
                 preds = merger_tracker(gt)
-            elif ttype == "swapper":
-                preds = swapper_tracker(gt, _coerce(doc["period_s"], float, "period_s"))
             else:
-                raise InvalidConfig(f"unknown tracker type {ttype!r}")
+                preds = swapper_tracker(gt, param)
         write_trackset(preds, Path(out_dir) / f"{scene_id}.pred.csv")
         return scene_id, None
     except (DoatrackError, OSError, KeyError, ValueError) as exc:
@@ -285,22 +347,15 @@ def _run_tracker_scene(task: tuple) -> tuple[str, str | None]:
 def track_corpus(scenes_dir: Path, tracker_doc: dict, out_dir: Path, jobs: int = 1) -> list[str]:
     """Run a tracker over every scene; returns per-scene failure messages."""
     grid, manifest = read_manifest(scenes_dir / "manifest.json")
-    scene_ids = _list_scene_ids(scenes_dir, ".gt.csv")
+    scene_ids = _corpus_scene_ids(scenes_dir, manifest)
     if not scene_ids:
         raise InvalidConfig(f"no scenes found in {scenes_dir}")
+    # Parsed once; per-scene workers only derive their seeds from it.
+    ttype, param = _tracker_spec(tracker_doc, manifest)
     out_dir.mkdir(parents=True, exist_ok=True)
-    pf_cfg = None
-    if tracker_doc.get("type", "pf") == "pf":
-        # Parsed once; per-scene workers only derive their seeds from it.
-        pf_doc = {k: v for k, v in tracker_doc.items() if k not in _ADVERSARY_KEYS}
-        default_max_active = manifest.get("scenario", {}).get("n_speakers")
-        if default_max_active is not None:
-            pf_doc.setdefault("max_active", default_max_active)
-        pf_cfg = config_from_json(TrackerConfig, pf_doc, "tracker")
     write_manifest(grid, out_dir / "manifest.json")
     tasks = [
-        (sid, i, str(scenes_dir), str(out_dir), grid.frame_period, grid.n_frames,
-         tracker_doc, pf_cfg)
+        (sid, i, str(scenes_dir), str(out_dir), grid.frame_period, grid.n_frames, ttype, param)
         for i, sid in enumerate(scene_ids)
     ]
     results = _map_jobs(_run_tracker_scene, tasks, jobs)
@@ -352,12 +407,16 @@ def evaluate_corpus(
     """Evaluate a prediction corpus against its ground truths.
 
     Returns (reports, aggregate, failures); writes per_scene.csv and
-    aggregate.json to out_dir when given.
+    aggregate.json to out_dir when given. The gate and OSPA parameters
+    are checked here, so a bad value is one config error, not one
+    failure per scene.
     """
-    grid, _ = read_manifest(gt_dir / "manifest.json")
+    check_gate(gate)
+    check_ospa(ospa_cutoff, ospa_order)
+    grid, manifest = read_manifest(gt_dir / "manifest.json")
     pred_manifest = pred_dir / "manifest.json"
     pred_grid = read_manifest(pred_manifest)[0] if pred_manifest.exists() else grid
-    gt_ids = _list_scene_ids(gt_dir, ".gt.csv")
+    gt_ids = _corpus_scene_ids(gt_dir, manifest)
     pred_ids = _list_scene_ids(pred_dir, ".pred.csv")
     if gt_ids != pred_ids:
         missing = sorted(set(gt_ids) ^ set(pred_ids))
@@ -458,16 +517,19 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
     k_values = doc.get("k_max_values")
     if not subsets or not isinstance(subsets, list):
         raise InvalidConfig("sweep config requires a non-empty subsets list")
+    for sub in subsets:
+        _json_object(sub, "sweep subset")
     if not k_values or not isinstance(k_values, list):
         raise InvalidConfig("sweep config requires a non-empty k_max_values list")
-    scenario_doc = dict(doc.get("scenario", {}))
+    scenario_doc = dict(_json_object(doc.get("scenario", {}), "sweep scenario"))
     observation_doc = doc.get("observation", {})
-    tracker_doc = dict(doc.get("tracker", {}))
+    tracker_doc = dict(_json_object(doc.get("tracker", {}), "sweep tracker"))
     tracker_doc.setdefault("type", "pf")
     if tracker_doc["type"] != "pf":
         raise InvalidConfig("sweep supports only the pf tracker")
     gate = math.radians(_coerce(doc.get("gate_deg", DEFAULT_GATE_DEG), float, "gate_deg"))
-    boot = doc.get("bootstrap", {})
+    check_gate(gate)
+    boot = _json_object(doc.get("bootstrap", {}), "sweep bootstrap")
     fraction = _coerce(boot.get("fraction", 0.8), float, "fraction")
     replicates = _coerce(boot.get("replicates", 100), int, "replicates")
     out_dir.mkdir(parents=True, exist_ok=True)

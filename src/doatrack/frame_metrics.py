@@ -23,10 +23,10 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import UndefinedOnEmptyGroundTruth, UndefinedOnEmptyTP
+from .errors import InvalidConfig, UndefinedOnEmptyGroundTruth, UndefinedOnEmptyTP
 from .geometry import Direction, pairwise_angular_distance, unit_vectors
 from .matching import MatchSequence
-from .trackmodel import TrackSet, per_frame_entries
+from .trackmodel import TrackSet
 
 
 def count_swaps(ms: MatchSequence) -> int:
@@ -86,6 +86,36 @@ def mota(n_fn: int, n_fp: int, n_idsw: int, n_gt_detections: int) -> float:
     return float(1 - Fraction(n_fn + n_fp + n_idsw, n_gt_detections))
 
 
+def check_ospa(cutoff: float, order: float) -> None:
+    """Raise InvalidConfig (a ValueError) unless cutoff lies in (0, pi] and order >= 1."""
+    if not 0.0 < cutoff <= math.pi:
+        raise InvalidConfig(
+            f"OSPA cutoff must lie in (0, 180] degrees, got {math.degrees(cutoff)!r}"
+        )
+    if not order >= 1:
+        raise InvalidConfig(f"OSPA order must be >= 1, got {order!r}")
+
+
+def _ospa(n_pred: int, n_gt: int, dist: np.ndarray | None, cutoff: float, order: float) -> float:
+    """OSPA of one frame from its cardinalities and pred x gt distances.
+
+    The assignment solver runs only when some side has more than one
+    entry: a 1x1 frame's only injection is its single pair.
+    """
+    m, n = sorted((n_pred, n_gt))
+    if n == 0:
+        return 0.0
+    if m == 0:
+        return cutoff
+    cost = np.minimum(dist, cutoff) ** order
+    if n == 1:
+        local = float(cost[0, 0])
+    else:
+        rows, cols = linear_sum_assignment(cost)
+        local = float(cost[rows, cols].sum())
+    return float(((local + cutoff**order * (n - m)) / n) ** (1.0 / order))
+
+
 def ospa_frame(
     preds: list[Direction],
     gts: list[Direction],
@@ -99,41 +129,27 @@ def ospa_frame(
                   + cutoff^p * (n - m) ] )^(1/p)
     Returns 0 when both sets are empty. Symmetric; result in [0, cutoff].
     """
-    if not 0.0 < cutoff <= math.pi:
-        raise ValueError("cutoff must lie in (0, pi]")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    m, n = sorted((len(preds), len(gts)))
-    if n == 0:
-        return 0.0
-    if m == 0:
-        return cutoff
-    dist = pairwise_angular_distance(unit_vectors(preds), unit_vectors(gts))
-    cost = np.minimum(dist, cutoff) ** order
-    rows, cols = linear_sum_assignment(cost)
-    local = float(cost[rows, cols].sum())
-    return float(((local + cutoff**order * (n - m)) / n) ** (1.0 / order))
+    check_ospa(cutoff, order)
+    dist = None
+    if preds and gts:
+        dist = pairwise_angular_distance(unit_vectors(preds), unit_vectors(gts))
+    return _ospa(len(preds), len(gts), dist, cutoff, order)
 
 
-def ospa_sequence(
-    preds: TrackSet,
-    gts: TrackSet,
-    cutoff: float,
-    order: float = 1.0,
-) -> float | None:
+def ospa_sequence(ms: MatchSequence, cutoff: float, order: float = 1.0) -> float | None:
     """Per-frame OSPA averaged over frames where either set is non-empty.
 
-    None when no frame has any active entity.
+    Reads the distance table match_sequence stored on ms. None when no
+    frame has any active entity.
     """
-    pred_frames = per_frame_entries(preds)
-    gt_frames = per_frame_entries(gts)
-    values = []
-    for pf, gf in zip(pred_frames, gt_frames):
-        if not pf and not gf:
-            continue
-        values.append(
-            ospa_frame([d for _i, d in pf], [d for _i, d in gf], cutoff, order)
-        )
+    check_ospa(cutoff, order)
+    if ms.distances is None:
+        raise ValueError("OSPA needs the distance table of a sequence built by match_sequence")
+    values = [
+        _ospa(len(fd.pred_ids), len(fd.gt_ids), fd.dist, cutoff, order)
+        for fd in ms.distances
+        if fd.pred_ids or fd.gt_ids
+    ]
     if not values:
         return None
     return float(np.mean(values))
@@ -174,11 +190,13 @@ class FrameMetricsReport:
 def frame_metrics_report(
     ms: MatchSequence,
     gts: TrackSet,
-    preds: TrackSet,
     ospa_cutoff: float,
     ospa_order: float = 1.0,
 ) -> FrameMetricsReport:
-    """Assemble the full frame-level report for one matched scene."""
+    """Assemble the full frame-level report for one matched scene.
+
+    OSPA reads the distance table of ms, so ms must come from match_sequence.
+    """
     n_tp = sum(len(fa.tps) for fa in ms.frames)
     n_fp = sum(len(fa.fps) for fa in ms.frames)
     n_fn = sum(len(fa.fns) for fa in ms.frames)
@@ -210,6 +228,6 @@ def frame_metrics_report(
             tfr(n_swaps, n_broken, duration) / n_gt_tracks if n_gt_tracks else None
         ),
         mota=mota_value,
-        ospa_mean=ospa_sequence(preds, gts, ospa_cutoff, ospa_order),
+        ospa_mean=ospa_sequence(ms, ospa_cutoff, ospa_order),
         mean_loc_error=mle,
     )

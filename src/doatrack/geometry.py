@@ -52,19 +52,21 @@ class Direction:
         return math.degrees(self.azimuth), math.degrees(self.elevation)
 
 
+def _unit_xyz(d: Direction) -> tuple[float, float, float]:
+    ce = math.cos(d.elevation)
+    return ce * math.cos(d.azimuth), ce * math.sin(d.azimuth), math.sin(d.elevation)
+
+
 def unit_vector(d: Direction) -> np.ndarray:
     """Unit 3-vector of a direction, shape (3,)."""
-    ce = math.cos(d.elevation)
-    return np.array(
-        [ce * math.cos(d.azimuth), ce * math.sin(d.azimuth), math.sin(d.elevation)]
-    )
+    return np.array(_unit_xyz(d))
 
 
 def unit_vectors(directions) -> np.ndarray:
     """Stack directions into an (n, 3) array of unit vectors."""
     if not directions:
         return np.zeros((0, 3))
-    return np.array([unit_vector(d) for d in directions])
+    return np.array([_unit_xyz(d) for d in directions])
 
 
 def from_unit_vector(v: np.ndarray) -> Direction:
@@ -98,13 +100,17 @@ def angular_distance(a: Direction, b: Direction) -> float:
 
 
 def pairwise_angular_distance(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """Angular distances between two stacks of unit vectors, shape (na, nb).
+    """Angular distances between two sets of unit vectors.
 
-    Same stable atan2 form as angular_distance.
+    ua has shape (..., na, 3) and ub (..., nb, 3); the result has shape
+    (..., na, nb), one distance matrix per index of the shared leading
+    dimensions. Same stable atan2 form as angular_distance. A stack of
+    matrices gives, bit for bit, the matrices of separate calls: the
+    dot products go through one stacked matmul, never a reordered sum.
     """
-    dots = ua @ ub.T
-    cross = np.cross(ua[:, None, :], ub[None, :, :])
-    return np.arctan2(np.linalg.norm(cross, axis=2), dots)
+    dots = ua @ np.swapaxes(ub, -1, -2)
+    cross = np.cross(ua[..., :, None, :], ub[..., None, :, :])
+    return np.arctan2(np.linalg.norm(cross, axis=-1), dots)
 
 
 def sample_direction(rng: np.random.Generator) -> Direction:

@@ -74,7 +74,7 @@ def evaluate_scene(
 ) -> MetricsReport:
     """Match one scene and compute every frame-level and association metric."""
     ms = match_sequence(preds, gts, gate)
-    fm = frame_metrics_report(ms, gts, preds, ospa_cutoff, ospa_order)
+    fm = frame_metrics_report(ms, gts, ospa_cutoff, ospa_order)
     try:
         assoc = association_scores(ms)
         ass_a, ass_pr, ass_re = assoc.ass_a, assoc.ass_pr, assoc.ass_re

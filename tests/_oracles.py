@@ -12,8 +12,9 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from doatrack.geometry import Direction, angular_distance
+from doatrack.geometry import Direction, angular_distance, unit_vector
 from doatrack.matching import FrameAssignment, MatchSequence
 from doatrack.trackmodel import FrameGrid, TrackSet
 
@@ -103,6 +104,53 @@ def brute_force_match(preds, gts, gate):
             best_card, best_cost = size, best_for_size
             break
     return best_card, best_cost
+
+
+def _frame_distances(preds, gts) -> np.ndarray:
+    """One frame's pred x gt distance matrix, measured on its own with
+    a plain 2-D matmul and cross product."""
+    ua = np.array([unit_vector(d) for d in preds])
+    ub = np.array([unit_vector(d) for d in gts])
+    cross = np.cross(ua[:, None, :], ub[None, :, :])
+    return np.arctan2(np.linalg.norm(cross, axis=2), ua @ ub.T)
+
+
+def lsa_match_frame(preds, gts, gate) -> FrameAssignment:
+    """Gated matching of one frame as a plain linear assignment.
+
+    Every frame with entries on both sides goes through the solver, 1x1
+    frames included, on a distance matrix measured for that frame alone;
+    ids are sorted first, which fixes the tie-break among equal-cost
+    matchings. The package's sequence path must give exactly this.
+    """
+    preds = sorted(preds, key=lambda p: p[0])
+    gts = sorted(gts, key=lambda g: g[0])
+    if not preds or not gts:
+        return FrameAssignment((), tuple(p for p, _d in preds), tuple(g for g, _d in gts))
+    dist = _frame_distances([d for _p, d in preds], [d for _g, d in gts])
+    rows, cols = linear_sum_assignment(np.where(dist <= gate, dist, 1e6))
+    pairs = [(i, j) for i, j in zip(rows, cols) if dist[i, j] <= gate]
+    tps = sorted((preds[i][0], gts[j][0], float(dist[i, j])) for i, j in pairs)
+    matched_p = {i for i, _j in pairs}
+    matched_g = {j for _i, j in pairs}
+    return FrameAssignment(
+        tuple(tps),
+        tuple(p for i, (p, _d) in enumerate(preds) if i not in matched_p),
+        tuple(g for j, (g, _d) in enumerate(gts) if j not in matched_g),
+    )
+
+
+def lsa_ospa_frame(preds, gts, cutoff, order) -> float:
+    """OSPA of one frame with the solver run on every non-empty pairing."""
+    m, n = sorted((len(preds), len(gts)))
+    if n == 0:
+        return 0.0
+    if m == 0:
+        return cutoff
+    cost = np.minimum(_frame_distances(preds, gts), cutoff) ** order
+    rows, cols = linear_sum_assignment(cost)
+    local = float(cost[rows, cols].sum())
+    return float(((local + cutoff**order * (n - m)) / n) ** (1.0 / order))
 
 
 def random_match_sequence(

@@ -255,6 +255,89 @@ def test_evaluate_rejects_mismatched_scene_sets(tmp_path):
     assert main(["evaluate", "--gt", str(corpus), "--pred", str(preds)]) == 2
 
 
+def _config_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err and "FAILED" not in err
+    return err
+
+
+def test_evaluate_rejects_gate_and_ospa_parameters_once(tmp_path, capsys):
+    corpus = _simulated_corpus(tmp_path)
+    tcfg = write_config(tmp_path, "oracle.json", {"type": "oracle"})
+    preds = tmp_path / "preds"
+    assert main(["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(preds)]) == 0
+    capsys.readouterr()
+    for flags in (["--gate-deg", "0"], ["--gate-deg", "nan"], ["--ospa-cutoff-deg", "500"],
+                  ["--ospa-order", "0.5"]):
+        assert main(["evaluate", "--gt", str(corpus), "--pred", str(preds), *flags]) == 1, flags
+        assert _config_error(capsys).count("\n") == 1, flags
+    sweep = write_config(tmp_path, "sweep.json", {
+        "subsets": [{"n_speakers": 1, "n_scenes": 1}], "k_max_values": [1], "gate_deg": 0,
+    })
+    assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep")]) == 1
+    assert "gate" in _config_error(capsys)
+    assert not (tmp_path / "sweep" / "1spk").exists()
+
+
+def test_config_that_is_not_a_json_object_is_a_config_error(tmp_path, capsys):
+    corpus = _simulated_corpus(tmp_path)
+    capsys.readouterr()
+    tcfg = write_config(tmp_path, "t.json", [1])
+    assert main(["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(tmp_path / "p")]) == 1
+    _config_error(capsys)
+    scfg = write_config(tmp_path, "s.json", "scenario")
+    assert main(["simulate", "--config", scfg, "--out", str(tmp_path / "x")]) == 1
+    _config_error(capsys)
+    base = {"subsets": [{"n_speakers": 1, "n_scenes": 1}], "k_max_values": [1]}
+    for bad in ({"subsets": [3]}, {"subsets": [{"n_speakers": 1}, 3]},
+                {"bootstrap": [1]}, {"tracker": [1]}, {"scenario": "jump"}):
+        cfg = write_config(tmp_path, "sweep.json", {**base, **bad})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 1, bad
+        _config_error(capsys)
+    assert not (tmp_path / "sweep" / "1spk").exists()
+
+
+def test_adversary_parameters_checked_once_per_corpus(tmp_path, capsys):
+    corpus = _simulated_corpus(tmp_path)
+    capsys.readouterr()
+    bad_docs = [
+        {"type": "splitter", "k": 1.5},
+        {"type": "splitter", "k": 0},
+        {"type": "splitter"},
+        {"type": "swapper", "period_s": 0},
+        {"type": "swapper", "period_s": "2"},
+        {"type": "teleporter"},
+    ]
+    for doc in bad_docs:
+        tcfg = write_config(tmp_path, "adv.json", doc)
+        out = tmp_path / "p"
+        assert main(["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(out)]) == 1, doc
+        assert _config_error(capsys).count("\n") == 1, doc
+        assert not out.exists()
+
+
+def test_stale_scenes_beyond_the_manifest_are_a_data_error(tmp_path, capsys):
+    sim = write_config(tmp_path, "sim.json", {**SIM_DOC, "n_scenes": 4})
+    corpus = tmp_path / "corpus"
+    assert main(["simulate", "--config", sim, "--out", str(corpus)]) == 0
+    tcfg = write_config(tmp_path, "oracle.json", {"type": "oracle"})
+    preds = tmp_path / "preds"
+    assert main(["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(preds)]) == 0
+    sim = write_config(tmp_path, "sim.json", {**SIM_DOC, "n_scenes": 2})
+    assert main(["simulate", "--config", sim, "--out", str(corpus)]) == 0
+    capsys.readouterr()
+    assert main(["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(tmp_path / "q")]) == 2
+    assert main(["evaluate", "--gt", str(corpus), "--pred", str(preds)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("extra ['scene_0002', 'scene_0003']") == 2 and "Traceback" not in err
+    # a scene missing from the corpus is named too
+    (corpus / "scene_0003.gt.csv").unlink()
+    (corpus / "scene_0002.gt.csv").unlink()
+    (corpus / "scene_0001.gt.csv").unlink()
+    assert main(["evaluate", "--gt", str(corpus), "--pred", str(preds)]) == 2
+    assert "missing ['scene_0001']" in capsys.readouterr().err
+
+
 def test_sweep_produces_rows_per_subset_and_k(tmp_path):
     doc = {
         "subsets": [{"n_speakers": 1, "n_scenes": 3}],

@@ -204,8 +204,8 @@ def test_tsr_never_exceeds_tfr():
     rng = np.random.default_rng(21)
     for _ in range(20):
         gts, ms = random_match_sequence(rng)
-        report = frame_metrics_report(ms, gts, TrackSet(ms.grid, {}), CUT30)
-        assert report.tsr <= report.tfr
+        n_swaps, duration = count_swaps(ms), ms.grid.duration
+        assert tsr(n_swaps, duration) <= tfr(n_swaps, count_broken(ms, gts), duration)
 
 
 def test_tfr_equals_tsr_without_false_negatives():
@@ -224,11 +224,16 @@ def test_merge_is_invisible_to_swaps_but_not_to_precision():
 
 
 def test_per_track_rates_divide_by_ground_truth_track_count():
-    frames = [([("p1", "g1"), ("q", "g2")], [], [])] * 10
-    frames += [([("p2", "g1"), ("q", "g2")], [], [])] * 10
-    ms = ms_from(frames)
-    gts = _gts_active(ms.grid, {"g1": range(20), "g2": range(20)})
-    report = frame_metrics_report(ms, gts, TrackSet(ms.grid, {}), CUT30)
+    # p1 hands g1 over to p2 at frame 10; q follows g2 throughout
+    grid = FrameGrid(0.1, 20)
+    gts = TrackSet(grid, {"g1": {f: D(0) for f in range(20)}, "g2": {f: D(90) for f in range(20)}})
+    preds = TrackSet(grid, {
+        "p1": {f: D(0) for f in range(10)},
+        "p2": {f: D(0) for f in range(10, 20)},
+        "q": {f: D(90) for f in range(20)},
+    })
+    ms = match_sequence(preds, gts, math.radians(20))
+    report = frame_metrics_report(ms, gts, CUT30)
     assert report.n_swaps == 1
     assert report.tsr_per_track == report.tsr / 2
     assert report.tfr_per_track == report.tfr / 2
@@ -240,7 +245,7 @@ def test_report_assembly_on_matched_scene():
     gts = TrackSet(grid, gt_entries)
     preds = TrackSet(grid, {"p": {f: D(f, 0) for f in range(30)}})
     ms = match_sequence(preds, gts, math.radians(20))
-    report = frame_metrics_report(ms, gts, preds, CUT30)
+    report = frame_metrics_report(ms, gts, CUT30)
     assert report.n_tp == 30 and report.n_fp == 0 and report.n_fn == 0
     assert report.tsr == 0.0 and report.tfr == 0.0
     assert report.mota == 1.0

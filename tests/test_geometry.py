@@ -12,6 +12,7 @@ from doatrack.geometry import (
     angular_distance,
     from_unit_vector,
     move_along_great_circle,
+    pairwise_angular_distance,
     perturb_direction,
     sample_direction,
     sample_separated_set,
@@ -90,6 +91,25 @@ def test_distance_invariant_under_common_rotation(a, b, ax, ay, az, angle):
     ra = from_unit_vector(rot @ unit_vector(a))
     rb = from_unit_vector(rot @ unit_vector(b))
     assert angular_distance(ra, rb) == pytest.approx(angular_distance(a, b), abs=1e-9)
+
+
+def test_stacked_pairwise_distance_equals_separate_calls_bit_for_bit():
+    rng = np.random.default_rng(4)
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    for n in range(1, 5):
+        for m in range(1, 5):
+            for k in (1, 3, 200):
+                v = rng.normal(size=(k, n + m, 3))
+                v /= np.linalg.norm(v, axis=-1, keepdims=True)
+                v[: k // 2, 0] = v[: k // 2, -1]  # duplicate directions
+                v[1::3, -1] = poles[0]
+                v[2::3, 0] = poles[1]
+                ua, ub = v[:, :n], v[:, n:]
+                stacked = pairwise_angular_distance(ua, ub)
+                assert stacked.shape == (k, n, m)
+                for i in range(k):
+                    single = pairwise_angular_distance(ua[i], ub[i])
+                    assert stacked[i].tobytes() == single.tobytes()
 
 
 def test_sample_direction_deterministic_per_seed():

@@ -1,13 +1,17 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
-from _oracles import brute_force_match
+from _oracles import brute_force_match, lsa_match_frame, lsa_ospa_frame
+from conftest import directions
 from doatrack.errors import GridMismatch
+from doatrack.frame_metrics import ospa_frame, ospa_sequence
 from doatrack.geometry import Direction, angular_distance, sample_direction
 from doatrack.matching import match_frame, match_sequence
-from doatrack.trackmodel import FrameGrid, TrackSet
+from doatrack.trackmodel import FrameGrid, TrackSet, per_frame_entries
 
 
 def D(az_deg, el_deg=0.0):
@@ -51,6 +55,14 @@ def test_input_order_does_not_matter():
     a = match_frame(preds, gts, math.radians(60))
     b = match_frame(preds[::-1], gts[::-1], math.radians(60))
     assert a == b
+
+
+def test_pair_exactly_at_the_gate_is_matched():
+    a, b, c = D(10, 5), D(40, -20), D(-120, 60)
+    gate = match_frame([("p", a)], [("g", b)], math.pi).tps[0][2]
+    assert match_frame([("p", a)], [("g", b)], gate).tps == (("p", "g", gate),)
+    fa = match_frame([("p", a), ("q", c)], [("g", b)], gate)
+    assert fa.tps == (("p", "g", gate),) and fa.fps == ("q",)
 
 
 def test_duplicate_ids_rejected():
@@ -176,3 +188,60 @@ def test_inputs_not_mutated_by_matching():
     match_sequence(preds, gts, GATE20)
     assert gts == gts_snapshot
     assert preds == preds_snapshot
+
+
+# Poles (any azimuth is the same point there) and both sides of the
+# +-180 deg azimuth seam.
+SPECIAL_DIRECTIONS = [
+    D(0, 90), D(123, 90), D(0, -90), D(180, 0), D(-180, 0),
+    D(179.9999, 10), D(-179.9999, 10), D(45, 0),
+]
+
+
+@st.composite
+def scene_pairs(draw):
+    """(preds, gts) on one grid, 0-4 entries per frame and side. Entries
+    draw from a small pool, so duplicate directions (equal-cost ties)
+    are common."""
+    grid = FrameGrid(0.1, draw(st.integers(1, 8)))
+    pool = SPECIAL_DIRECTIONS + draw(st.lists(directions(), min_size=1, max_size=4))
+
+    def trackset(prefix):
+        rows = []
+        for f in range(grid.n_frames):
+            for i in draw(st.lists(st.integers(0, 5), max_size=4, unique=True)):
+                rows.append((f, f"{prefix}{i}", draw(st.sampled_from(pool))))
+        return TrackSet.build(grid, rows)
+
+    return trackset("p"), trackset("g")
+
+
+@given(
+    scene_pairs(),
+    st.sampled_from([math.radians(7.0), GATE20, math.radians(75.0), math.pi]),
+    st.sampled_from([math.radians(10.0), math.radians(30.0), math.pi]),
+    st.sampled_from([1.0, 1.5, 2.0]),
+)
+def test_sequence_path_equals_per_frame_reference(scene, gate, cutoff, order):
+    preds, gts = scene
+    ms = match_sequence(preds, gts, gate)
+    values = []
+    for f, (pf, gf) in enumerate(zip(per_frame_entries(preds), per_frame_entries(gts))):
+        assert ms.frames[f] == lsa_match_frame(pf, gf, gate)
+        assert match_frame(pf, gf, gate) == ms.frames[f]
+        if pf or gf:
+            p_dirs, g_dirs = [d for _i, d in pf], [d for _i, d in gf]
+            value = ospa_frame(p_dirs, g_dirs, cutoff, order)
+            assert value == lsa_ospa_frame(p_dirs, g_dirs, cutoff, order)
+            values.append(value)
+    expected = float(np.mean(values)) if values else None
+    assert ospa_sequence(ms, cutoff, order) == expected
+
+
+def test_ospa_sequence_needs_a_matched_sequence():
+    grid = FrameGrid(0.1, 2)
+    gts = TrackSet(grid, {"g": {0: D(0)}})
+    ms = match_sequence(TrackSet(grid, {}), gts, GATE20)
+    assert ospa_sequence(ms, math.radians(30.0)) == math.radians(30.0)
+    with pytest.raises(ValueError):
+        ospa_sequence(type(ms)(ms.grid, ms.frames), math.radians(30.0))
