@@ -19,6 +19,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, fields, replace
+from functools import partial
+from itertools import combinations
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -45,6 +47,7 @@ from .trackers import (
 )
 from .trackmodel import (
     FrameGrid,
+    open_text,
     read_manifest,
     read_observations,
     read_trackset,
@@ -182,12 +185,37 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_jobs(worker, tasks: list, jobs: int) -> list:
+def _run_scene(worker, index: int, scene_id: str) -> tuple[object, str | None]:
+    """(worker's result, None), or (None, failure line) if the scene failed."""
+    try:
+        return worker(index, scene_id), None
+    except (DoatrackError, OSError, KeyError, ValueError) as exc:
+        return None, f"{scene_id}: {type(exc).__name__}: {exc}"
+
+
+def _map_scenes(worker, scene_ids: list[str], jobs: int) -> tuple[list, list[str]]:
+    """Call worker(index, scene_id) per scene; return (results, failure lines).
+
+    A scene whose data is bad gives a failure line and no result."""
+    run = partial(_run_scene, worker)
     jobs = _clamp_jobs(jobs, _available_cpus())
-    if jobs <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
+    if jobs <= 1 or len(scene_ids) <= 1:
+        outcomes = list(map(run, range(len(scene_ids)), scene_ids))
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(run, range(len(scene_ids)), scene_ids))
+    results = [result for result, err in outcomes if err is None]
+    return results, [err for _result, err in outcomes if err is not None]
+
+
+def _finish(command: str, failures: list[str], done: str) -> int:
+    """Print each failure and exit 2, or print the done message and exit 0."""
+    for line in failures:
+        print(f"{command}: FAILED {line}", file=sys.stderr)
+    if failures:
+        return EXIT_DATA
+    print(f"{command}: {done}")
+    return EXIT_OK
 
 
 def _scene_name(index: int) -> str:
@@ -203,9 +231,11 @@ def _corpus_scene_ids(directory: Path, manifest: dict) -> list[str]:
 
     A manifest with n_scenes names exactly scene_0000 .. scene_{n-1}; any
     other file set (left over from an earlier, larger corpus, or cut
-    short) is a data error.
+    short) is a data error, and so is a corpus without scenes.
     """
     scene_ids = _list_scene_ids(directory, ".gt.csv")
+    if not scene_ids:
+        raise DoatrackError(f"no scenes found in {directory}")
     if "n_scenes" not in manifest:
         return scene_ids
     n = manifest["n_scenes"]
@@ -256,6 +286,12 @@ def simulate_corpus(
         obs = simulate_observations(gt, replace(om_base, seed=derive_seed(master_seed, i, 1)))
         write_trackset(gt, out_dir / f"{_scene_name(i)}.gt.csv")
         write_observations(obs, out_dir / f"{_scene_name(i)}.obs.csv")
+    # Scenes of an earlier, larger corpus in out_dir are no longer ours.
+    for suffix in (".gt.csv", ".obs.csv"):
+        for sid in _list_scene_ids(out_dir, suffix):
+            index = sid[len("scene_"):]
+            if index.isdecimal() and sid == _scene_name(int(index)) and int(index) >= n_scenes:
+                (out_dir / f"{sid}{suffix}").unlink()
     return grid
 
 
@@ -311,66 +347,43 @@ def _tracker_spec(doc: dict, manifest: dict) -> tuple[str, object]:
     raise InvalidConfig(f"unknown tracker type {ttype!r}")
 
 
-def _run_tracker_scene(task: tuple) -> tuple[str, str | None]:
-    """Worker: produce one prediction CSV. Returns (scene_id, error)."""
-    scene_id, scene_index, scenes_dir, out_dir, period, n_frames, ttype, param = task
-    grid = FrameGrid(period, n_frames)
-    scenes = Path(scenes_dir)
-    try:
-        if ttype in ("oracle", "pf"):
-            obs_path = scenes / f"{scene_id}.obs.csv"
-            if not obs_path.exists():
-                raise FileNotFoundError(f"missing observation file {obs_path}")
-            obs = read_observations(obs_path, grid)
-            if ttype == "oracle":
-                preds = oracle_tracker(obs)
-            else:
-                cfg = replace(param, seed=derive_seed(param.seed, scene_index, 2))
-                preds = pf_tracker(obs, cfg)
+def _run_tracker_scene(
+    scenes_dir: Path, out_dir: Path, grid: FrameGrid, ttype: str, param, index: int, scene_id: str
+) -> None:
+    """Worker: write one scene's prediction CSV."""
+    if ttype in ("oracle", "pf"):
+        obs = read_observations(scenes_dir / f"{scene_id}.obs.csv", grid)
+        if ttype == "oracle":
+            preds = oracle_tracker(obs)
         else:
-            gt_path = scenes / f"{scene_id}.gt.csv"
-            if not gt_path.exists():
-                raise FileNotFoundError(f"missing ground-truth file {gt_path}")
-            gt = read_trackset(gt_path, grid)
-            if ttype == "splitter":
-                preds = splitter_tracker(gt, param)
-            elif ttype == "merger":
-                preds = merger_tracker(gt)
-            else:
-                preds = swapper_tracker(gt, param)
-        write_trackset(preds, Path(out_dir) / f"{scene_id}.pred.csv")
-        return scene_id, None
-    except (DoatrackError, OSError, KeyError, ValueError) as exc:
-        return scene_id, f"{type(exc).__name__}: {exc}"
+            cfg = replace(param, seed=derive_seed(param.seed, index, 2))
+            preds = pf_tracker(obs, cfg)
+    else:
+        gt = read_trackset(scenes_dir / f"{scene_id}.gt.csv", grid)
+        if ttype == "splitter":
+            preds = splitter_tracker(gt, param)
+        elif ttype == "merger":
+            preds = merger_tracker(gt)
+        else:
+            preds = swapper_tracker(gt, param)
+    write_trackset(preds, out_dir / f"{scene_id}.pred.csv")
 
 
 def track_corpus(scenes_dir: Path, tracker_doc: dict, out_dir: Path, jobs: int = 1) -> list[str]:
     """Run a tracker over every scene; returns per-scene failure messages."""
     grid, manifest = read_manifest(scenes_dir / "manifest.json")
     scene_ids = _corpus_scene_ids(scenes_dir, manifest)
-    if not scene_ids:
-        raise InvalidConfig(f"no scenes found in {scenes_dir}")
     # Parsed once; per-scene workers only derive their seeds from it.
     ttype, param = _tracker_spec(tracker_doc, manifest)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(grid, out_dir / "manifest.json")
-    tasks = [
-        (sid, i, str(scenes_dir), str(out_dir), grid.frame_period, grid.n_frames, ttype, param)
-        for i, sid in enumerate(scene_ids)
-    ]
-    results = _map_jobs(_run_tracker_scene, tasks, jobs)
-    return [f"{sid}: {err}" for sid, err in results if err is not None]
+    worker = partial(_run_tracker_scene, scenes_dir, out_dir, grid, ttype, param)
+    return _map_scenes(worker, scene_ids, jobs)[1]
 
 
 def cmd_track(args) -> int:
-    doc = _load_json(args.config)
-    failures = track_corpus(Path(args.scenes), doc, Path(args.out), args.jobs)
-    for line in failures:
-        print(f"track: FAILED {line}", file=sys.stderr)
-    if failures:
-        return EXIT_DATA
-    print(f"track: predictions written to {args.out}")
-    return EXIT_OK
+    failures = track_corpus(Path(args.scenes), _load_json(args.config), Path(args.out), args.jobs)
+    return _finish("track", failures, f"predictions written to {args.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -378,18 +391,11 @@ def cmd_track(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate_scene_task(task: tuple):
-    (scene_id, gt_path, pred_path, gt_period, gt_frames, pred_period, pred_frames,
-     gate, cutoff, order) = task
-    gt_grid = FrameGrid(gt_period, gt_frames)
-    pred_grid = FrameGrid(pred_period, pred_frames)
-    try:
-        gts = read_trackset(gt_path, gt_grid)
-        preds = read_trackset(pred_path, pred_grid)
-        report = evaluate_scene(scene_id, gts, preds, gate, cutoff, order)
-        return scene_id, report, None
-    except DoatrackError as exc:
-        return scene_id, None, f"{type(exc).__name__}: {exc}"
+def _score_scene(gt_dir, pred_dir, gt_grid, pred_grid, gate, cutoff, order, _index, scene_id):
+    """Worker: the metrics report of one scene's prediction CSV."""
+    gts = read_trackset(gt_dir / f"{scene_id}.gt.csv", gt_grid)
+    preds = read_trackset(pred_dir / f"{scene_id}.pred.csv", pred_grid)
+    return evaluate_scene(scene_id, gts, preds, gate, cutoff, order)
 
 
 def evaluate_corpus(
@@ -421,28 +427,15 @@ def evaluate_corpus(
     if gt_ids != pred_ids:
         missing = sorted(set(gt_ids) ^ set(pred_ids))
         raise DoatrackError(f"scene sets differ between {gt_dir} and {pred_dir}: {missing}")
-    tasks = [
-        (
-            sid,
-            str(gt_dir / f"{sid}.gt.csv"),
-            str(pred_dir / f"{sid}.pred.csv"),
-            grid.frame_period,
-            grid.n_frames,
-            pred_grid.frame_period,
-            pred_grid.n_frames,
-            gate,
-            ospa_cutoff,
-            ospa_order,
-        )
-        for sid in gt_ids
-    ]
-    results = _map_jobs(_evaluate_scene_task, tasks, jobs)
-    reports = [r for _sid, r, err in results if err is None]
-    failures = [f"{sid}: {err}" for sid, _r, err in results if err is not None]
+    worker = partial(
+        _score_scene, gt_dir, pred_dir, grid, pred_grid, gate, ospa_cutoff, ospa_order
+    )
+    reports, failures = _map_scenes(worker, gt_ids, jobs)
     aggregate = aggregate_reports(reports, fraction, replicates, seed) if reports else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "per_scene.csv").write_text(report_csv_rows(reports), encoding="utf-8")
+        with open_text(out_dir / "per_scene.csv", "w") as stream:
+            stream.write(report_csv_rows(reports))
         if aggregate is not None:
             write_json({**aggregate, "gate_deg": math.degrees(gate)}, out_dir / "aggregate.json")
     return reports, aggregate, failures
@@ -460,12 +453,7 @@ def cmd_evaluate(args) -> int:
         seed=args.seed if args.seed is not None else 0,
         jobs=args.jobs,
     )
-    for line in failures:
-        print(f"evaluate: FAILED {line}", file=sys.stderr)
-    if failures:
-        return EXIT_DATA
-    print(f"evaluate: {len(reports)} scenes evaluated")
-    return EXIT_OK
+    return _finish("evaluate", failures, f"{len(reports)} scenes evaluated")
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +505,6 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
     k_values = doc.get("k_max_values")
     if not subsets or not isinstance(subsets, list):
         raise InvalidConfig("sweep config requires a non-empty subsets list")
-    for sub in subsets:
-        _json_object(sub, "sweep subset")
     if not k_values or not isinstance(k_values, list):
         raise InvalidConfig("sweep config requires a non-empty k_max_values list")
     scenario_doc = dict(_json_object(doc.get("scenario", {}), "sweep scenario"))
@@ -532,6 +518,12 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
     boot = _json_object(doc.get("bootstrap", {}), "sweep bootstrap")
     fraction = _coerce(boot.get("fraction", 0.8), float, "fraction")
     replicates = _coerce(boot.get("replicates", 100), int, "replicates")
+    # Every subset and cell tracker config is checked before the first corpus is written.
+    for sub in subsets:
+        _json_object(sub, "sweep subset")
+        n_speakers = _coerce(sub.get("n_speakers"), int, "n_speakers")
+        for k in k_values:
+            _tracker_spec({**tracker_doc, "k_max": k}, {"scenario": {"n_speakers": n_speakers}})
     out_dir.mkdir(parents=True, exist_ok=True)
     results: dict[str, dict] = {}
     long_rows = ["subset,k_max,metric,mean,std"]
@@ -575,7 +567,8 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
                 mean = "" if entry["mean"] is None else repr(entry["mean"])
                 std = "" if entry["std"] is None else repr(entry["std"])
                 long_rows.append(f"{name},{label},{metric},{mean},{std}")
-    (out_dir / "sweep_long.csv").write_text("\n".join(long_rows) + "\n", encoding="utf-8")
+    with open_text(out_dir / "sweep_long.csv", "w") as stream:
+        stream.write("\n".join(long_rows) + "\n")
     summary = {
         "seed": master_seed,
         "gate_deg": math.degrees(gate),
@@ -616,29 +609,11 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def lint_corpus(scenes_dir: Path) -> list[str]:
-    """Validate a corpus: parseable files, in-range frames, and for
-    jump/static corpora piecewise-constant directions within each
-    maximal active run plus candidate-separation on jump tracks."""
+def _lint_scene(scenes_dir, grid, mode, min_sep, _index, sid) -> list[str]:
+    """Worker: the problems of one ground-truth CSV that parses."""
+    gt = read_trackset(scenes_dir / f"{sid}.gt.csv", grid)
     problems = []
-    try:
-        grid, manifest = read_manifest(scenes_dir / "manifest.json")
-    except (DoatrackError, OSError) as exc:
-        return [f"manifest: {exc}"]
-    scenario = manifest.get("scenario", {})
-    mode = scenario.get("mode")
-    min_sep = math.radians(float(scenario.get("min_separation_deg", 0.0)))
-    scene_ids = _list_scene_ids(scenes_dir, ".gt.csv")
-    if not scene_ids:
-        problems.append(f"no scenes found in {scenes_dir}")
-    for sid in scene_ids:
-        try:
-            gt = read_trackset(scenes_dir / f"{sid}.gt.csv", grid)
-        except DoatrackError as exc:
-            problems.append(f"{sid}: {type(exc).__name__}: {exc}")
-            continue
-        if mode not in ("jump", "static"):
-            continue
+    if mode in ("jump", "static"):
         for tid, frames in gt.entries.items():
             ordered = sorted(frames)
             runs: list[list[int]] = []
@@ -653,29 +628,32 @@ def lint_corpus(scenes_dir: Path) -> list[str]:
                     problems.append(f"{sid}/{tid}: direction varies within an active run")
                     break
             if mode == "jump" and min_sep > 0:
-                unique = []
-                for run in runs:
-                    d = frames[run[0]]
-                    if all(d != u for u in unique):
-                        unique.append(d)
-                for i in range(len(unique)):
-                    for j in range(i + 1, len(unique)):
-                        # 1e-6 rad absorbs the 6-decimal CSV quantization
-                        if angular_distance(unique[i], unique[j]) < min_sep - 1e-6:
-                            problems.append(
-                                f"{sid}/{tid}: positions closer than the minimum separation"
-                            )
+                unique = dict.fromkeys(frames[run[0]] for run in runs)
+                for a, b in combinations(unique, 2):
+                    # 1e-6 rad absorbs the 6-decimal CSV quantization
+                    if angular_distance(a, b) < min_sep - 1e-6:
+                        problems.append(
+                            f"{sid}/{tid}: positions closer than the minimum separation"
+                        )
     return problems
 
 
+def lint_corpus(scenes_dir: Path) -> list[str]:
+    """Validate a corpus: the scene set its manifest names, parseable
+    files, in-range frames, and for jump/static corpora piecewise-constant
+    directions within each maximal active run plus candidate-separation
+    on jump tracks."""
+    grid, manifest = read_manifest(scenes_dir / "manifest.json")
+    scene_ids = _corpus_scene_ids(scenes_dir, manifest)
+    scenario = manifest.get("scenario", {})
+    min_sep = math.radians(float(scenario.get("min_separation_deg", 0.0)))
+    worker = partial(_lint_scene, scenes_dir, grid, scenario.get("mode"), min_sep)
+    results, failures = _map_scenes(worker, scene_ids, 1)
+    return failures + [problem for problems in results for problem in problems]
+
+
 def cmd_lint(args) -> int:
-    problems = lint_corpus(Path(args.scenes))
-    for p in problems:
-        print(f"lint: {p}", file=sys.stderr)
-    if problems:
-        return EXIT_DATA
-    print("lint: corpus OK")
-    return EXIT_OK
+    return _finish("lint", lint_corpus(Path(args.scenes)), "corpus OK")
 
 
 # ---------------------------------------------------------------------------

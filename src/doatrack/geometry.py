@@ -48,9 +48,6 @@ class Direction:
     def from_degrees(azimuth_deg: float, elevation_deg: float) -> "Direction":
         return Direction(math.radians(azimuth_deg), math.radians(elevation_deg))
 
-    def as_degrees(self) -> tuple[float, float]:
-        return math.degrees(self.azimuth), math.degrees(self.elevation)
-
 
 def _unit_xyz(d: Direction) -> tuple[float, float, float]:
     ce = math.cos(d.elevation)

@@ -19,6 +19,8 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, TextIO
@@ -148,16 +150,30 @@ def _check_id(track_id: str) -> str:
     return track_id
 
 
-def _open_dest(dest: str | Path | TextIO):
-    if isinstance(dest, (str, Path)):
-        return open(dest, "w", encoding="utf-8", newline="\n"), True
-    return dest, False
+@contextmanager
+def open_text(target: str | Path | TextIO, mode: str):
+    """Open a UTF-8 text file for reading ("r") or writing ("w").
 
-
-def _open_src(src: str | Path | TextIO):
-    if isinstance(src, (str, Path)):
-        return open(src, "r", encoding="utf-8", newline=""), True
-    return src, False
+    A stream passed in is used as is and left open. A path written to
+    goes to ``<path>.partial`` first and replaces the path only once the
+    block completes, so an interrupted write never leaves a truncated
+    file, which could parse as valid, under the final name.
+    """
+    if not isinstance(target, (str, Path)):
+        yield target
+    elif mode == "r":
+        with open(target, "r", encoding="utf-8", newline="") as stream:
+            yield stream
+    else:
+        partial = f"{os.fspath(target)}.partial"
+        try:
+            with open(partial, "w", encoding="utf-8", newline="\n") as stream:
+                yield stream
+            os.replace(partial, target)
+        except BaseException:
+            with suppress(FileNotFoundError):
+                os.remove(partial)
+            raise
 
 
 def write_trackset(ts: TrackSet, dest: str | Path | TextIO) -> None:
@@ -168,15 +184,11 @@ def write_trackset(ts: TrackSet, dest: str | Path | TextIO) -> None:
         for f, d in frames.items():
             rows.append((f, tid, d))
     rows.sort(key=lambda r: (r[0], r[1]))
-    stream, owned = _open_dest(dest)
-    try:
+    with open_text(dest, "w") as stream:
         stream.write(TRACK_CSV_HEADER + "\n")
         for f, tid, d in rows:
             az, el = _fmt_angle(d.azimuth), _fmt_angle(d.elevation)
             stream.write(f"{f},{ts.grid.time_of(f):.6f},{tid},{az},{el}\n")
-    finally:
-        if owned:
-            stream.close()
 
 
 def read_trackset(src: str | Path | TextIO, grid: FrameGrid) -> TrackSet:
@@ -186,12 +198,8 @@ def read_trackset(src: str | Path | TextIO, grid: FrameGrid) -> TrackSet:
         ParseError: malformed header or row (carries the line number).
         DuplicateEntry: repeated (track_id, frame) pair.
     """
-    stream, owned = _open_src(src)
-    try:
+    with open_text(src, "r") as stream:
         rows = _parse_rows(stream, grid, expect_source=False)
-    finally:
-        if owned:
-            stream.close()
     return TrackSet.build(grid, [(f, tid, d) for f, tid, d, _ in rows])
 
 
@@ -201,8 +209,7 @@ def write_observations(obs: ObservationSet, dest: str | Path | TextIO) -> None:
     The track_id column carries the within-frame observation index; it
     is not semantic and is ignored on read.
     """
-    stream, owned = _open_dest(dest)
-    try:
+    with open_text(dest, "w") as stream:
         stream.write(OBS_CSV_HEADER + "\n")
         for f, frame_obs in enumerate(obs.frames):
             t = obs.grid.time_of(f)
@@ -210,19 +217,12 @@ def write_observations(obs: ObservationSet, dest: str | Path | TextIO) -> None:
                 tag = _check_id(source_id) if source_id is not None else ""
                 az, el = _fmt_angle(d.azimuth), _fmt_angle(d.elevation)
                 stream.write(f"{f},{t:.6f},{k},{az},{el},{tag}\n")
-    finally:
-        if owned:
-            stream.close()
 
 
 def read_observations(src: str | Path | TextIO, grid: FrameGrid) -> ObservationSet:
     """Parse an observation CSV; within-frame order follows file order."""
-    stream, owned = _open_src(src)
-    try:
+    with open_text(src, "r") as stream:
         rows = _parse_rows(stream, grid, expect_source=True)
-    finally:
-        if owned:
-            stream.close()
     frames: list[list[Observation]] = [[] for _ in range(grid.n_frames)]
     for f, _tid, d, source_id in rows:
         frames[f].append(Observation(d, source_id))
@@ -268,7 +268,8 @@ def _parse_rows(stream: TextIO, grid: FrameGrid, expect_source: bool):
 
 def write_json(doc: dict, path: str | Path) -> None:
     """Write a JSON document with sorted keys, 2-space indent and a final newline."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with open_text(path, "w") as stream:
+        stream.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def write_manifest(grid: FrameGrid, path: str | Path, extra: dict | None = None) -> None:
@@ -281,8 +282,8 @@ def write_manifest(grid: FrameGrid, path: str | Path, extra: dict | None = None)
 
 def read_manifest(path: str | Path) -> tuple[FrameGrid, dict]:
     """Read a manifest; returns the grid and the full document."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
         grid = FrameGrid(float(doc["frame_period_s"]), int(doc["n_frames"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad manifest {path}: {exc}") from exc

@@ -2,7 +2,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from doatrack.cli import _available_cpus, _clamp_jobs, config_from_json, main
+from doatrack.cli import _available_cpus, _clamp_jobs, config_from_json, lint_corpus, main
 from doatrack.geometry import Direction
 from doatrack.trackers import TrackerConfig
 from doatrack.trackmodel import (
@@ -106,6 +106,34 @@ def test_lint_flags_corrupted_scene(tmp_path, capsys):
     target.write_text("\n".join(lines) + "\n")
     assert main(["lint", "--scenes", str(out)]) == 2
     assert "scene_0001" in capsys.readouterr().err
+    # a file that is not UTF-8 fails its scene, not the command
+    (out / "scene_0002.gt.csv").write_bytes(b"frame\xff\xfe\n")
+    assert main(["lint", "--scenes", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "FAILED scene_0002: UnicodeDecodeError" in err and "Traceback" not in err
+    # so is a manifest that is not UTF-8, for the whole corpus
+    (out / "manifest.json").write_bytes(b"{\xff}")
+    assert main(["lint", "--scenes", str(out)]) == 2
+    assert "data error: ParseError: bad manifest" in capsys.readouterr().err
+
+
+def test_lint_flags_jump_track_geometry(tmp_path):
+    grid = FrameGrid(0.1, 10)
+    near, far = Direction.from_degrees(0.0, 0.0), Direction.from_degrees(10.0, 0.0)
+    scene = TrackSet(grid, {
+        # three runs on two positions 10 deg apart: one pair closer than 30 deg
+        "a": {0: near, 1: near, 5: far, 6: far, 8: near, 9: near},
+        "b": {0: near, 1: far},
+    })
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_manifest(grid, corpus / "manifest.json",
+                   extra={"scenario": {"mode": "jump", "min_separation_deg": 30.0}})
+    write_trackset(scene, corpus / "scene_0000.gt.csv")
+    assert lint_corpus(corpus) == [
+        "scene_0000/a: positions closer than the minimum separation",
+        "scene_0000/b: direction varies within an active run",
+    ]
 
 
 def _simulated_corpus(tmp_path, doc=SIM_DOC):
@@ -244,6 +272,12 @@ def test_evaluate_reports_nan_azimuth_per_scene(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "scene_0001" in err and "ParseError" in err
     assert "Traceback" not in err
+    # a prediction file that is not UTF-8 fails its scene too
+    (preds / "scene_0002.pred.csv").write_bytes(b"frame\xff\xfe\n")
+    assert main(["evaluate", "--gt", str(corpus), "--pred", str(preds)]) == 2
+    err = capsys.readouterr().err
+    assert "FAILED scene_0001: ParseError" in err
+    assert "FAILED scene_0002: UnicodeDecodeError" in err and "Traceback" not in err
 
 
 def test_evaluate_rejects_mismatched_scene_sets(tmp_path):
@@ -323,19 +357,41 @@ def test_stale_scenes_beyond_the_manifest_are_a_data_error(tmp_path, capsys):
     tcfg = write_config(tmp_path, "oracle.json", {"type": "oracle"})
     preds = tmp_path / "preds"
     assert main(["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(preds)]) == 0
+    # simulate removes the scenes of the earlier, larger corpus, and no other file
+    (corpus / "notes.txt").write_text("kept")
     sim = write_config(tmp_path, "sim.json", {**SIM_DOC, "n_scenes": 2})
     assert main(["simulate", "--config", sim, "--out", str(corpus)]) == 0
+    assert sorted(p.name for p in corpus.iterdir()) == [
+        "manifest.json", "notes.txt", "scene_0000.gt.csv", "scene_0000.obs.csv",
+        "scene_0001.gt.csv", "scene_0001.obs.csv",
+    ]
+    assert main(["lint", "--scenes", str(corpus)]) == 0
+    # stale scenes put there some other way are still found, by every command
+    for sid in ("scene_0002", "scene_0003"):
+        for suffix in (".gt.csv", ".obs.csv"):
+            (corpus / f"{sid}{suffix}").write_bytes((corpus / f"scene_0000{suffix}").read_bytes())
     capsys.readouterr()
     assert main(["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(tmp_path / "q")]) == 2
     assert main(["evaluate", "--gt", str(corpus), "--pred", str(preds)]) == 2
+    assert main(["lint", "--scenes", str(corpus)]) == 2
     err = capsys.readouterr().err
-    assert err.count("extra ['scene_0002', 'scene_0003']") == 2 and "Traceback" not in err
+    assert err.count("extra ['scene_0002', 'scene_0003']") == 3 and "Traceback" not in err
     # a scene missing from the corpus is named too
     (corpus / "scene_0003.gt.csv").unlink()
     (corpus / "scene_0002.gt.csv").unlink()
     (corpus / "scene_0001.gt.csv").unlink()
     assert main(["evaluate", "--gt", str(corpus), "--pred", str(preds)]) == 2
     assert "missing ['scene_0001']" in capsys.readouterr().err
+
+
+def test_sweep_checks_every_cell_tracker_before_any_work(tmp_path, capsys):
+    base = {"subsets": [{"n_speakers": 1, "n_scenes": 1}], "k_max_values": [1]}
+    for bad in ({"tracker": {"typo": 1}}, {"k_max_values": [1, 2.5]},
+                {"subsets": [{"n_speakers": 1, "n_scenes": 1}, {"n_speakers": 0.5}]}):
+        cfg = write_config(tmp_path, "sweep.json", {**base, **bad})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 1, bad
+        _config_error(capsys)
+        assert not (tmp_path / "sweep").exists(), bad
 
 
 def test_sweep_produces_rows_per_subset_and_k(tmp_path):

@@ -218,6 +218,24 @@ def test_observations_round_trip_with_tags():
             assert angular_distance(a.direction, b.direction) < 2e-8
 
 
+def test_failed_write_leaves_the_old_file_and_no_partial(tmp_path):
+    grid = FrameGrid(0.1, 3)
+    path = tmp_path / "scene_0000.obs.csv"
+    write_observations(ObservationSet(grid, ((), (Observation(D(5, 6), "spk0"),), ())), path)
+    before = path.read_bytes()
+    # the bad tag sits in the last frame, after a row that was already written
+    bad = ObservationSet(
+        grid, ((Observation(D(1, 2), "spk0"),), (), (Observation(D(3, 4), "a,b"),))
+    )
+    with pytest.raises(ValueError):
+        write_observations(bad, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["scene_0000.obs.csv"]
+    # the file gets the mode a plain open gives it
+    (tmp_path / "plain").write_text("")
+    assert path.stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
 def test_read_observations_accepts_plain_track_header():
     grid = FrameGrid(0.1, 2)
     body = (
