@@ -22,9 +22,10 @@ constructed cases (k-way splits, balanced merges) come out bit-exact.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import UndefinedOnEmptyTP
 from .matching import MatchSequence
@@ -47,26 +48,22 @@ class AssociationCounts:
 
 def count_associations(ms: MatchSequence) -> AssociationCounts:
     """Accumulate TPA/FPA/FNA per TP couple over all frames."""
-    couple_tp: Counter = Counter()
-    pred_tp: Counter = Counter()
-    gt_tp: Counter = Counter()
-    pred_fp: Counter = Counter()
-    gt_fn: Counter = Counter()
-    for fa in ms.frames:
-        for pred_id, gt_id, _err in fa.tps:
-            couple_tp[(pred_id, gt_id)] += 1
-            pred_tp[pred_id] += 1
-            gt_tp[gt_id] += 1
-        for pred_id in fa.fps:
-            pred_fp[pred_id] += 1
-        for gt_id in fa.fns:
-            gt_fn[gt_id] += 1
-    couples = {}
-    for (pred_id, gt_id), tpa in couple_tp.items():
-        fpa = (pred_tp[pred_id] - tpa) + pred_fp[pred_id]
-        fna = (gt_tp[gt_id] - tpa) + gt_fn[gt_id]
-        couples[(pred_id, gt_id)] = CoupleCounts(tpa=tpa, fpa=fpa, fna=fna)
-    return AssociationCounts(couples=couples, total_tp=sum(couple_tp.values()))
+    m = ms.matches
+    n_pred, n_gt = len(m.pred_ids), len(m.gt_ids)
+    pairs = m.tp_pred.astype(np.int64) * n_gt + m.tp_gt
+    couple, tpa = np.unique(pairs, return_counts=True)
+    pred, gt = np.divmod(couple, n_gt)
+    pred_tp = np.bincount(m.tp_pred, minlength=n_pred)
+    gt_tp = np.bincount(m.tp_gt, minlength=n_gt)
+    fpa = pred_tp[pred] - tpa + np.bincount(m.fp_pred, minlength=n_pred)[pred]
+    fna = gt_tp[gt] - tpa + np.bincount(m.fn_gt, minlength=n_gt)[gt]
+    couples = {
+        (m.pred_ids[p], m.gt_ids[g]): CoupleCounts(tpa=t, fpa=a, fna=n)
+        for p, g, t, a, n in zip(
+            pred.tolist(), gt.tolist(), tpa.tolist(), fpa.tolist(), fna.tolist()
+        )
+    }
+    return AssociationCounts(couples=couples, total_tp=len(m.tp_pred))
 
 
 def _mean_over_tps(counts: AssociationCounts, denom) -> float:

@@ -26,7 +26,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import DoatrackError, InvalidConfig, ParseError
+from .errors import DoatrackError, GridMismatch, InvalidConfig, ParseError
 from .frame_metrics import check_ospa
 from .geometry import angular_distance
 from .matching import check_gate
@@ -252,6 +252,17 @@ def _corpus_scene_ids(directory: Path, manifest: dict) -> list[str]:
     return scene_ids
 
 
+def _manifest_scenario(manifest: dict, directory: Path) -> dict:
+    """The scenario a corpus manifest echoes, {} if none; a data error
+    unless it is a JSON object."""
+    scenario = manifest.get("scenario", {})
+    if not isinstance(scenario, dict):
+        raise ParseError(
+            f"bad manifest in {directory}: scenario {scenario!r} is not a JSON object"
+        )
+    return scenario
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -315,16 +326,16 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _tracker_spec(doc: dict, manifest: dict) -> tuple[str, object]:
+def _tracker_spec(doc: dict, default_max_active) -> tuple[str, object]:
     """(type, parameter) of a tracker config, checked once per corpus.
 
-    The parameter is the TrackerConfig for pf, the splitter's k, the
+    The parameter is the TrackerConfig for pf, whose max_active defaults
+    to default_max_active unless that is None, the splitter's k, the
     swapper's period_s, and None for oracle and merger.
     """
     ttype = doc.get("type", "pf")
     if ttype == "pf":
         pf_doc = {k: v for k, v in doc.items() if k not in _ADVERSARY_KEYS}
-        default_max_active = manifest.get("scenario", {}).get("n_speakers")
         if default_max_active is not None:
             pf_doc.setdefault("max_active", default_max_active)
         return ttype, config_from_json(TrackerConfig, pf_doc, "tracker")
@@ -374,7 +385,8 @@ def track_corpus(scenes_dir: Path, tracker_doc: dict, out_dir: Path, jobs: int =
     grid, manifest = read_manifest(scenes_dir / "manifest.json")
     scene_ids = _corpus_scene_ids(scenes_dir, manifest)
     # Parsed once; per-scene workers only derive their seeds from it.
-    ttype, param = _tracker_spec(tracker_doc, manifest)
+    n_speakers = _manifest_scenario(manifest, scenes_dir).get("n_speakers")
+    ttype, param = _tracker_spec(tracker_doc, n_speakers)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(grid, out_dir / "manifest.json")
     worker = partial(_run_tracker_scene, scenes_dir, out_dir, grid, ttype, param)
@@ -391,10 +403,10 @@ def cmd_track(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _score_scene(gt_dir, pred_dir, gt_grid, pred_grid, gate, cutoff, order, _index, scene_id):
+def _score_scene(gt_dir, pred_dir, grid, gate, cutoff, order, _index, scene_id):
     """Worker: the metrics report of one scene's prediction CSV."""
-    gts = read_trackset(gt_dir / f"{scene_id}.gt.csv", gt_grid)
-    preds = read_trackset(pred_dir / f"{scene_id}.pred.csv", pred_grid)
+    gts = read_trackset(gt_dir / f"{scene_id}.gt.csv", grid)
+    preds = read_trackset(pred_dir / f"{scene_id}.pred.csv", grid)
     return evaluate_scene(scene_id, gts, preds, gate, cutoff, order)
 
 
@@ -413,23 +425,26 @@ def evaluate_corpus(
     """Evaluate a prediction corpus against its ground truths.
 
     Returns (reports, aggregate, failures); writes per_scene.csv and
-    aggregate.json to out_dir when given. The gate and OSPA parameters
-    are checked here, so a bad value is one config error, not one
-    failure per scene.
+    aggregate.json to out_dir when given. The gate and OSPA parameters,
+    and the prediction manifest's frame grid, are checked here, so a bad
+    value is one error, not one failure per scene.
     """
     check_gate(gate)
     check_ospa(ospa_cutoff, ospa_order)
     grid, manifest = read_manifest(gt_dir / "manifest.json")
     pred_manifest = pred_dir / "manifest.json"
-    pred_grid = read_manifest(pred_manifest)[0] if pred_manifest.exists() else grid
+    if pred_manifest.exists():
+        pred_grid = read_manifest(pred_manifest)[0]
+        if pred_grid != grid:
+            raise GridMismatch(
+                f"prediction grid {pred_grid} of {pred_dir} != ground-truth grid {grid}"
+            )
     gt_ids = _corpus_scene_ids(gt_dir, manifest)
     pred_ids = _list_scene_ids(pred_dir, ".pred.csv")
     if gt_ids != pred_ids:
         missing = sorted(set(gt_ids) ^ set(pred_ids))
         raise DoatrackError(f"scene sets differ between {gt_dir} and {pred_dir}: {missing}")
-    worker = partial(
-        _score_scene, gt_dir, pred_dir, grid, pred_grid, gate, ospa_cutoff, ospa_order
-    )
+    worker = partial(_score_scene, gt_dir, pred_dir, grid, gate, ospa_cutoff, ospa_order)
     reports, failures = _map_scenes(worker, gt_ids, jobs)
     aggregate = aggregate_reports(reports, fraction, replicates, seed) if reports else None
     if out_dir is not None:
@@ -523,7 +538,7 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
         _json_object(sub, "sweep subset")
         n_speakers = _coerce(sub.get("n_speakers"), int, "n_speakers")
         for k in k_values:
-            _tracker_spec({**tracker_doc, "k_max": k}, {"scenario": {"n_speakers": n_speakers}})
+            _tracker_spec({**tracker_doc, "k_max": k}, n_speakers)
     out_dir.mkdir(parents=True, exist_ok=True)
     results: dict[str, dict] = {}
     long_rows = ["subset,k_max,metric,mean,std"]
@@ -645,8 +660,12 @@ def lint_corpus(scenes_dir: Path) -> list[str]:
     on jump tracks."""
     grid, manifest = read_manifest(scenes_dir / "manifest.json")
     scene_ids = _corpus_scene_ids(scenes_dir, manifest)
-    scenario = manifest.get("scenario", {})
-    min_sep = math.radians(float(scenario.get("min_separation_deg", 0.0)))
+    scenario = _manifest_scenario(manifest, scenes_dir)
+    try:
+        min_sep_deg = _coerce(scenario.get("min_separation_deg", 0.0), float, "min_separation_deg")
+    except InvalidConfig as exc:
+        raise ParseError(f"bad manifest in {scenes_dir}: {exc}") from exc
+    min_sep = math.radians(min_sep_deg)
     worker = partial(_lint_scene, scenes_dir, grid, scenario.get("mode"), min_sep)
     results, failures = _map_scenes(worker, scene_ids, 1)
     return failures + [problem for problems in results for problem in problems]

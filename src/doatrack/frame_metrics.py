@@ -35,30 +35,26 @@ def count_swaps(ms: MatchSequence) -> int:
     Comparisons span gaps: the reference prediction id for a ground
     truth persists through frames where it is inactive or unmatched.
     """
-    last_pred: dict[str, str] = {}
-    swaps = 0
-    for fa in ms.frames:
-        for pred_id, gt_id, _err in fa.tps:
-            prev = last_pred.get(gt_id)
-            if prev is not None and prev != pred_id:
-                swaps += 1
-            last_pred[gt_id] = pred_id
-    return swaps
+    m = ms.matches
+    order = np.argsort(m.tp_gt, kind="stable")  # per gt, its TPs in frame order
+    gt, pred = m.tp_gt[order], m.tp_pred[order]
+    return int(np.count_nonzero((gt[1:] == gt[:-1]) & (pred[1:] != pred[:-1])))
 
 
 def count_broken(ms: MatchSequence, gts: TrackSet) -> int:
     """(gt, frame) pairs that are matched at f and FN at f+1 while active."""
-    broken = 0
-    for f in range(len(ms.frames) - 1):
-        matched_now = {gt_id for _p, gt_id, _e in ms.frames[f].tps}
-        if not matched_now:
-            continue
-        matched_next = {gt_id for _p, gt_id, _e in ms.frames[f + 1].tps}
-        for gt_id in matched_now:
-            active_next = (f + 1) in gts.entries.get(gt_id, ())
-            if active_next and gt_id not in matched_next:
-                broken += 1
-    return broken
+    m, cols = ms.matches, gts.columns
+    n_ids = max(len(cols.ids), 1)
+    code_of = {g: i for i, g in enumerate(cols.ids)}
+    code = np.array([code_of.get(g, -1) for g in m.gt_ids], dtype=np.int64)[m.tp_gt]
+    known = code >= 0
+    # (frame, gt) pairs as frame * n_ids + gt code
+    matched = np.unique(m.tp_frame[known].astype(np.int64) * n_ids + code[known])
+    active = cols.frame.astype(np.int64) * n_ids + cols.id_code
+    following = matched + n_ids
+    return int(np.count_nonzero(
+        np.isin(following, active) & ~np.isin(following, matched)
+    ))
 
 
 def tsr(n_swaps: int, duration_s: float) -> float:
@@ -96,24 +92,32 @@ def check_ospa(cutoff: float, order: float) -> None:
         raise InvalidConfig(f"OSPA order must be >= 1, got {order!r}")
 
 
-def _ospa(n_pred: int, n_gt: int, dist: np.ndarray | None, cutoff: float, order: float) -> float:
-    """OSPA of one frame from its cardinalities and pred x gt distances.
+def _ospa_local(dist: np.ndarray, cutoff: float, order: float) -> np.ndarray:
+    """Optimal assignment cost of each frame of a stack of same-shape frames.
 
-    The assignment solver runs only when some side has more than one
-    entry: a 1x1 frame's only injection is its single pair.
+    The assignment solver runs once per frame, and only when some side
+    has more than one entry: a 1x1 frame's only injection is its pair.
     """
-    m, n = sorted((n_pred, n_gt))
-    if n == 0:
-        return 0.0
-    if m == 0:
-        return cutoff
     cost = np.minimum(dist, cutoff) ** order
-    if n == 1:
-        local = float(cost[0, 0])
-    else:
-        rows, cols = linear_sum_assignment(cost)
-        local = float(cost[rows, cols].sum())
-    return float(((local + cutoff**order * (n - m)) / n) ** (1.0 / order))
+    k, n_pred, n_gt = cost.shape
+    if n_pred == n_gt == 1:
+        return cost[:, 0, 0]
+    solved = np.array([linear_sum_assignment(c) for c in cost])  # (k, 2, min side)
+    return cost[np.arange(k)[:, None], solved[:, 0], solved[:, 1]].sum(axis=1)
+
+
+def _ospa_values(n_pred, n_gt, local, cutoff: float, order: float) -> list[float]:
+    """OSPA of frames from their cardinalities and assignment costs.
+
+    The last power is taken in Python: numpy's power with a scalar
+    exponent of 0.5 or 2 does not round as pow does.
+    """
+    n, m = np.maximum(n_pred, n_gt), np.minimum(n_pred, n_gt)
+    base = (local + cutoff**order * (n - m)) / n
+    return [
+        cutoff if one_sided else b ** (1.0 / order)
+        for one_sided, b in zip((m == 0).tolist(), base.tolist())
+    ]
 
 
 def ospa_frame(
@@ -130,10 +134,13 @@ def ospa_frame(
     Returns 0 when both sets are empty. Symmetric; result in [0, cutoff].
     """
     check_ospa(cutoff, order)
-    dist = None
+    if not preds and not gts:
+        return 0.0
+    local = np.zeros(1)
     if preds and gts:
         dist = pairwise_angular_distance(unit_vectors(preds), unit_vectors(gts))
-    return _ospa(len(preds), len(gts), dist, cutoff, order)
+        local = _ospa_local(dist[None], cutoff, order)
+    return _ospa_values(np.array([len(preds)]), np.array([len(gts)]), local, cutoff, order)[0]
 
 
 def ospa_sequence(ms: MatchSequence, cutoff: float, order: float = 1.0) -> float | None:
@@ -143,22 +150,25 @@ def ospa_sequence(ms: MatchSequence, cutoff: float, order: float = 1.0) -> float
     frame has any active entity.
     """
     check_ospa(cutoff, order)
-    if ms.distances is None:
+    table = ms.distances
+    if table is None:
         raise ValueError("OSPA needs the distance table of a sequence built by match_sequence")
-    values = [
-        _ospa(len(fd.pred_ids), len(fd.gt_ids), fd.dist, cutoff, order)
-        for fd in ms.distances
-        if fd.pred_ids or fd.gt_ids
-    ]
-    if not values:
+    local = np.zeros(len(table.n_pred))
+    for group in table.groups:
+        local[group.frames] = _ospa_local(group.dist, cutoff, order)
+    present = np.flatnonzero((table.n_pred > 0) | (table.n_gt > 0))
+    if not len(present):
         return None
+    values = _ospa_values(
+        table.n_pred[present], table.n_gt[present], local[present], cutoff, order
+    )
     return float(np.mean(values))
 
 
 def mean_localization_error(ms: MatchSequence) -> float:
     """Arithmetic mean of TP angular errors over the scene, in radians."""
-    errors = [err for fa in ms.frames for _p, _g, err in fa.tps]
-    if not errors:
+    errors = ms.matches.tp_err
+    if not len(errors):
         raise UndefinedOnEmptyTP("no true positives in the match sequence")
     return float(np.mean(errors))
 
@@ -197,13 +207,12 @@ def frame_metrics_report(
 
     OSPA reads the distance table of ms, so ms must come from match_sequence.
     """
-    n_tp = sum(len(fa.tps) for fa in ms.frames)
-    n_fp = sum(len(fa.fps) for fa in ms.frames)
-    n_fn = sum(len(fa.fns) for fa in ms.frames)
+    m = ms.matches
+    n_tp, n_fp, n_fn = len(m.tp_frame), len(m.fp_frame), len(m.fn_frame)
     n_swaps = count_swaps(ms)
     n_broken = count_broken(ms, gts)
     duration = ms.grid.duration
-    n_gt_tracks = len(gts.entries)
+    n_gt_tracks = len(gts.columns.ids)
     n_gt_detections = gts.n_entries()
     try:
         mota_value = mota(n_fn, n_fp, n_swaps, n_gt_detections)

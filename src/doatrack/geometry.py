@@ -1,8 +1,9 @@
 """Directions on the unit sphere: representation, distance, sampling.
 
 The canonical representation everywhere in this package is the
-(azimuth, elevation) pair in radians; unit 3-vectors appear only
-transiently inside computations. External interfaces (CSV files, CLI
+(azimuth, elevation) pair in radians; unit 3-vectors appear inside
+computations and beside the angles in the columnar form evaluation
+reads (trackmodel.TrackColumns). External interfaces (CSV files, CLI
 flags, JSON configs) carry angles in degrees and convert exactly at
 the boundary (multiply by pi/180).
 """
@@ -35,18 +36,34 @@ class Direction:
         el = float(self.elevation)
         if not -math.pi / 2 - 1e-12 <= el <= math.pi / 2 + 1e-12:
             raise ValueError(f"elevation {el!r} outside [-pi/2, pi/2]")
-        az = float(self.azimuth)
-        if math.isnan(az):
-            raise ValueError("azimuth is NaN")
-        az = math.remainder(az, TWO_PI)
-        if az >= math.pi:  # remainder() yields (-pi, pi]; the convention is [-pi, pi)
-            az -= TWO_PI
-        object.__setattr__(self, "azimuth", az)
+        object.__setattr__(self, "azimuth", wrap_azimuth(float(self.azimuth)))
         object.__setattr__(self, "elevation", min(math.pi / 2, max(-math.pi / 2, el)))
 
     @staticmethod
     def from_degrees(azimuth_deg: float, elevation_deg: float) -> "Direction":
         return Direction(math.radians(azimuth_deg), math.radians(elevation_deg))
+
+    @classmethod
+    def _normalized(cls, azimuth: float, elevation: float) -> "Direction":
+        """A Direction of floats already as __post_init__ leaves them
+        (azimuth in [-pi, pi), elevation in [-pi/2, pi/2]), not checked again."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "azimuth", azimuth)
+        object.__setattr__(d, "elevation", elevation)
+        return d
+
+
+def wrap_azimuth(az: float) -> float:
+    """An azimuth in radians wrapped into [-pi, pi); values already there come back unchanged.
+
+    Raises ValueError on NaN and, from math.remainder, on an infinity.
+    """
+    if math.isnan(az):
+        raise ValueError("azimuth is NaN")
+    az = math.remainder(az, TWO_PI)
+    if az >= math.pi:  # remainder() yields (-pi, pi]; the convention is [-pi, pi)
+        az -= TWO_PI
+    return az
 
 
 def _unit_xyz(d: Direction) -> tuple[float, float, float]:
@@ -59,11 +76,28 @@ def unit_vector(d: Direction) -> np.ndarray:
     return np.array(_unit_xyz(d))
 
 
+def unit_vectors_from_angles(azimuth: list[float], elevation: list[float]) -> np.ndarray:
+    """(n, 3) unit vectors of azimuth/elevation lists in radians, as a
+    Direction holds them.
+
+    Row i equals _unit_xyz of direction i bit for bit: the same math
+    calls and products. numpy's own sin and cos need not round as math
+    does on every host.
+    """
+    n = len(azimuth)
+    ce = np.fromiter(map(math.cos, elevation), float, n)
+    unit = np.empty((n, 3))
+    unit[:, 0] = ce * np.fromiter(map(math.cos, azimuth), float, n)
+    unit[:, 1] = ce * np.fromiter(map(math.sin, azimuth), float, n)
+    unit[:, 2] = np.fromiter(map(math.sin, elevation), float, n)
+    return unit
+
+
 def unit_vectors(directions) -> np.ndarray:
     """Stack directions into an (n, 3) array of unit vectors."""
-    if not directions:
-        return np.zeros((0, 3))
-    return np.array([_unit_xyz(d) for d in directions])
+    return unit_vectors_from_angles(
+        [d.azimuth for d in directions], [d.elevation for d in directions]
+    )
 
 
 def from_unit_vector(v: np.ndarray) -> Direction:

@@ -8,7 +8,9 @@ namespaces and nothing may compare them except through matching.
 File formats (all UTF-8, LF line endings):
   - track CSV: header ``frame,time_s,track_id,azimuth_deg,elevation_deg``,
     one row per active (track, frame), rows sorted by (frame, track_id),
-    angles with 6 decimal places;
+    angles with 6 decimal places; time_s is frame * frame_period with 6
+    decimal places, and a reader rejects a row whose time_s is further
+    than TIME_TOLERANCE_S from it;
   - observation CSV: same with an extra ``source_id`` column (may be empty);
   - sidecar manifest JSON carrying the frame grid:
     ``{"frame_period_s": ..., "n_frames": ...}``.
@@ -21,17 +23,24 @@ import json
 import math
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from .errors import DuplicateEntry, ParseError, UnknownTrack
-from .geometry import Direction
+from .geometry import Direction, unit_vectors_from_angles, wrap_azimuth
 
 TRACK_CSV_HEADER = "frame,time_s,track_id,azimuth_deg,elevation_deg"
 OBS_CSV_HEADER = TRACK_CSV_HEADER + ",source_id"
+
+# Largest accepted |time_s - frame * frame_period|: the 6-decimal column
+# is off by at most 5e-7 s.
+TIME_TOLERANCE_S = 1e-6
+
+_HALF_PI = math.pi / 2
+_RADIANS_PER_DEGREE = math.pi / 180.0  # the factor of math.radians
 
 
 @dataclass(frozen=True)
@@ -55,25 +64,118 @@ class FrameGrid:
         return frame * self.frame_period
 
 
-@dataclass(frozen=True)
+class TrackColumns(NamedTuple):
+    """The columnar form of a TrackSet: one row per active (track, frame),
+    sorted by frame and then by track id.
+
+    ids holds every track id, sorted; id_code indexes it, so code order
+    is id order. azimuth and elevation are radians as a Direction holds
+    them, unit the matching unit vectors. Frame f owns rows
+    offsets[f]:offsets[f + 1].
+    """
+
+    ids: tuple[str, ...]
+    frame: np.ndarray
+    id_code: np.ndarray
+    azimuth: np.ndarray
+    elevation: np.ndarray
+    unit: np.ndarray
+    offsets: np.ndarray
+
+
+def _columns_from_rows(
+    grid: FrameGrid, ids: tuple[str, ...], frame, id_code, azimuth, elevation
+) -> TrackColumns:
+    """TrackColumns from rows already sorted by (frame, id code)."""
+    frame = np.asarray(frame, dtype=np.int32)
+    azimuth = np.asarray(azimuth, dtype=float)
+    elevation = np.asarray(elevation, dtype=float)
+    offsets = np.zeros(grid.n_frames + 1, dtype=np.int64)
+    np.cumsum(np.bincount(frame, minlength=grid.n_frames), out=offsets[1:])
+    unit = unit_vectors_from_angles(azimuth.tolist(), elevation.tolist())
+    return TrackColumns(
+        ids, frame, np.asarray(id_code, dtype=np.int32), azimuth, elevation, unit, offsets
+    )
+
+
 class TrackSet:
     """Immutable collection of identity-labeled sparse trajectories.
 
-    entries maps track_id -> {frame_index: Direction}. Every frame index
-    must lie in [0, grid.n_frames). Treat as a value: never mutate the
-    dictionaries after construction.
+    A TrackSet has two equal forms, each built from the other on first
+    use. entries maps track_id -> {frame_index: Direction}; trackers,
+    writers and lint read it. columns is the TrackColumns evaluation
+    reads. A TrackSet read from a CSV starts from its columns, one built
+    in memory from its entries. Every frame index must lie in
+    [0, grid.n_frames). Treat as a value: never mutate the dictionaries
+    after construction.
     """
 
-    grid: FrameGrid
-    entries: dict[str, dict[int, Direction]] = field(default_factory=dict)
+    __slots__ = ("_grid", "_entries", "_columns")
 
-    def __post_init__(self):
-        for tid, frames in self.entries.items():
-            for f in frames:
-                if not 0 <= f < self.grid.n_frames:
-                    raise ValueError(
-                        f"track {tid!r}: frame {f} outside [0, {self.grid.n_frames})"
-                    )
+    def __init__(
+        self,
+        grid: FrameGrid,
+        entries: dict[str, dict[int, Direction]] | None = None,
+        *,
+        columns: TrackColumns | None = None,
+    ):
+        if columns is None:
+            entries = {} if entries is None else entries
+            for tid, frames in entries.items():
+                for f in frames:
+                    if not 0 <= f < grid.n_frames:
+                        raise ValueError(
+                            f"track {tid!r}: frame {f} outside [0, {grid.n_frames})"
+                        )
+        elif entries is not None:
+            raise ValueError("give a TrackSet its entries or its columns, not both")
+        self._grid = grid
+        self._entries = entries
+        self._columns = columns
+
+    @property
+    def grid(self) -> FrameGrid:
+        return self._grid
+
+    @property
+    def entries(self) -> dict[str, dict[int, Direction]]:
+        if self._entries is None:
+            cols = self._columns
+            entries: dict[str, dict[int, Direction]] = {}
+            for f, code, az, el in zip(
+                cols.frame.tolist(), cols.id_code.tolist(),
+                cols.azimuth.tolist(), cols.elevation.tolist(),
+            ):
+                entries.setdefault(cols.ids[code], {})[f] = Direction._normalized(az, el)
+            self._entries = entries
+        return self._entries
+
+    @property
+    def columns(self) -> TrackColumns:
+        if self._columns is None:
+            ids = tuple(sorted(self._entries))
+            rows = sorted(
+                (f, code, d)
+                for code, tid in enumerate(ids)
+                for f, d in self._entries[tid].items()
+            )
+            self._columns = _columns_from_rows(
+                self._grid,
+                ids,
+                [f for f, _c, _d in rows],
+                [c for _f, c, _d in rows],
+                [d.azimuth for _f, _c, d in rows],
+                [d.elevation for _f, _c, d in rows],
+            )
+        return self._columns
+
+    def __eq__(self, other):
+        if not isinstance(other, TrackSet):
+            return NotImplemented
+        return self.grid == other.grid and self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"TrackSet(grid={self.grid!r}, entries={self.entries!r})"
 
     @staticmethod
     def build(
@@ -92,11 +194,15 @@ class TrackSet:
         return TrackSet(grid, entries)
 
     def track_ids(self) -> list[str]:
-        return sorted(self.entries)
+        if self._columns is not None:
+            return list(self._columns.ids)
+        return sorted(self._entries)
 
     def n_entries(self) -> int:
         """Total number of active (track, frame) pairs."""
-        return sum(len(frames) for frames in self.entries.values())
+        if self._columns is not None:
+            return len(self._columns.frame)
+        return sum(len(frames) for frames in self._entries.values())
 
 
 class Observation(NamedTuple):
@@ -192,15 +298,32 @@ def write_trackset(ts: TrackSet, dest: str | Path | TextIO) -> None:
 
 
 def read_trackset(src: str | Path | TextIO, grid: FrameGrid) -> TrackSet:
-    """Parse a track CSV against a known frame grid.
+    """Parse a track CSV against a known frame grid, straight into columns.
 
     Raises:
         ParseError: malformed header or row (carries the line number).
-        DuplicateEntry: repeated (track_id, frame) pair.
+        DuplicateEntry: repeated (track_id, frame) pair (carries the
+            line of the repeat).
     """
     with open_text(src, "r") as stream:
         rows = _parse_rows(stream, grid, expect_source=False)
-    return TrackSet.build(grid, [(f, tid, d) for f, tid, d, _ in rows])
+    ids = tuple(sorted(set(rows.track_id)))
+    code_of = {tid: code for code, tid in enumerate(ids)}
+    code = np.fromiter(map(code_of.__getitem__, rows.track_id), np.int64, len(rows.frame))
+    frame, azimuth, elevation = rows.frame, rows.azimuth, rows.elevation
+    key = frame * len(ids) + code
+    if not np.all(key[1:] > key[:-1]):  # out of (frame, id) order, or repeated
+        order = np.argsort(key, kind="stable")
+        repeats = order[1:][key[order][1:] == key[order][:-1]]
+        if len(repeats):
+            i = int(repeats.min())
+            raise DuplicateEntry(
+                f"duplicate entry for track {rows.track_id[i]!r} frame {rows.frame[i]}",
+                line=rows.lines[i],
+            )
+        frame, code = frame[order], code[order]
+        azimuth, elevation = azimuth[order], elevation[order]
+    return TrackSet(grid, columns=_columns_from_rows(grid, ids, frame, code, azimuth, elevation))
 
 
 def write_observations(obs: ObservationSet, dest: str | Path | TextIO) -> None:
@@ -224,46 +347,108 @@ def read_observations(src: str | Path | TextIO, grid: FrameGrid) -> ObservationS
     with open_text(src, "r") as stream:
         rows = _parse_rows(stream, grid, expect_source=True)
     frames: list[list[Observation]] = [[] for _ in range(grid.n_frames)]
-    for f, _tid, d, source_id in rows:
-        frames[f].append(Observation(d, source_id))
+    tags = rows.source_id or ("",) * len(rows.frame)
+    for f, az, el, tag in zip(
+        rows.frame.tolist(), rows.azimuth.tolist(), rows.elevation.tolist(), tags
+    ):
+        frames[f].append(Observation(Direction._normalized(az, el), tag or None))
     return ObservationSet(grid, tuple(tuple(f) for f in frames))
 
 
-def _parse_rows(stream: TextIO, grid: FrameGrid, expect_source: bool):
+class _Rows(NamedTuple):
+    """The checked rows of a track or observation CSV, in file order.
+
+    Angles are radians as a Direction holds them. source_id is the raw
+    column of a tagged observation file ("" for untagged), else None.
+    """
+
+    lines: Sequence[int]
+    frame: np.ndarray
+    track_id: tuple[str, ...]
+    azimuth: np.ndarray
+    elevation: np.ndarray
+    source_id: tuple[str, ...] | None
+
+
+def _parse_rows(stream: TextIO, grid: FrameGrid, expect_source: bool) -> _Rows:
+    """The one row parser of track and observation CSVs.
+
+    Rows are checked a column at a time. If any check fails, the rows
+    are checked again one at a time, and the first bad row in file order
+    raises its ParseError.
+    """
     header = stream.readline().rstrip("\n")
     allowed = {OBS_CSV_HEADER} if expect_source else {TRACK_CSV_HEADER}
     if expect_source:
         allowed.add(TRACK_CSV_HEADER)  # untagged observation files are fine
     if header not in allowed:
         raise ParseError(f"unexpected header {header!r}", line=1)
-    has_source = header == OBS_CSV_HEADER
-    rows = []
-    for lineno, raw in enumerate(stream, start=2):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != (6 if has_source else 5):
-            raise ParseError(f"expected {6 if has_source else 5} fields", line=lineno)
-        try:
-            frame = int(parts[0])
-            az_deg = float(parts[3])
-            el_deg = float(parts[4])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-        if not 0 <= frame < grid.n_frames:
-            raise ParseError(
-                f"frame {frame} outside [0, {grid.n_frames})", line=lineno
-            )
-        try:
-            direction = Direction.from_degrees(az_deg, el_deg)
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-        source_id = None
-        if has_source and parts[5] != "":
-            source_id = parts[5]
-        rows.append((frame, parts[2], direction, source_id))
-    return rows
+    n_fields = 6 if header == OBS_CSV_HEADER else 5
+    texts = [raw.rstrip("\n") for raw in stream]
+    lines: Sequence[int] = range(2, len(texts) + 2)
+    if not all(texts):  # blank lines are skipped
+        lines = [n for n, text in zip(lines, texts) if text]
+        texts = [text for text in texts if text]
+    parts = [text.split(",") for text in texts]
+    columns = _checked_columns(parts, n_fields, grid)
+    if columns is None:
+        for line, row in zip(lines, parts):
+            _check_row(row, line, n_fields, grid)
+        raise ParseError("rows failed a check no single row fails")
+    return _Rows(lines, *columns)
+
+
+def _checked_columns(parts: list[list[str]], n_fields: int, grid: FrameGrid):
+    """(frame, track_id, azimuth, elevation, source_id) of split rows that
+    all pass the checks of _check_row, made here on whole columns; None
+    if some row fails one."""
+    n = len(parts)
+    if set(map(len, parts)) - {n_fields}:
+        return None
+    cols = list(zip(*parts)) or [()] * n_fields
+    try:
+        frame = list(map(int, cols[0]))
+        time_s = np.fromiter(map(float, cols[1]), float, n)
+        azimuth = np.fromiter(map(float, cols[3]), float, n) * _RADIANS_PER_DEGREE
+        elevation = np.fromiter(map(float, cols[4]), float, n) * _RADIANS_PER_DEGREE
+    except ValueError:
+        return None
+    if not (min(frame, default=0) >= 0 and max(frame, default=0) < grid.n_frames):
+        return None
+    frame = np.array(frame, dtype=np.int64)
+    if not np.all(np.abs(time_s - frame * grid.frame_period) <= TIME_TOLERANCE_S):
+        return None
+    el_ok = (elevation >= -_HALF_PI - 1e-12) & (elevation <= _HALF_PI + 1e-12)
+    if not (np.all(el_ok) and np.all(np.isfinite(azimuth))):
+        return None
+    for i in np.flatnonzero((azimuth < -math.pi) | (azimuth >= math.pi)):
+        azimuth[i] = wrap_azimuth(float(azimuth[i]))
+    elevation = np.minimum(np.maximum(elevation, -_HALF_PI), _HALF_PI)
+    return frame, cols[2], azimuth, elevation, cols[5] if n_fields == 6 else None
+
+
+def _check_row(parts: list[str], line: int, n_fields: int, grid: FrameGrid) -> None:
+    """Raise the ParseError of one bad row, naming its line."""
+    if len(parts) != n_fields:
+        raise ParseError(f"expected {n_fields} fields", line=line)
+    try:
+        frame = int(parts[0])
+        time_s = float(parts[1])
+        az_deg = float(parts[3])
+        el_deg = float(parts[4])
+    except ValueError as exc:
+        raise ParseError(str(exc), line=line) from exc
+    if not 0 <= frame < grid.n_frames:
+        raise ParseError(f"frame {frame} outside [0, {grid.n_frames})", line=line)
+    if not abs(time_s - grid.time_of(frame)) <= TIME_TOLERANCE_S:
+        raise ParseError(
+            f"time_s {parts[1]} is not frame {frame} x frame period {grid.frame_period} s",
+            line=line,
+        )
+    try:
+        Direction.from_degrees(az_deg, el_deg)
+    except ValueError as exc:
+        raise ParseError(str(exc), line=line) from exc
 
 
 def write_json(doc: dict, path: str | Path) -> None:

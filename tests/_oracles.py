@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -20,7 +21,11 @@ from doatrack.trackmodel import FrameGrid, TrackSet
 
 
 def naive_association_scores(ms: MatchSequence) -> tuple[float, float, float]:
-    """(ass_re, ass_pr, ass_a) by a per-TP loop with array counting."""
+    """(ass_re, ass_pr, ass_a) by a per-TP loop with array counting.
+
+    Each TP's ratios are exact fractions, summed and rounded once, so a
+    correct package value equals the oracle's with ==.
+    """
     tp_p, tp_g = [], []
     fp_p, fn_g = [], []
     for fa in ms.frames:
@@ -41,11 +46,11 @@ def naive_association_scores(ms: MatchSequence) -> tuple[float, float, float]:
         tpa = int(np.sum(same_p & same_g))
         fpa = int(np.sum(same_p & ~same_g)) + int(np.sum(fp_p_arr == p))
         fna = int(np.sum(~same_p & same_g)) + int(np.sum(fn_g_arr == g))
-        re_terms.append(tpa / (tpa + fna))
-        pr_terms.append(tpa / (tpa + fpa))
-        a_terms.append(tpa / (tpa + fna + fpa))
+        re_terms.append(Fraction(tpa, tpa + fna))
+        pr_terms.append(Fraction(tpa, tpa + fpa))
+        a_terms.append(Fraction(tpa, tpa + fna + fpa))
     n = len(tp_p)
-    return sum(re_terms) / n, sum(pr_terms) / n, sum(a_terms) / n
+    return tuple(float(sum(terms) / n) for terms in (re_terms, pr_terms, a_terms))
 
 
 def naive_swaps(ms: MatchSequence) -> int:

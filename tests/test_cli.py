@@ -384,6 +384,54 @@ def test_stale_scenes_beyond_the_manifest_are_a_data_error(tmp_path, capsys):
     assert "missing ['scene_0001']" in capsys.readouterr().err
 
 
+def _edit_first_row(path: Path, column: int, value) -> int:
+    """Set one cell of the first data row of a scene CSV; returns that row's frame."""
+    header, first, *rest = path.read_text().split("\n")
+    cells = first.split(",")
+    cells[column] = value(int(cells[0])) if callable(value) else value
+    path.write_text("\n".join([header, ",".join(cells), *rest]))
+    return int(cells[0])
+
+
+def test_time_column_is_cross_checked_against_the_frame(tmp_path, capsys):
+    corpus = _simulated_corpus(tmp_path)
+    oracle = write_config(tmp_path, "oracle.json", {"type": "oracle"})
+    splitter = write_config(tmp_path, "splitter.json", {"type": "splitter", "k": 1})
+    preds = tmp_path / "preds"
+    # within the 1e-6 s tolerance, an extra decimal is accepted
+    _edit_first_row(corpus / "scene_0000.obs.csv", 1, lambda f: f"{f * 0.1 + 4e-7:.7f}")
+    assert main(["track", "--config", oracle, "--scenes", str(corpus), "--out", str(preds)]) == 0
+    _edit_first_row(corpus / "scene_0001.gt.csv", 1, "99.000000")
+    capsys.readouterr()
+    assert main(["lint", "--scenes", str(corpus)]) == 2
+    assert main(["evaluate", "--gt", str(corpus), "--pred", str(preds)]) == 2
+    assert main(["track", "--config", splitter, "--scenes", str(corpus),
+                 "--out", str(tmp_path / "split")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("FAILED scene_0001: ParseError: line 2: time_s 99.000000 is not frame") == 3
+    # beyond it, an observation row fails its scene too
+    _edit_first_row(corpus / "scene_0002.obs.csv", 1, lambda f: f"{f * 0.1 + 2e-6:.7f}")
+    assert main(["track", "--config", oracle, "--scenes", str(corpus),
+                 "--out", str(tmp_path / "again")]) == 2
+    assert "FAILED scene_0002: ParseError: line 2: time_s" in capsys.readouterr().err
+
+
+def test_manifest_scenario_entry_is_checked(tmp_path, capsys):
+    corpus = _simulated_corpus(tmp_path)
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    pf = write_config(tmp_path, "pf.json", {"birth_frames": 2})
+    track = ["track", "--config", pf, "--scenes", str(corpus), "--out", str(tmp_path / "preds")]
+    lint = ["lint", "--scenes", str(corpus)]
+    far = {**manifest["scenario"], "min_separation_deg": "far"}
+    for scenario, commands in (("jump", [lint, track]), (far, [lint])):
+        (corpus / "manifest.json").write_text(json.dumps({**manifest, "scenario": scenario}))
+        for argv in commands:
+            capsys.readouterr()
+            assert main(argv) == 2, (scenario, argv[0])
+            err = capsys.readouterr().err
+            assert "data error: ParseError: bad manifest" in err, err
+
+
 def test_sweep_checks_every_cell_tracker_before_any_work(tmp_path, capsys):
     base = {"subsets": [{"n_speakers": 1, "n_scenes": 1}], "k_max_values": [1]}
     for bad in ({"tracker": {"typo": 1}}, {"k_max_values": [1, 2.5]},

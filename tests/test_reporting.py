@@ -1,10 +1,22 @@
+import io
 import math
+from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
+from _oracles import (
+    lsa_match_frame,
+    lsa_ospa_frame,
+    naive_association_scores,
+    naive_broken,
+    naive_swaps,
+)
 from doatrack.errors import InsufficientData
 from doatrack.geometry import Direction
+from doatrack.matching import MatchSequence
 from doatrack.reporting import (
     REPORT_COLUMNS,
     aggregate_reports,
@@ -12,7 +24,14 @@ from doatrack.reporting import (
     evaluate_scene,
     report_csv_rows,
 )
-from doatrack.trackmodel import FrameGrid, TrackSet
+from doatrack.trackmodel import (
+    FrameGrid,
+    TrackSet,
+    per_frame_entries,
+    read_trackset,
+    trackset_to_string,
+)
+from test_matching import scene_pairs
 
 
 def test_bootstrap_equal_values():
@@ -96,3 +115,51 @@ def test_report_degrees_properties():
     rep = _tiny_report("a", ass_re=1.0)
     assert rep.mean_loc_error_deg == 0.0
     assert rep.ospa_mean_deg == 0.0
+
+
+# Generated scenes against the naive references: every field of the
+# report must equal its oracle value with ==, for TrackSets built in
+# memory and for the same scenes read back from their CSVs.
+
+
+def oracle_report(gts, preds, gate, cutoff, order) -> dict:
+    pred_frames, gt_frames = per_frame_entries(preds), per_frame_entries(gts)
+    frames = tuple(lsa_match_frame(pf, gf, gate) for pf, gf in zip(pred_frames, gt_frames))
+    ms = MatchSequence(gts.grid, frames)
+    n_tp = sum(len(fa.tps) for fa in frames)
+    n_fp = sum(len(fa.fps) for fa in frames)
+    n_fn = sum(len(fa.fns) for fa in frames)
+    swaps, broken = naive_swaps(ms), naive_broken(ms, gts)
+    duration, n_tracks, n_det = gts.grid.duration, len(gts.entries), gts.n_entries()
+    ospa = [
+        lsa_ospa_frame([d for _i, d in pf], [d for _i, d in gf], cutoff, order)
+        for pf, gf in zip(pred_frames, gt_frames)
+        if pf or gf
+    ]
+    errors = [e for fa in frames for _p, _g, e in fa.tps]
+    ass_re, ass_pr, ass_a = naive_association_scores(ms) if n_tp else (None, None, None)
+    return {
+        "n_tp": n_tp, "n_fp": n_fp, "n_fn": n_fn,
+        "n_swaps": swaps, "n_broken": broken,
+        "tsr": swaps / duration, "tfr": (swaps + broken) / duration,
+        "tsr_per_track": swaps / duration / n_tracks if n_tracks else None,
+        "tfr_per_track": (swaps + broken) / duration / n_tracks if n_tracks else None,
+        "mota": float(1 - Fraction(n_fn + n_fp + swaps, n_det)) if n_det else None,
+        "ospa_mean": float(np.mean(ospa)) if ospa else None,
+        "mean_loc_error": float(np.mean(errors)) if errors else None,
+        "scene_id": "s", "ass_a": ass_a, "ass_pr": ass_pr, "ass_re": ass_re,
+    }
+
+
+@given(
+    scene_pairs(),
+    st.sampled_from([math.radians(7.0), math.radians(20.0), math.radians(75.0), math.pi]),
+    st.sampled_from([math.radians(10.0), math.radians(30.0), math.pi]),
+)
+def test_evaluate_scene_equals_the_oracles(scene, gate, cutoff):
+    preds, gts = scene
+    read_back = [read_trackset(io.StringIO(trackset_to_string(ts)), ts.grid) for ts in scene]
+    for p, g in ((preds, gts), tuple(read_back)):
+        for order in (1.0, 2.0):
+            report = evaluate_scene("s", g, p, gate, cutoff, order)
+            assert vars(report) == oracle_report(g, p, gate, cutoff, order)

@@ -1,12 +1,16 @@
 import io
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from doatrack.errors import DuplicateEntry, ParseError, UnknownTrack
-from doatrack.geometry import Direction, angular_distance
+from doatrack.geometry import Direction, _unit_xyz, angular_distance
 from doatrack.trackmodel import (
+    OBS_CSV_HEADER,
+    TRACK_CSV_HEADER,
     FrameGrid,
     Observation,
     ObservationSet,
@@ -98,8 +102,9 @@ def test_duplicate_rows_raise_with_line_number():
         "3,0.300000,A,10.000000,5.000000\n"
         "3,0.300000,A,11.000000,5.000000\n"
     )
-    with pytest.raises(DuplicateEntry):
+    with pytest.raises(DuplicateEntry) as exc:
         read_trackset(io.StringIO(body), grid)
+    assert exc.value.line == 3
 
 
 def test_malformed_row_raises_parse_error_with_line():
@@ -263,3 +268,122 @@ def test_per_frame_entries_sorted_by_id():
     frames = per_frame_entries(ts)
     assert [tid for tid, _ in frames[0]] == ["A", "B"]
     assert frames[1] == []
+
+
+# Poles, both sides of the +-180 deg seam, and azimuths that print as
+# 180.000000 or -180.000000 (both read back as -pi).
+SPECIAL_DEGREES = [
+    (0.0, 90.0), (37.0, 90.0), (0.0, -90.0), (180.0, 0.0), (-180.0, 0.0),
+    (179.9999996, 5.0), (-179.9999996, -5.0), (179.999999, 0.0), (12.3456785, 89.9999999),
+]
+
+track_ids = st.text(
+    alphabet=st.characters(blacklist_characters=",\n\r", blacklist_categories=("Cs",)),
+    min_size=1,
+    max_size=5,
+)
+directions_deg = st.one_of(
+    st.sampled_from(SPECIAL_DEGREES),
+    st.tuples(st.floats(-540.0, 540.0), st.floats(-90.0, 90.0)),
+)
+
+
+@st.composite
+def tracksets(draw):
+    grid = FrameGrid(0.1, draw(st.integers(1, 12)))
+    ids = draw(st.lists(track_ids, min_size=0, max_size=4, unique=True))
+    entries = {}
+    for tid in ids:
+        frames = draw(st.lists(st.integers(0, grid.n_frames - 1), min_size=1, unique=True))
+        entries[tid] = {f: Direction.from_degrees(*draw(directions_deg)) for f in frames}
+    return TrackSet(grid, entries)
+
+
+def _bits(array) -> bytes:
+    return np.ascontiguousarray(array, dtype=float).tobytes()
+
+
+@given(tracksets())
+def test_round_trip_columns_equal_the_written_directions_bit_for_bit(ts):
+    text = trackset_to_string(ts)
+    back = read_trackset(io.StringIO(text), ts.grid)
+    # what each written row means, one Direction per row
+    written = [line.split(",") for line in text.split("\n")[1:-1]]
+    expected = [Direction.from_degrees(float(az), float(el)) for _f, _t, _id, az, el in written]
+    cols = back.columns
+    assert back.track_ids() == ts.track_ids() == list(cols.ids)
+    assert [cols.ids[c] for c in cols.id_code] == [tid for _f, _t, tid, _a, _e in written]
+    assert cols.frame.tolist() == [int(f) for f, _t, _id, _a, _e in written]
+    assert _bits(cols.unit) == _bits([_unit_xyz(d) for d in expected])
+    assert _bits(cols.azimuth) == _bits([d.azimuth for d in expected])
+    assert _bits(cols.elevation) == _bits([d.elevation for d in expected])
+    frames = {tid: sorted(by_frame) for tid, by_frame in ts.entries.items()}
+    assert {tid: sorted(by_frame) for tid, by_frame in back.entries.items()} == frames
+    for (f, _t, tid, _a, _e), d in zip(written, expected):
+        assert back.entries[tid][int(f)] == d
+    # the columns of an in-memory TrackSet are the same arrays
+    built = TrackSet(ts.grid, back.entries).columns
+    for name in ("frame", "id_code", "unit", "azimuth", "elevation", "offsets"):
+        assert _bits(getattr(built, name)) == _bits(getattr(cols, name)), name
+    assert built.ids == cols.ids
+
+
+def _observation_sets(draw, grid):
+    frames = []
+    for _f in range(grid.n_frames):
+        n = draw(st.integers(0, 3))
+        frames.append(tuple(
+            Observation(Direction.from_degrees(*draw(directions_deg)), draw(st.one_of(st.none(), track_ids)))
+            for _ in range(n)
+        ))
+    return ObservationSet(grid, tuple(frames))
+
+
+@given(st.data())
+def test_observation_round_trip_keeps_order_tags_and_directions(data):
+    grid = FrameGrid(0.1, data.draw(st.integers(1, 6)))
+    obs = _observation_sets(data.draw, grid)
+    buf = io.StringIO()
+    write_observations(obs, buf)
+    text = buf.getvalue()
+    back = read_observations(io.StringIO(text), grid)
+    rows = iter(line.split(",") for line in text.split("\n")[1:-1])
+    for frame_obs, frame_back in zip(obs.frames, back.frames):
+        assert [o.source_id for o in frame_back] == [o.source_id for o in frame_obs]
+        for o in frame_back:
+            _f, _t, _k, az, el, _tag = next(rows)
+            assert o.direction == Direction.from_degrees(float(az), float(el))
+
+
+FIELDS = st.one_of(
+    st.sampled_from([
+        "0", "1", "4", "-1", "5", "0.000000", "0.100000", "0.4", "99.000000", "nan", "inf",
+        "-inf", "1e400", "", "A", "spk0", "180.000000", "-180.000000", "90.000001", "-90",
+        "540", "1_0", " 3", "٣", "0x1", "9" * 30,
+    ]),
+    st.text(max_size=4),
+)
+ROWS = st.one_of(
+    # well-formed rows up to the checks on values
+    st.builds(
+        lambda f, t, tid, az, el, tag: f"{f},{t},{tid},{az},{el},{tag}",
+        st.sampled_from(["0", "1", "2"]), st.sampled_from(["0.000000", "0.100000", "0.200000"]),
+        st.sampled_from(["A", "B"]), FIELDS, FIELDS, st.sampled_from(["", "spk0"]),
+    ).map(lambda row: row if len(row) % 2 else row.rsplit(",", 1)[0]),
+    st.lists(FIELDS, max_size=7).map(",".join),
+)
+
+
+@given(
+    st.sampled_from([TRACK_CSV_HEADER, OBS_CSV_HEADER, "frame,track_id", ""]),
+    st.lists(ROWS, max_size=6),
+    st.sampled_from(["\n", "\r\n", "\n\n"]),
+)
+def test_parser_fuzz_raises_only_parse_errors(header, rows, newline):
+    text = newline.join([header, *rows]) + newline
+    grid = FrameGrid(0.1, 5)
+    for reader in (read_trackset, read_observations):
+        try:
+            reader(io.StringIO(text), grid)
+        except ParseError:
+            pass
