@@ -28,7 +28,6 @@ from .errors import (
     ParseError,
     UndefinedOnEmptyGroundTruth,
     UndefinedOnEmptyTP,
-    UnknownTrack,
 )
 from .frame_metrics import (
     FrameMetricsReport,
@@ -73,10 +72,8 @@ from .trackers import (
 )
 from .trackmodel import (
     FrameGrid,
-    Observation,
     ObservationSet,
     TrackSet,
-    activity_mask,
     read_manifest,
     read_observations,
     read_trackset,

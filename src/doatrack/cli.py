@@ -22,13 +22,13 @@ from dataclasses import MISSING, fields, replace
 from functools import partial
 from itertools import combinations
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
-from .errors import DoatrackError, GridMismatch, InvalidConfig, ParseError
+from .errors import DoatrackError, GridMismatch, InvalidConfig, ParseError, coerce
 from .frame_metrics import check_ospa
-from .geometry import angular_distance
+from .geometry import Direction, angular_distance
 from .matching import check_gate
 from .reporting import (
     AGGREGATE_METRICS,
@@ -95,9 +95,6 @@ _SEEDED_PER_SCENE = (ScenarioConfig, ObservationModel)
 # Tracker JSON keys read by the adversary trackers, not by the PF.
 _ADVERSARY_KEYS = ("type", "k", "period_s")
 
-_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
-
-
 def _json_fields(cls) -> list:
     """(field, JSON key) for every field a config JSON may set."""
     return [
@@ -105,26 +102,6 @@ def _json_fields(cls) -> list:
         for f in fields(cls)
         if not (f.name == "seed" and cls in _SEEDED_PER_SCENE)
     ]
-
-
-def _coerce(value, hint, key: str):
-    """Check one JSON value against a field type; never truncate or reinterpret."""
-    args = get_args(hint)
-    if type(None) in args:
-        return None if value is None else _coerce(value, args[0], key)
-    if get_origin(hint) is tuple:
-        if not isinstance(value, list) or len(value) != len(args):
-            raise InvalidConfig(f"{key} must be a list of {len(args)} numbers, got {value!r}")
-        return tuple(_coerce(v, t, key) for v, t in zip(value, args))
-    if hint in (bool, str):
-        ok = isinstance(value, hint)
-    else:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if ok and isinstance(value, float):
-            ok = math.isfinite(value) and (hint is float or value.is_integer())
-    if not ok:
-        raise InvalidConfig(f"{key} must be {_TYPE_NAMES[hint]}, got {value!r}")
-    return hint(value)
 
 
 def config_from_json(cls, doc: dict, what: str):
@@ -142,7 +119,7 @@ def config_from_json(cls, doc: dict, what: str):
             if f.default is MISSING:
                 raise InvalidConfig(f"{what} config requires {key}")
             continue
-        value = _coerce(doc[key], hints[f.name], key)
+        value = coerce(doc[key], hints[f.name], key)
         kwargs[f.name] = math.radians(value) if f.name in _DEGREE_KEYS else value
     return cls(**kwargs)
 
@@ -308,8 +285,8 @@ def simulate_corpus(
 
 def cmd_simulate(args) -> int:
     doc = _load_json(args.config)
-    master = args.seed if args.seed is not None else _coerce(doc.get("seed", 0), int, "seed")
-    n_scenes = _coerce(doc.get("n_scenes", 1), int, "n_scenes")
+    master = args.seed if args.seed is not None else coerce(doc.get("seed", 0), int, "seed")
+    n_scenes = coerce(doc.get("n_scenes", 1), int, "n_scenes")
     simulate_corpus(
         doc.get("scenario", {}),
         doc.get("observation", {}),
@@ -344,14 +321,14 @@ def _tracker_spec(doc: dict, default_max_active) -> tuple[str, object]:
     if ttype == "splitter":
         if "k" not in doc:
             raise InvalidConfig("splitter config requires k")
-        k = _coerce(doc["k"], int, "k")
+        k = coerce(doc["k"], int, "k")
         if k < 1:
             raise InvalidConfig(f"k must be >= 1, got {k}")
         return ttype, k
     if ttype == "swapper":
         if "period_s" not in doc:
             raise InvalidConfig("swapper config requires period_s")
-        period_s = _coerce(doc["period_s"], float, "period_s")
+        period_s = coerce(doc["period_s"], float, "period_s")
         if period_s <= 0:
             raise InvalidConfig(f"period_s must be > 0, got {period_s}")
         return ttype, period_s
@@ -477,7 +454,7 @@ def cmd_evaluate(args) -> int:
 
 
 def _kmax_label(k) -> str:
-    return "inf" if k is None else str(_coerce(k, int, "k_max"))
+    return "inf" if k is None else str(coerce(k, int, "k_max"))
 
 
 def check_trends(
@@ -528,24 +505,24 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
     tracker_doc.setdefault("type", "pf")
     if tracker_doc["type"] != "pf":
         raise InvalidConfig("sweep supports only the pf tracker")
-    gate = math.radians(_coerce(doc.get("gate_deg", DEFAULT_GATE_DEG), float, "gate_deg"))
+    gate = math.radians(coerce(doc.get("gate_deg", DEFAULT_GATE_DEG), float, "gate_deg"))
     check_gate(gate)
     boot = _json_object(doc.get("bootstrap", {}), "sweep bootstrap")
-    fraction = _coerce(boot.get("fraction", 0.8), float, "fraction")
-    replicates = _coerce(boot.get("replicates", 100), int, "replicates")
+    fraction = coerce(boot.get("fraction", 0.8), float, "fraction")
+    replicates = coerce(boot.get("replicates", 100), int, "replicates")
     # Every subset and cell tracker config is checked before the first corpus is written.
     for sub in subsets:
         _json_object(sub, "sweep subset")
-        n_speakers = _coerce(sub.get("n_speakers"), int, "n_speakers")
+        n_speakers = coerce(sub.get("n_speakers"), int, "n_speakers")
         for k in k_values:
             _tracker_spec({**tracker_doc, "k_max": k}, n_speakers)
     out_dir.mkdir(parents=True, exist_ok=True)
     results: dict[str, dict] = {}
     long_rows = ["subset,k_max,metric,mean,std"]
     for si, sub in enumerate(subsets):
-        n_speakers = _coerce(sub.get("n_speakers"), int, "n_speakers")
+        n_speakers = coerce(sub.get("n_speakers"), int, "n_speakers")
         name = str(sub.get("name", f"{n_speakers}spk"))
-        n_scenes = _coerce(sub.get("n_scenes", 150), int, "n_scenes")
+        n_scenes = coerce(sub.get("n_scenes", 150), int, "n_scenes")
         scenes_dir = out_dir / name / "scenes"
         sub_scenario = {**scenario_doc, "n_speakers": n_speakers}
         simulate_corpus(
@@ -596,7 +573,7 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
 
 def cmd_sweep(args) -> int:
     doc = _load_json(args.config)
-    master = args.seed if args.seed is not None else _coerce(doc.get("seed", 0), int, "seed")
+    master = args.seed if args.seed is not None else coerce(doc.get("seed", 0), int, "seed")
     summary = run_sweep(doc, Path(args.out), master, args.jobs)
     print(f"sweep: results written to {args.out}")
     if not args.assert_trends:
@@ -625,28 +602,25 @@ def cmd_sweep(args) -> int:
 
 
 def _lint_scene(scenes_dir, grid, mode, min_sep, _index, sid) -> list[str]:
-    """Worker: the problems of one ground-truth CSV that parses."""
-    gt = read_trackset(scenes_dir / f"{sid}.gt.csv", grid)
+    """Worker: the problems of one ground-truth CSV that parses, per track
+    in the order of the tracks' first rows."""
+    cols = read_trackset(scenes_dir / f"{sid}.gt.csv", grid).columns
     problems = []
     if mode in ("jump", "static"):
-        for tid, frames in gt.entries.items():
-            ordered = sorted(frames)
-            runs: list[list[int]] = []
-            for f in ordered:
-                if runs and f == runs[-1][-1] + 1:
-                    runs[-1].append(f)
-                else:
-                    runs.append([f])
-            for run in runs:
-                first = frames[run[0]]
-                if any(frames[f] != first for f in run[1:]):
-                    problems.append(f"{sid}/{tid}: direction varies within an active run")
-                    break
+        for code in dict.fromkeys(cols.id_code.tolist()):
+            tid, rows = cols.ids[code], np.flatnonzero(cols.id_code == code)
+            az, el = cols.azimuth[rows], cols.elevation[rows]
+            run_starts = np.flatnonzero(np.diff(cols.frame[rows]) != 1) + 1
+            moved = (az[1:] != az[:-1]) | (el[1:] != el[:-1])
+            moved[run_starts - 1] = False  # a new run may start anywhere
+            if moved.any():
+                problems.append(f"{sid}/{tid}: direction varies within an active run")
             if mode == "jump" and min_sep > 0:
-                unique = dict.fromkeys(frames[run[0]] for run in runs)
+                starts = np.r_[0, run_starts]
+                unique = dict.fromkeys(zip(az[starts].tolist(), el[starts].tolist()))
                 for a, b in combinations(unique, 2):
                     # 1e-6 rad absorbs the 6-decimal CSV quantization
-                    if angular_distance(a, b) < min_sep - 1e-6:
+                    if angular_distance(Direction(*a), Direction(*b)) < min_sep - 1e-6:
                         problems.append(
                             f"{sid}/{tid}: positions closer than the minimum separation"
                         )
@@ -662,7 +636,7 @@ def lint_corpus(scenes_dir: Path) -> list[str]:
     scene_ids = _corpus_scene_ids(scenes_dir, manifest)
     scenario = _manifest_scenario(manifest, scenes_dir)
     try:
-        min_sep_deg = _coerce(scenario.get("min_separation_deg", 0.0), float, "min_separation_deg")
+        min_sep_deg = coerce(scenario.get("min_separation_deg", 0.0), float, "min_separation_deg")
     except InvalidConfig as exc:
         raise ParseError(f"bad manifest in {scenes_dir}: {exc}") from exc
     min_sep = math.radians(min_sep_deg)

@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the checker of JSON
+values that raises InvalidConfig."""
+
+import math
+from typing import get_args, get_origin
 
 
 class DoatrackError(Exception):
@@ -25,10 +29,6 @@ class ParseError(DoatrackError):
 
 class DuplicateEntry(ParseError):
     """Repeated (track_id, frame_index) pair in the input."""
-
-
-class UnknownTrack(DoatrackError, KeyError):
-    """Requested track id does not exist in the TrackSet."""
 
 
 class GridMismatch(DoatrackError):
@@ -60,3 +60,30 @@ class InvalidK(DoatrackError, ValueError):
 
 class InsufficientData(DoatrackError):
     """Bootstrap aggregation needs at least two defined values."""
+
+
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
+
+
+def coerce(value, hint, key: str):
+    """Check one JSON value against a field type; never truncate or reinterpret.
+
+    An integral float passes as an int; bools pass only as bools.
+    Raises InvalidConfig naming key.
+    """
+    args = get_args(hint)
+    if type(None) in args:
+        return None if value is None else coerce(value, args[0], key)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list) or len(value) != len(args):
+            raise InvalidConfig(f"{key} must be a list of {len(args)} numbers, got {value!r}")
+        return tuple(coerce(v, t, key) for v, t in zip(value, args))
+    if hint in (bool, str):
+        ok = isinstance(value, hint)
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if ok and isinstance(value, float):
+            ok = math.isfinite(value) and (hint is float or value.is_integer())
+    if not ok:
+        raise InvalidConfig(f"{key} must be {_TYPE_NAMES[hint]}, got {value!r}")
+    return hint(value)

@@ -1,11 +1,13 @@
 """Directions on the unit sphere: representation, distance, sampling.
 
-The canonical representation everywhere in this package is the
-(azimuth, elevation) pair in radians; unit 3-vectors appear inside
-computations and beside the angles in the columnar form evaluation
-reads (trackmodel.TrackColumns). External interfaces (CSV files, CLI
-flags, JSON configs) carry angles in degrees and convert exactly at
-the boundary (multiply by pi/180).
+A direction is an (azimuth, elevation) pair in radians. The stored
+containers (trackmodel.TrackSet and trackmodel.ObservationSet) hold it
+as two angle columns plus the unit-vector column that
+unit_vectors_from_angles makes from them. A Direction object is the
+form of one direction at the edges: scene generation, the trackers'
+estimates, match_frame and the scalar helpers here. External
+interfaces (CSV files, CLI flags, JSON configs) carry angles in degrees
+and convert exactly at the boundary (multiply by pi/180).
 """
 
 from __future__ import annotations
@@ -42,15 +44,6 @@ class Direction:
     @staticmethod
     def from_degrees(azimuth_deg: float, elevation_deg: float) -> "Direction":
         return Direction(math.radians(azimuth_deg), math.radians(elevation_deg))
-
-    @classmethod
-    def _normalized(cls, azimuth: float, elevation: float) -> "Direction":
-        """A Direction of floats already as __post_init__ leaves them
-        (azimuth in [-pi, pi), elevation in [-pi/2, pi/2]), not checked again."""
-        d = object.__new__(cls)
-        object.__setattr__(d, "azimuth", azimuth)
-        object.__setattr__(d, "elevation", elevation)
-        return d
 
 
 def wrap_azimuth(az: float) -> float:

@@ -44,10 +44,6 @@ class FrameAssignment:
     fps: tuple[str, ...]
     fns: tuple[str, ...]
 
-    @property
-    def n_tp(self) -> int:
-        return len(self.tps)
-
 
 class ShapeGroup(NamedTuple):
     """The frames of a scene with one (n_pred, n_gt) shape, ascending, and
@@ -71,9 +67,8 @@ class FrameTable(NamedTuple):
 class Matches(NamedTuple):
     """A scene's TP/FP/FN partition as arrays, in frame order.
 
-    Codes index pred_ids and gt_ids. Within a frame, TPs follow pred id
-    order on a sequence from match_sequence and the order of its tps on
-    one assembled by hand; FPs and FNs follow their id order.
+    Codes index pred_ids and gt_ids, which are sorted, so within a frame
+    TPs and FPs follow pred id order and FNs gt id order.
     """
 
     pred_ids: tuple[str, ...]
@@ -88,100 +83,33 @@ class Matches(NamedTuple):
     fn_gt: np.ndarray
 
 
-def _ints(values) -> np.ndarray:
-    return np.array(values, dtype=np.int64)
-
-
-def _matches_of(frames: tuple[FrameAssignment, ...]) -> Matches:
-    tps = [(f, p, g, e) for f, fa in enumerate(frames) for p, g, e in fa.tps]
-    fps = [(f, p) for f, fa in enumerate(frames) for p in fa.fps]
-    fns = [(f, g) for f, fa in enumerate(frames) for g in fa.fns]
-    pred_ids = tuple(sorted({t[1] for t in tps} | {p for _f, p in fps}))
-    gt_ids = tuple(sorted({t[2] for t in tps} | {g for _f, g in fns}))
-    pred_code = {p: i for i, p in enumerate(pred_ids)}
-    gt_code = {g: i for i, g in enumerate(gt_ids)}
-    return Matches(
-        pred_ids,
-        gt_ids,
-        _ints([f for f, _p, _g, _e in tps]),
-        _ints([pred_code[p] for _f, p, _g, _e in tps]),
-        _ints([gt_code[g] for _f, _p, g, _e in tps]),
-        np.array([e for _f, _p, _g, e in tps], dtype=float),
-        _ints([f for f, _p in fps]),
-        _ints([pred_code[p] for _f, p in fps]),
-        _ints([f for f, _g in fns]),
-        _ints([gt_code[g] for _f, g in fns]),
-    )
-
-
-def _frames_of(m: Matches, n_frames: int) -> tuple[FrameAssignment, ...]:
-    tps: list[list] = [[] for _ in range(n_frames)]
-    fps: list[list] = [[] for _ in range(n_frames)]
-    fns: list[list] = [[] for _ in range(n_frames)]
-    for f, p, g, e in zip(
-        m.tp_frame.tolist(), m.tp_pred.tolist(), m.tp_gt.tolist(), m.tp_err.tolist()
-    ):
-        tps[f].append((m.pred_ids[p], m.gt_ids[g], e))
-    for f, p in zip(m.fp_frame.tolist(), m.fp_pred.tolist()):
-        fps[f].append(m.pred_ids[p])
-    for f, g in zip(m.fn_frame.tolist(), m.fn_gt.tolist()):
-        fns[f].append(m.gt_ids[g])
-    return tuple(
-        FrameAssignment(tuple(t), tuple(p), tuple(g)) for t, p, g in zip(tps, fps, fns)
-    )
-
-
+@dataclass(frozen=True, eq=False)
 class MatchSequence:
-    """Per-frame assignments of a scene.
+    """The matches of a scene plus the frame table they were made on.
 
-    matches holds them as arrays, which the counters read; frames holds
-    the same partition as one FrameAssignment per frame. Each is built
-    from the other on first use: match_sequence makes the arrays, a
-    sequence assembled by hand gives its frames. distances is the frame
-    table match_sequence matched on, which OSPA reuses; a sequence
-    assembled by hand carries None.
+    matches holds the TP/FP/FN partition as arrays, which the counters
+    read. distances is the frame table match_sequence matched on, which
+    OSPA reuses; a sequence assembled otherwise carries None.
     """
 
-    __slots__ = ("grid", "distances", "_frames", "_matches")
-
-    def __init__(
-        self,
-        grid: FrameGrid,
-        frames: tuple[FrameAssignment, ...] | None = None,
-        distances: FrameTable | None = None,
-        *,
-        matches: Matches | None = None,
-    ):
-        if (frames is None) == (matches is None):
-            raise ValueError("give a MatchSequence its frames or its matches")
-        if frames is not None:
-            frames = tuple(frames)
-            if len(frames) != grid.n_frames:
-                raise ValueError("frame count does not match grid")
-        self.grid = grid
-        self.distances = distances
-        self._frames = frames
-        self._matches = matches
+    grid: FrameGrid
+    matches: Matches
+    distances: FrameTable | None = None
 
     @property
     def frames(self) -> tuple[FrameAssignment, ...]:
-        if self._frames is None:
-            self._frames = _frames_of(self._matches, self.grid.n_frames)
-        return self._frames
-
-    @property
-    def matches(self) -> Matches:
-        if self._matches is None:
-            self._matches = _matches_of(self._frames)
-        return self._matches
-
-    def __eq__(self, other):
-        if not isinstance(other, MatchSequence):
-            return NotImplemented
-        return self.grid == other.grid and self.frames == other.frames
-
-    def __repr__(self) -> str:
-        return f"MatchSequence(grid={self.grid!r}, frames={self.frames!r})"
+        """One FrameAssignment per frame, derived from matches on each read."""
+        m = self.matches
+        parts: list[tuple[list, list, list]] = [([], [], []) for _ in range(self.grid.n_frames)]
+        for f, p, g, e in zip(
+            m.tp_frame.tolist(), m.tp_pred.tolist(), m.tp_gt.tolist(), m.tp_err.tolist()
+        ):
+            parts[f][0].append((m.pred_ids[p], m.gt_ids[g], e))
+        for f, p in zip(m.fp_frame.tolist(), m.fp_pred.tolist()):
+            parts[f][1].append(m.pred_ids[p])
+        for f, g in zip(m.fn_frame.tolist(), m.fn_gt.tolist()):
+            parts[f][2].append(m.gt_ids[g])
+        return tuple(FrameAssignment(*map(tuple, frame)) for frame in parts)
 
 
 def _frame_table(pc: TrackColumns, gc: TrackColumns) -> FrameTable:
@@ -275,7 +203,8 @@ def match_sequence(preds: TrackSet, gts: TrackSet, gate: float) -> MatchSequence
         raise GridMismatch(f"prediction grid {preds.grid} != ground-truth grid {gts.grid}")
     pc, gc = preds.columns, gts.columns
     table = _frame_table(pc, gc)
-    pred_rows, gt_rows, errors = [_ints([])], [_ints([])], [np.zeros(0)]
+    no_rows = np.zeros(0, dtype=np.int64)
+    pred_rows, gt_rows, errors = [no_rows], [no_rows], [np.zeros(0)]
     for group in table.groups:
         index, rows, cols = _match_stack(group.dist, gate)
         frames = group.frames[index]
@@ -304,4 +233,4 @@ def match_sequence(preds: TrackSet, gts: TrackSet, gate: float) -> MatchSequence
         gc.frame[fn],
         gc.id_code[fn],
     )
-    return MatchSequence(gts.grid, distances=table, matches=matches)
+    return MatchSequence(gts.grid, matches, table)

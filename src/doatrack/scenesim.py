@@ -36,7 +36,7 @@ from .geometry import (
     sample_direction,
     sample_separated_set,
 )
-from .trackmodel import FrameGrid, Observation, ObservationSet, TrackSet, per_frame_entries
+from .trackmodel import FrameGrid, ObservationSet, TrackSet, columns_of
 
 MODES = ("jump", "static", "moving", "moving_zeroed")
 _SEGMENTED_MODES = ("jump", "static", "moving_zeroed")
@@ -192,21 +192,26 @@ def generate_scene(cfg: ScenarioConfig) -> TrackSet:
 def simulate_observations(gt: TrackSet, om: ObservationModel) -> ObservationSet:
     """Noisy per-frame observations of a scene; deterministic per om.seed.
 
-    Tagged observations carry the originating track id; clutter is
-    untagged and uniform on the sphere.
+    Each frame's ground-truth rows are observed in id order, then its
+    clutter is drawn. Tagged observations carry the originating track
+    id; clutter is untagged and uniform on the sphere.
     """
     rng = np.random.default_rng(om.seed)
-    frames: list[tuple[Observation, ...]] = []
-    for active in per_frame_entries(gt):
-        frame_obs = []
-        for tid, d in active:
+    cols = gt.columns
+    offsets = cols.offsets.tolist()
+    azimuth, elevation = cols.azimuth.tolist(), cols.elevation.tolist()
+    rows: list[tuple[int, float, float, str | None]] = []  # (frame, azimuth, elevation, source)
+    for f in range(gt.grid.n_frames):
+        for i in range(offsets[f], offsets[f + 1]):
             # Draws are unconditional so the stream does not depend on
             # the miss outcome.
             missed = rng.random() < om.p_miss
-            noisy = perturb_direction(d, om.angular_noise_sigma, rng)
+            noisy = perturb_direction(
+                Direction(azimuth[i], elevation[i]), om.angular_noise_sigma, rng
+            )
             if not missed:
-                frame_obs.append(Observation(noisy, tid))
+                rows.append((f, noisy.azimuth, noisy.elevation, cols.ids[cols.id_code[i]]))
         for _ in range(int(rng.poisson(om.clutter_rate))):
-            frame_obs.append(Observation(sample_direction(rng), None))
-        frames.append(tuple(frame_obs))
-    return ObservationSet(gt.grid, tuple(frames))
+            clutter = sample_direction(rng)
+            rows.append((f, clutter.azimuth, clutter.elevation, None))
+    return ObservationSet(gt.grid, *columns_of(rows, 4))

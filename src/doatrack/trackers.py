@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidConfig, InvalidK, MissingTags
 from .geometry import Direction, from_unit_vector, unit_vector
-from .trackmodel import ObservationSet, TrackSet, per_frame_entries
+from .trackmodel import ObservationSet, TrackSet, columns_of
 
 TWO_PI = 2.0 * math.pi
 
@@ -83,16 +83,28 @@ def oracle_tracker(obs: ObservationSet) -> TrackSet:
 
     Raises MissingTags when observations exist but none carry a tag.
     """
-    rows = []
-    saw_obs = False
-    for f, frame_obs in enumerate(obs.frames):
-        for d, src in frame_obs:
-            saw_obs = True
-            if src is not None:
-                rows.append((f, f"p_{src}", d))
-    if saw_obs and not rows:
+    tagged = [i for i, src in enumerate(obs.source) if src is not None]
+    if obs.n_observations() and not tagged:
         raise MissingTags("observation set carries no source tags")
-    return TrackSet.build(obs.grid, rows)
+    return TrackSet.from_rows(
+        obs.grid,
+        obs.frame[tagged],
+        [f"p_{obs.source[i]}" for i in tagged],
+        obs.azimuth[tagged],
+        obs.elevation[tagged],
+    )
+
+
+def _relabeled(gt: TrackSet, names: list[str], code: np.ndarray, rows=slice(None)) -> TrackSet:
+    """The ground-truth rows `rows` of gt, row i now labeled names[code[i]]."""
+    cols = gt.columns
+    return TrackSet.from_rows(
+        gt.grid,
+        cols.frame[rows],
+        np.array(names, dtype=object)[code],
+        cols.azimuth[rows],
+        cols.elevation[rows],
+    )
 
 
 def splitter_tracker(gt: TrackSet, k: int) -> TrackSet:
@@ -101,15 +113,15 @@ def splitter_tracker(gt: TrackSet, k: int) -> TrackSet:
     is not divisible by k)."""
     if k < 1:
         raise InvalidK("k must be >= 1")
-    rows = []
-    for tid in sorted(gt.entries):
-        frames = sorted(gt.entries[tid])
-        if k > len(frames):
-            raise InvalidK(f"k={k} exceeds {len(frames)} active frames of {tid!r}")
-        for i, chunk in enumerate(np.array_split(np.asarray(frames), k)):
-            for f in chunk:
-                rows.append((int(f), f"{tid}_s{i}", gt.entries[tid][int(f)]))
-    return TrackSet.build(gt.grid, rows)
+    cols = gt.columns
+    code = np.empty(len(cols.frame), dtype=np.int64)
+    for c, tid in enumerate(cols.ids):
+        rows = np.flatnonzero(cols.id_code == c)  # the track's rows, in frame order
+        if k > len(rows):
+            raise InvalidK(f"k={k} exceeds {len(rows)} active frames of {tid!r}")
+        for i, span in enumerate(np.array_split(rows, k)):
+            code[span] = c * k + i
+    return _relabeled(gt, [f"{tid}_s{i}" for tid in cols.ids for i in range(k)], code)
 
 
 def merger_tracker(gt: TrackSet) -> TrackSet:
@@ -118,29 +130,23 @@ def merger_tracker(gt: TrackSet) -> TrackSet:
     When several tracks are active in a frame the merged prediction
     takes the direction of the lexicographically first one.
     """
-    rows = []
-    for f, active in enumerate(per_frame_entries(gt)):
-        if active:
-            rows.append((f, "m0", active[0][1]))
-    return TrackSet.build(gt.grid, rows)
+    offsets = gt.columns.offsets
+    first_rows = offsets[:-1][np.diff(offsets) > 0]
+    return _relabeled(gt, ["m0"], np.zeros(len(first_rows), dtype=np.int64), first_rows)
 
 
 def swapper_tracker(gt: TrackSet, period_s: float) -> TrackSet:
     """Exchange the id labels of the two first tracks every period_s."""
     if period_s <= 0:
         raise InvalidConfig("period_s must be > 0")
-    ids = sorted(gt.entries)
-    if len(ids) < 2:
+    cols = gt.columns
+    if len(cols.ids) < 2:
         raise InvalidConfig("swapper needs at least two tracks")
-    a, b = ids[0], ids[1]
-    rows = []
-    for tid in ids:
-        for f, d in gt.entries[tid].items():
-            out = tid
-            if int(gt.grid.time_of(f) // period_s) % 2 == 1:
-                out = b if tid == a else a if tid == b else tid
-            rows.append((f, f"p_{out}", d))
-    return TrackSet.build(gt.grid, rows)
+    swapped = np.arange(len(cols.ids))
+    swapped[:2] = 1, 0
+    odd_period = (cols.frame * gt.grid.frame_period) // period_s % 2 == 1
+    code = np.where(odd_period, swapped[cols.id_code], cols.id_code)
+    return _relabeled(gt, [f"p_{tid}" for tid in cols.ids], code)
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +217,10 @@ class _Track:
 
 
 class _Candidate:
-    __slots__ = ("direction", "support")
+    __slots__ = ("unit", "support")
 
-    def __init__(self, direction: Direction):
-        self.direction = direction
+    def __init__(self, unit: np.ndarray):
+        self.unit = unit
         self.support = 1
 
 
@@ -230,14 +236,15 @@ def pf_tracker(obs: ObservationSet, cfg: TrackerConfig) -> TrackSet:
     candidates: list[_Candidate] = []
     dead_pool: list[tuple[int, str]] = []  # (death_frame, id)
     issued = 0
-    rows: list[tuple[int, str, Direction]] = []
+    rows: list[tuple[int, str, float, float]] = []  # (frame, id, azimuth, elevation)
 
-    def spawn_particles(d: Direction) -> np.ndarray:
-        base = np.tile(unit_vector(d), (cfg.n_particles, 1))
+    def spawn_particles(unit: np.ndarray) -> np.ndarray:
+        base = np.tile(unit, (cfg.n_particles, 1))
         return _random_walk(base, cfg.process_noise_sigma, rng)
 
-    for f, frame_obs in enumerate(obs.frames):
-        obs_units = np.array([unit_vector(o.direction) for o in frame_obs])
+    for f in range(obs.grid.n_frames):
+        obs_units = obs.unit[obs.offsets[f]:obs.offsets[f + 1]]
+        n_obs = len(obs_units)
 
         # 1. predict
         for tr in live:
@@ -247,7 +254,7 @@ def pf_tracker(obs: ObservationSet, cfg: TrackerConfig) -> TrackSet:
         # 2. gated greedy association, nearest angular distance first
         assigned_obs: set[int] = set()
         associated: set[int] = set()
-        if live and len(frame_obs):
+        if live and n_obs:
             track_units = np.array([unit_vector(tr.estimate) for tr in live])
             dist = np.arccos(np.clip(track_units @ obs_units.T, -1.0, 1.0))
             for ti, oi in _greedy_pairs(dist, cfg.assoc_gate):
@@ -260,7 +267,7 @@ def pf_tracker(obs: ObservationSet, cfg: TrackerConfig) -> TrackSet:
                 tr.estimate = _mean_direction(tr.particles, w)
                 tr.particles = _systematic_resample(tr.particles, w, rng)
                 tr.frames_since_assoc = 0
-                rows.append((f, tr.track_id, tr.estimate))
+                rows.append((f, tr.track_id, tr.estimate.azimuth, tr.estimate.elevation))
                 assigned_obs.add(oi)
                 associated.add(ti)
         for ti, tr in enumerate(live):
@@ -270,10 +277,10 @@ def pf_tracker(obs: ObservationSet, cfg: TrackerConfig) -> TrackSet:
         # 4. candidate maintenance on leftover observations; support must
         #    be consecutive, unsupported candidates drop out; age order is
         #    preserved so older candidates confirm first under contention
-        leftover = [oi for oi in range(len(frame_obs)) if oi not in assigned_obs]
+        leftover = [oi for oi in range(n_obs) if oi not in assigned_obs]
         surviving: list[_Candidate] = []
         if candidates and leftover:
-            cand_units = np.array([unit_vector(c.direction) for c in candidates])
+            cand_units = np.array([c.unit for c in candidates])
             left_units = obs_units[leftover]
             dist = np.arccos(np.clip(cand_units @ left_units.T, -1.0, 1.0))
             supported = {
@@ -281,7 +288,7 @@ def pf_tracker(obs: ObservationSet, cfg: TrackerConfig) -> TrackSet:
             }
             for ci, cand in enumerate(candidates):
                 if ci in supported:
-                    cand.direction = frame_obs[supported[ci]].direction
+                    cand.unit = obs_units[supported[ci]]
                     cand.support += 1
                     surviving.append(cand)
             consumed = set(supported.values())
@@ -290,7 +297,7 @@ def pf_tracker(obs: ObservationSet, cfg: TrackerConfig) -> TrackSet:
 
         # 5. births from the remaining observations (first support counts)
         for oi in leftover:
-            candidates.append(_Candidate(frame_obs[oi].direction))
+            candidates.append(_Candidate(obs_units[oi]))
 
         # 6. confirmations, subject to the live cap and the id budget;
         #    reaching the support threshold consumes the candidate either way
@@ -309,9 +316,9 @@ def pf_tracker(obs: ObservationSet, cfg: TrackerConfig) -> TrackSet:
                 tid = dead_pool.pop()[1]  # newest-dead id
             else:
                 continue  # id budget exhausted, nothing to reuse
-            tr = _Track(tid, spawn_particles(cand.direction))
+            tr = _Track(tid, spawn_particles(cand.unit))
             live.append(tr)
-            rows.append((f, tid, tr.estimate))
+            rows.append((f, tid, tr.estimate.azimuth, tr.estimate.elevation))
         candidates = still_candidates
 
         # 7. deaths
@@ -323,4 +330,4 @@ def pf_tracker(obs: ObservationSet, cfg: TrackerConfig) -> TrackSet:
                 kept.append(tr)
         live = kept
 
-    return TrackSet.build(obs.grid, rows)
+    return TrackSet.from_rows(obs.grid, *columns_of(rows, 4))

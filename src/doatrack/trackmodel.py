@@ -1,9 +1,15 @@
-"""Identity-labeled, time-sparse track containers and their file formats.
+"""Identity-labeled, time-sparse track and observation containers and
+their file formats.
 
-A track is a sparse mapping frame_index -> Direction; inactivity is
-represented by absence, never by a validity flag. Track identities are
-opaque strings: prediction and ground-truth ids live in unrelated
-namespaces and nothing may compare them except through matching.
+Each container is stored in one form, as columns: a TrackSet holds one
+row per active (track, frame), an ObservationSet one row per
+observation, each with its frame index, its angles in radians, its unit
+vector and per-frame row offsets. Inactivity is the absence of a row,
+never a validity flag. Direction objects appear only at the edges:
+TrackSet(grid, entries) takes them, the trackers and the scene
+generator make them. Track identities are opaque strings: prediction
+and ground-truth ids live in unrelated namespaces and nothing may
+compare them except through matching.
 
 File formats (all UTF-8, LF line endings):
   - track CSV: header ``frame,time_s,track_id,azimuth_deg,elevation_deg``,
@@ -25,11 +31,11 @@ import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .errors import DuplicateEntry, ParseError, UnknownTrack
+from .errors import DuplicateEntry, ParseError, coerce
 from .geometry import Direction, unit_vectors_from_angles, wrap_azimuth
 
 TRACK_CSV_HEADER = "frame,time_s,track_id,azimuth_deg,elevation_deg"
@@ -65,7 +71,7 @@ class FrameGrid:
 
 
 class TrackColumns(NamedTuple):
-    """The columnar form of a TrackSet: one row per active (track, frame),
+    """The columns of a TrackSet: one row per active (track, frame),
     sorted by frame and then by track id.
 
     ids holds every track id, sorted; id_code indexes it, so code order
@@ -83,167 +89,164 @@ class TrackColumns(NamedTuple):
     offsets: np.ndarray
 
 
-def _columns_from_rows(
-    grid: FrameGrid, ids: tuple[str, ...], frame, id_code, azimuth, elevation
-) -> TrackColumns:
-    """TrackColumns from rows already sorted by (frame, id code)."""
-    frame = np.asarray(frame, dtype=np.int32)
-    azimuth = np.asarray(azimuth, dtype=float)
-    elevation = np.asarray(elevation, dtype=float)
-    offsets = np.zeros(grid.n_frames + 1, dtype=np.int64)
-    np.cumsum(np.bincount(frame, minlength=grid.n_frames), out=offsets[1:])
-    unit = unit_vectors_from_angles(azimuth.tolist(), elevation.tolist())
-    return TrackColumns(
-        ids, frame, np.asarray(id_code, dtype=np.int32), azimuth, elevation, unit, offsets
-    )
+def columns_of(rows: list[tuple], n: int) -> tuple[tuple, ...]:
+    """The n columns of a list of n-tuples; n empty columns if there are no rows."""
+    return tuple(zip(*rows)) or ((),) * n
+
+
+def _offsets(frame: np.ndarray, n_frames: int) -> np.ndarray:
+    """Row offsets of rows sorted by frame: frame f owns rows offsets[f]:offsets[f + 1]."""
+    offsets = np.zeros(n_frames + 1, dtype=np.int64)
+    np.cumsum(np.bincount(frame, minlength=n_frames), out=offsets[1:])
+    return offsets
 
 
 class TrackSet:
-    """Immutable collection of identity-labeled sparse trajectories.
+    """Immutable collection of identity-labeled sparse trajectories,
+    stored only as its TrackColumns.
 
-    A TrackSet has two equal forms, each built from the other on first
-    use. entries maps track_id -> {frame_index: Direction}; trackers,
-    writers and lint read it. columns is the TrackColumns evaluation
-    reads. A TrackSet read from a CSV starts from its columns, one built
-    in memory from its entries. Every frame index must lie in
-    [0, grid.n_frames). Treat as a value: never mutate the dictionaries
-    after construction.
+    TrackSet.from_rows builds every TrackSet. The CSV reader and the
+    trackers call it directly; TrackSet(grid, entries), which the scene
+    generator uses, is its in-memory front door. Treat as a value: never
+    mutate the arrays.
     """
 
-    __slots__ = ("_grid", "_entries", "_columns")
+    __slots__ = ("grid", "columns")
 
-    def __init__(
-        self,
-        grid: FrameGrid,
-        entries: dict[str, dict[int, Direction]] | None = None,
-        *,
-        columns: TrackColumns | None = None,
-    ):
-        if columns is None:
-            entries = {} if entries is None else entries
-            for tid, frames in entries.items():
-                for f in frames:
-                    if not 0 <= f < grid.n_frames:
-                        raise ValueError(
-                            f"track {tid!r}: frame {f} outside [0, {grid.n_frames})"
-                        )
-        elif entries is not None:
-            raise ValueError("give a TrackSet its entries or its columns, not both")
-        self._grid = grid
-        self._entries = entries
-        self._columns = columns
+    def __init__(self, grid: FrameGrid, entries: dict[str, dict[int, Direction]] | None = None):
+        """A TrackSet of entries mapping track_id -> {frame: Direction}.
 
-    @property
-    def grid(self) -> FrameGrid:
-        return self._grid
+        A track without frames keeps its id. Every frame must lie in
+        [0, grid.n_frames).
+        """
+        entries = {} if entries is None else entries
+        frame, track_id, azimuth, elevation = [], [], [], []
+        for tid, track in entries.items():
+            frame += track.keys()
+            track_id += [tid] * len(track)
+            azimuth += [d.azimuth for d in track.values()]
+            elevation += [d.elevation for d in track.values()]
+        self.grid = grid
+        self.columns = TrackSet.from_rows(
+            grid, frame, track_id, azimuth, elevation, ids=entries
+        ).columns
 
-    @property
-    def entries(self) -> dict[str, dict[int, Direction]]:
-        if self._entries is None:
-            cols = self._columns
-            entries: dict[str, dict[int, Direction]] = {}
-            for f, code, az, el in zip(
-                cols.frame.tolist(), cols.id_code.tolist(),
-                cols.azimuth.tolist(), cols.elevation.tolist(),
-            ):
-                entries.setdefault(cols.ids[code], {})[f] = Direction._normalized(az, el)
-            self._entries = entries
-        return self._entries
+    @classmethod
+    def from_rows(
+        cls, grid: FrameGrid, frame, track_id, azimuth, elevation, *, ids=(), lines=None
+    ) -> "TrackSet":
+        """The one row builder: a TrackSet of (frame, track_id, azimuth,
+        elevation) rows in any order, angles in radians as a Direction
+        holds them. ids names further tracks to keep without rows.
 
-    @property
-    def columns(self) -> TrackColumns:
-        if self._columns is None:
-            ids = tuple(sorted(self._entries))
-            rows = sorted(
-                (f, code, d)
-                for code, tid in enumerate(ids)
-                for f, d in self._entries[tid].items()
+        Raises:
+            ValueError: a frame outside [0, grid.n_frames), naming its track.
+            DuplicateEntry: the first repeated (track_id, frame) in input
+                order, carrying lines[i] of that row when lines is given.
+        """
+        names = tuple(sorted(set(track_id).union(ids)))
+        code_of = {tid: code for code, tid in enumerate(names)}
+        code = np.fromiter(map(code_of.__getitem__, track_id), np.int64, len(track_id))
+        frames = np.asarray(frame)  # checked before the cast, which could wrap a huge frame
+        outside = (frames < 0) | (frames >= grid.n_frames)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise ValueError(
+                f"track {track_id[i]!r}: frame {frame[i]} outside [0, {grid.n_frames})"
             )
-            self._columns = _columns_from_rows(
-                self._grid,
-                ids,
-                [f for f, _c, _d in rows],
-                [c for _f, c, _d in rows],
-                [d.azimuth for _f, _c, d in rows],
-                [d.elevation for _f, _c, d in rows],
-            )
-        return self._columns
+        frame = frames.astype(np.int64, copy=False)
+        azimuth = np.asarray(azimuth, dtype=float)
+        elevation = np.asarray(elevation, dtype=float)
+        key = frame * len(names) + code
+        if not np.all(key[1:] > key[:-1]):  # out of (frame, id) order, or repeated
+            order = np.argsort(key, kind="stable")
+            repeats = order[1:][key[order][1:] == key[order][:-1]]
+            if len(repeats):
+                i = int(repeats.min())
+                raise DuplicateEntry(
+                    f"duplicate entry for track {track_id[i]!r} frame {frame[i]}",
+                    line=None if lines is None else lines[i],
+                )
+            frame, code = frame[order], code[order]
+            azimuth, elevation = azimuth[order], elevation[order]
+        ts = cls.__new__(cls)
+        ts.grid = grid
+        ts.columns = TrackColumns(
+            names,
+            frame.astype(np.int32),
+            code.astype(np.int32),
+            azimuth,
+            elevation,
+            unit_vectors_from_angles(azimuth.tolist(), elevation.tolist()),
+            _offsets(frame, grid.n_frames),
+        )
+        return ts
 
     def __eq__(self, other):
         if not isinstance(other, TrackSet):
             return NotImplemented
-        return self.grid == other.grid and self.entries == other.entries
+        return self.grid == other.grid and _same(
+            self.columns, other.columns, ("ids", "frame", "id_code", "azimuth", "elevation")
+        )
 
     def __repr__(self) -> str:
-        return f"TrackSet(grid={self.grid!r}, entries={self.entries!r})"
-
-    @staticmethod
-    def build(
-        grid: FrameGrid, rows: Iterable[tuple[int, str, Direction]]
-    ) -> "TrackSet":
-        """Assemble from (frame, track_id, direction) rows.
-
-        Raises DuplicateEntry on a repeated (track_id, frame) pair.
-        """
-        entries: dict[str, dict[int, Direction]] = {}
-        for frame, tid, direction in rows:
-            per_track = entries.setdefault(tid, {})
-            if frame in per_track:
-                raise DuplicateEntry(f"duplicate entry for track {tid!r} frame {frame}")
-            per_track[frame] = direction
-        return TrackSet(grid, entries)
+        cols = self.columns
+        return f"TrackSet(grid={self.grid!r}, ids={cols.ids!r}, n_entries={len(cols.frame)})"
 
     def track_ids(self) -> list[str]:
-        if self._columns is not None:
-            return list(self._columns.ids)
-        return sorted(self._entries)
+        return list(self.columns.ids)
 
     def n_entries(self) -> int:
         """Total number of active (track, frame) pairs."""
-        if self._columns is not None:
-            return len(self._columns.frame)
-        return sum(len(frames) for frames in self._entries.values())
+        return len(self.columns.frame)
 
 
-class Observation(NamedTuple):
-    direction: Direction
-    source_id: str | None
-
-
-@dataclass(frozen=True)
 class ObservationSet:
-    """Per-frame bags of directions, optionally tagged with the true
-    source track id (used only by the oracle tracker and tests)."""
+    """A scene's observations as columns, one row per observation.
 
-    grid: FrameGrid
-    frames: tuple[tuple[Observation, ...], ...]
+    Rows run in frame order and, within a frame, in the order given.
+    frame, azimuth and elevation (radians as a Direction holds them) and
+    unit (the matching unit vectors) are arrays; source holds each
+    row's true source track id, or None for clutter and untagged rows
+    (read only by the oracle tracker and tests). Frame f owns rows
+    offsets[f]:offsets[f + 1].
+    """
 
-    def __post_init__(self):
-        if len(self.frames) != self.grid.n_frames:
-            raise ValueError(
-                f"expected {self.grid.n_frames} frames, got {len(self.frames)}"
-            )
+    __slots__ = ("grid", "frame", "azimuth", "elevation", "unit", "offsets", "source")
+
+    def __init__(self, grid: FrameGrid, frame, azimuth, elevation, source):
+        """Observations of rows in any frame order; a stable sort by frame
+        keeps each frame's own order. Raises ValueError on a frame
+        outside [0, grid.n_frames)."""
+        frame = np.asarray(frame, dtype=np.int64)
+        if len(frame) and not (frame.min() >= 0 and frame.max() < grid.n_frames):
+            raise ValueError(f"observation frame outside [0, {grid.n_frames})")
+        azimuth = np.asarray(azimuth, dtype=float)
+        elevation = np.asarray(elevation, dtype=float)
+        source = tuple(source)
+        if np.any(frame[1:] < frame[:-1]):
+            order = np.argsort(frame, kind="stable")
+            frame, azimuth, elevation = frame[order], azimuth[order], elevation[order]
+            source = tuple(source[i] for i in order)
+        self.grid = grid
+        self.frame, self.azimuth, self.elevation, self.source = frame, azimuth, elevation, source
+        self.unit = unit_vectors_from_angles(azimuth.tolist(), elevation.tolist())
+        self.offsets = _offsets(frame, grid.n_frames)
+
+    def __eq__(self, other):
+        if not isinstance(other, ObservationSet):
+            return NotImplemented
+        return self.grid == other.grid and _same(
+            self, other, ("source", "frame", "azimuth", "elevation")
+        )
 
     def n_observations(self) -> int:
-        return sum(len(f) for f in self.frames)
+        return len(self.frame)
 
 
-def activity_mask(ts: TrackSet, track_id: str) -> np.ndarray:
-    """Boolean array of length n_frames, true exactly at active frames."""
-    if track_id not in ts.entries:
-        raise UnknownTrack(track_id)
-    mask = np.zeros(ts.grid.n_frames, dtype=bool)
-    mask[list(ts.entries[track_id])] = True
-    return mask
-
-
-def per_frame_entries(ts: TrackSet) -> list[list[tuple[str, Direction]]]:
-    """Active (track_id, Direction) pairs per frame, sorted by id."""
-    frames: list[list[tuple[str, Direction]]] = [[] for _ in range(ts.grid.n_frames)]
-    for tid in sorted(ts.entries):
-        for f, d in ts.entries[tid].items():
-            frames[f].append((tid, d))
-    return frames
+def _same(a, b, names) -> bool:
+    """Whether a and b hold equal values under every attribute in names."""
+    return all(np.array_equal(getattr(a, n), getattr(b, n)) for n in names)
 
 
 def _fmt_angle(radians: float) -> str:
@@ -251,7 +254,7 @@ def _fmt_angle(radians: float) -> str:
 
 
 def _check_id(track_id: str) -> str:
-    if "," in track_id or "\n" in track_id or track_id == "":
+    if "," in track_id or "\n" in track_id or "\r" in track_id or track_id == "":
         raise ValueError(f"track id {track_id!r} not representable in CSV")
     return track_id
 
@@ -283,18 +286,22 @@ def open_text(target: str | Path | TextIO, mode: str):
 
 
 def write_trackset(ts: TrackSet, dest: str | Path | TextIO) -> None:
-    """Write the track CSV; byte-stable for equal TrackSets."""
-    rows = []
-    for tid, frames in ts.entries.items():
+    """Write the track CSV; byte-stable for equal TrackSets.
+
+    The columns are already in the file's (frame, track_id) row order.
+    """
+    cols = ts.columns
+    for tid in cols.ids:
         _check_id(tid)
-        for f, d in frames.items():
-            rows.append((f, tid, d))
-    rows.sort(key=lambda r: (r[0], r[1]))
     with open_text(dest, "w") as stream:
         stream.write(TRACK_CSV_HEADER + "\n")
-        for f, tid, d in rows:
-            az, el = _fmt_angle(d.azimuth), _fmt_angle(d.elevation)
-            stream.write(f"{f},{ts.grid.time_of(f):.6f},{tid},{az},{el}\n")
+        for f, code, az, el in zip(
+            cols.frame.tolist(), cols.id_code.tolist(),
+            cols.azimuth.tolist(), cols.elevation.tolist(),
+        ):
+            stream.write(
+                f"{f},{ts.grid.time_of(f):.6f},{cols.ids[code]},{_fmt_angle(az)},{_fmt_angle(el)}\n"
+            )
 
 
 def read_trackset(src: str | Path | TextIO, grid: FrameGrid) -> TrackSet:
@@ -307,59 +314,41 @@ def read_trackset(src: str | Path | TextIO, grid: FrameGrid) -> TrackSet:
     """
     with open_text(src, "r") as stream:
         rows = _parse_rows(stream, grid, expect_source=False)
-    ids = tuple(sorted(set(rows.track_id)))
-    code_of = {tid: code for code, tid in enumerate(ids)}
-    code = np.fromiter(map(code_of.__getitem__, rows.track_id), np.int64, len(rows.frame))
-    frame, azimuth, elevation = rows.frame, rows.azimuth, rows.elevation
-    key = frame * len(ids) + code
-    if not np.all(key[1:] > key[:-1]):  # out of (frame, id) order, or repeated
-        order = np.argsort(key, kind="stable")
-        repeats = order[1:][key[order][1:] == key[order][:-1]]
-        if len(repeats):
-            i = int(repeats.min())
-            raise DuplicateEntry(
-                f"duplicate entry for track {rows.track_id[i]!r} frame {rows.frame[i]}",
-                line=rows.lines[i],
-            )
-        frame, code = frame[order], code[order]
-        azimuth, elevation = azimuth[order], elevation[order]
-    return TrackSet(grid, columns=_columns_from_rows(grid, ids, frame, code, azimuth, elevation))
+    return TrackSet.from_rows(
+        grid, rows.frame, rows.track_id, rows.azimuth, rows.elevation, lines=rows.lines
+    )
 
 
 def write_observations(obs: ObservationSet, dest: str | Path | TextIO) -> None:
-    """Write the observation CSV.
+    """Write the observation CSV, rows in the order of the set.
 
     The track_id column carries the within-frame observation index; it
-    is not semantic and is ignored on read.
+    is not semantic and is ignored on read. An untagged row has an
+    empty source_id.
     """
+    starts = obs.offsets.tolist()
     with open_text(dest, "w") as stream:
         stream.write(OBS_CSV_HEADER + "\n")
-        for f, frame_obs in enumerate(obs.frames):
+        for i, (f, az, el, source_id) in enumerate(
+            zip(obs.frame.tolist(), obs.azimuth.tolist(), obs.elevation.tolist(), obs.source)
+        ):
+            tag = "" if source_id is None else _check_id(source_id)
             t = obs.grid.time_of(f)
-            for k, (d, source_id) in enumerate(frame_obs):
-                tag = _check_id(source_id) if source_id is not None else ""
-                az, el = _fmt_angle(d.azimuth), _fmt_angle(d.elevation)
-                stream.write(f"{f},{t:.6f},{k},{az},{el},{tag}\n")
+            stream.write(f"{f},{t:.6f},{i - starts[f]},{_fmt_angle(az)},{_fmt_angle(el)},{tag}\n")
 
 
 def read_observations(src: str | Path | TextIO, grid: FrameGrid) -> ObservationSet:
     """Parse an observation CSV; within-frame order follows file order."""
     with open_text(src, "r") as stream:
         rows = _parse_rows(stream, grid, expect_source=True)
-    frames: list[list[Observation]] = [[] for _ in range(grid.n_frames)]
-    tags = rows.source_id or ("",) * len(rows.frame)
-    for f, az, el, tag in zip(
-        rows.frame.tolist(), rows.azimuth.tolist(), rows.elevation.tolist(), tags
-    ):
-        frames[f].append(Observation(Direction._normalized(az, el), tag or None))
-    return ObservationSet(grid, tuple(tuple(f) for f in frames))
+    return ObservationSet(grid, rows.frame, rows.azimuth, rows.elevation, rows.source)
 
 
 class _Rows(NamedTuple):
     """The checked rows of a track or observation CSV, in file order.
 
-    Angles are radians as a Direction holds them. source_id is the raw
-    column of a tagged observation file ("" for untagged), else None.
+    Angles are radians as a Direction holds them. source holds each
+    row's source_id, None where the column is empty or absent.
     """
 
     lines: Sequence[int]
@@ -367,7 +356,7 @@ class _Rows(NamedTuple):
     track_id: tuple[str, ...]
     azimuth: np.ndarray
     elevation: np.ndarray
-    source_id: tuple[str, ...] | None
+    source: tuple[str | None, ...]
 
 
 def _parse_rows(stream: TextIO, grid: FrameGrid, expect_source: bool) -> _Rows:
@@ -399,7 +388,7 @@ def _parse_rows(stream: TextIO, grid: FrameGrid, expect_source: bool) -> _Rows:
 
 
 def _checked_columns(parts: list[list[str]], n_fields: int, grid: FrameGrid):
-    """(frame, track_id, azimuth, elevation, source_id) of split rows that
+    """(frame, track_id, azimuth, elevation, source) of split rows that
     all pass the checks of _check_row, made here on whole columns; None
     if some row fails one."""
     n = len(parts)
@@ -424,7 +413,8 @@ def _checked_columns(parts: list[list[str]], n_fields: int, grid: FrameGrid):
     for i in np.flatnonzero((azimuth < -math.pi) | (azimuth >= math.pi)):
         azimuth[i] = wrap_azimuth(float(azimuth[i]))
     elevation = np.minimum(np.maximum(elevation, -_HALF_PI), _HALF_PI)
-    return frame, cols[2], azimuth, elevation, cols[5] if n_fields == 6 else None
+    source = tuple(tag or None for tag in cols[5]) if n_fields == 6 else (None,) * n
+    return frame, cols[2], azimuth, elevation, source
 
 
 def _check_row(parts: list[str], line: int, n_fields: int, grid: FrameGrid) -> None:
@@ -469,7 +459,10 @@ def read_manifest(path: str | Path) -> tuple[FrameGrid, dict]:
     """Read a manifest; returns the grid and the full document."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        grid = FrameGrid(float(doc["frame_period_s"]), int(doc["n_frames"]))
+        grid = FrameGrid(
+            coerce(doc["frame_period_s"], float, "frame_period_s"),
+            coerce(doc["n_frames"], int, "n_frames"),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad manifest {path}: {exc}") from exc
     return grid, doc

@@ -3,7 +3,10 @@
 Everything here is deliberately naive: per-TP double loops for the
 association scores, exhaustive injection enumeration for matching, and
 literal walk-the-frames counters. These stay independent of the code
-paths they verify.
+paths they verify. The package stores tracks, observations and matches
+only as columns; the per-object views the tests read (a track's
+{frame: Direction}, a frame's entries, a hand-built MatchSequence) are
+made here, row by row.
 """
 
 from __future__ import annotations
@@ -16,8 +19,70 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from doatrack.geometry import Direction, angular_distance, unit_vector
-from doatrack.matching import FrameAssignment, MatchSequence
-from doatrack.trackmodel import FrameGrid, TrackSet
+from doatrack.matching import FrameAssignment, Matches, MatchSequence
+from doatrack.trackmodel import FrameGrid, ObservationSet, TrackSet, columns_of
+
+
+def per_frame_entries(ts: TrackSet) -> list[list[tuple[str, Direction]]]:
+    """Active (track_id, Direction) pairs per frame, in row order."""
+    cols = ts.columns
+    frames: list[list[tuple[str, Direction]]] = [[] for _ in range(ts.grid.n_frames)]
+    for f, code, az, el in zip(
+        cols.frame.tolist(), cols.id_code.tolist(), cols.azimuth.tolist(), cols.elevation.tolist()
+    ):
+        frames[f].append((cols.ids[code], Direction(az, el)))
+    return frames
+
+
+def entries(ts: TrackSet) -> dict[str, dict[int, Direction]]:
+    """track_id -> {frame: Direction}; a track without rows maps to {}."""
+    out: dict[str, dict[int, Direction]] = {tid: {} for tid in ts.columns.ids}
+    for f, frame in enumerate(per_frame_entries(ts)):
+        for tid, d in frame:
+            out[tid][f] = d
+    return out
+
+
+def activity_mask(ts: TrackSet, track_id: str) -> np.ndarray:
+    """Boolean array of length n_frames, true exactly at active frames."""
+    return np.isin(np.arange(ts.grid.n_frames), list(entries(ts)[track_id]))
+
+
+def observation_set(grid: FrameGrid, frames) -> ObservationSet:
+    """An ObservationSet of per-frame sequences of (Direction, source_id)."""
+    rows = [(f, d.azimuth, d.elevation, src) for f, fr in enumerate(frames) for d, src in fr]
+    return ObservationSet(grid, *columns_of(rows, 4))
+
+
+def observation_frames(obs: ObservationSet) -> list[list[tuple[Direction, str | None]]]:
+    """Per-frame lists of (Direction, source_id), in row order."""
+    frames: list[list[tuple[Direction, str | None]]] = [[] for _ in range(obs.grid.n_frames)]
+    for f, az, el, src in zip(
+        obs.frame.tolist(), obs.azimuth.tolist(), obs.elevation.tolist(), obs.source
+    ):
+        frames[f].append((Direction(az, el), src))
+    return frames
+
+
+def match_sequence_of(grid: FrameGrid, frames) -> MatchSequence:
+    """A MatchSequence of one FrameAssignment per frame and no distance
+    table, its TPs, FPs and FNs put in id order within each frame."""
+    assert len(frames) == grid.n_frames
+    tps = sorted((f, p, g, e) for f, fa in enumerate(frames) for p, g, e in fa.tps)
+    fps = sorted((f, p) for f, fa in enumerate(frames) for p in fa.fps)
+    fns = sorted((f, g) for f, fa in enumerate(frames) for g in fa.fns)
+    pred_ids = tuple(sorted({t[1] for t in tps} | {p for _f, p in fps}))
+    gt_ids = tuple(sorted({t[2] for t in tps} | {g for _f, g in fns}))
+
+    def column(rows, i, ids=None, dtype=np.int64):
+        return np.array([r[i] if ids is None else ids.index(r[i]) for r in rows], dtype=dtype)
+
+    return MatchSequence(grid, Matches(
+        pred_ids, gt_ids,
+        column(tps, 0), column(tps, 1, pred_ids), column(tps, 2, gt_ids),
+        column(tps, 3, dtype=float),
+        column(fps, 0), column(fps, 1, pred_ids), column(fns, 0), column(fns, 1, gt_ids),
+    ))
 
 
 def naive_association_scores(ms: MatchSequence) -> tuple[float, float, float]:
@@ -66,12 +131,13 @@ def naive_swaps(ms: MatchSequence) -> int:
 
 def naive_broken(ms: MatchSequence, gts: TrackSet) -> int:
     broken = 0
-    for g, frames in gts.entries.items():
+    assignments = ms.frames
+    for g, frames in entries(gts).items():
         for f in frames:
             if f + 1 not in frames or f + 1 >= gts.grid.n_frames:
                 continue
-            matched_now = any(gid == g for _p, gid, _e in ms.frames[f].tps)
-            fn_next = g in ms.frames[f + 1].fns
+            matched_now = any(gid == g for _p, gid, _e in assignments[f].tps)
+            fn_next = g in assignments[f + 1].fns
             if matched_now and fn_next:
                 broken += 1
     return broken
@@ -174,7 +240,6 @@ def random_match_sequence(
     pred_ids = [f"p{i}" for i in range(max_tracks)]
     frames = []
     gt_rows = []
-    anywhere = Direction(0.0, 0.0)
     for f in range(n_frames):
         gts_here = [g for g in gt_ids if rng.random() < 0.6]
         preds_here = [p for p in pred_ids if rng.random() < 0.6]
@@ -188,6 +253,7 @@ def random_match_sequence(
         fps = tuple(sorted(preds_here[n_match:]))
         fns = tuple(sorted(gts_here[n_match:]))
         frames.append(FrameAssignment(tps=tps, fps=fps, fns=fns))
-        for g in gts_here:
-            gt_rows.append((f, g, anywhere))
-    return TrackSet.build(grid, gt_rows), MatchSequence(grid, tuple(frames))
+        gt_rows += [(f, g) for g in gts_here]
+    zeros = np.zeros(len(gt_rows))
+    gts = TrackSet.from_rows(grid, [f for f, _g in gt_rows], [g for _f, g in gt_rows], zeros, zeros)
+    return gts, match_sequence_of(grid, frames)

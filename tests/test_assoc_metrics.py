@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from _oracles import naive_association_scores, random_match_sequence
+from _oracles import match_sequence_of, naive_association_scores, random_match_sequence
 from doatrack.assoc_metrics import (
     ass_a,
     ass_pr,
@@ -12,7 +12,7 @@ from doatrack.assoc_metrics import (
     count_associations,
 )
 from doatrack.errors import UndefinedOnEmptyTP
-from doatrack.matching import FrameAssignment, MatchSequence
+from doatrack.matching import FrameAssignment
 from doatrack.trackmodel import FrameGrid
 
 
@@ -26,7 +26,7 @@ def ms_from(frames, frame_period=0.1):
         )
         for tps, fps, fns in frames
     )
-    return MatchSequence(FrameGrid(frame_period, len(built)), built)
+    return match_sequence_of(FrameGrid(frame_period, len(built)), built)
 
 
 def perfect_single_track(n):
@@ -155,16 +155,16 @@ def test_pred_relabeling_leaves_scores_unchanged(seed):
     if not any(fa.tps for fa in ms.frames):
         return
     mapping = {f"p{i}": f"z{(i * 7 + 3) % 11}" for i in range(11)}
-    relabeled = MatchSequence(
+    relabeled = match_sequence_of(
         ms.grid,
-        tuple(
+        [
             FrameAssignment(
                 tps=tuple((mapping[p], g, e) for p, g, e in fa.tps),
                 fps=tuple(mapping[p] for p in fa.fps),
                 fns=fa.fns,
             )
             for fa in ms.frames
-        ),
+        ],
     )
     a = association_scores(ms)
     b = association_scores(relabeled)

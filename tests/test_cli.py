@@ -68,7 +68,7 @@ def test_simulate_three_speaker_subset(tmp_path):
     grid, _ = read_manifest(out / "manifest.json")
     for i in range(2):
         gt = read_trackset(out / f"scene_{i:04d}.gt.csv", grid)
-        assert len(gt.entries) == 3
+        assert len(gt.track_ids()) == 3
 
 
 def test_simulate_rejects_bad_config(tmp_path):
@@ -130,9 +130,14 @@ def test_lint_flags_jump_track_geometry(tmp_path):
     write_manifest(grid, corpus / "manifest.json",
                    extra={"scenario": {"mode": "jump", "min_separation_deg": 30.0}})
     write_trackset(scene, corpus / "scene_0000.gt.csv")
+    # problems follow each track's first row, not id order: z starts first
+    late_a = TrackSet(grid, {"a": {3: near, 4: far}, "z": {0: near, 1: far}})
+    write_trackset(late_a, corpus / "scene_0001.gt.csv")
     assert lint_corpus(corpus) == [
         "scene_0000/a: positions closer than the minimum separation",
         "scene_0000/b: direction varies within an active run",
+        "scene_0001/z: direction varies within an active run",
+        "scene_0001/a: direction varies within an active run",
     ]
 
 
@@ -179,7 +184,7 @@ def test_pf_with_k_max_two_on_three_speakers(tmp_path):
     grid, _ = read_manifest(preds_dir / "manifest.json")
     for i in range(2):
         preds = read_trackset(preds_dir / f"scene_{i:04d}.pred.csv", grid)
-        assert len(preds.entries) <= 2
+        assert len(preds.track_ids()) <= 2
 
 
 def test_track_reports_missing_observation_file(tmp_path, capsys):
@@ -620,3 +625,16 @@ def test_tracker_config_from_every_json_key():
         likelihood_sigma=0.06981317007977318,
         seed=99,
     )
+
+
+def test_manifest_n_frames_and_frame_period_are_never_reinterpreted(tmp_path, capsys):
+    corpus = _simulated_corpus(tmp_path)
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    bad = [("n_frames", 2.7), ("n_frames", True), ("n_frames", "3"),
+           ("frame_period_s", "0.1"), ("frame_period_s", False), ("frame_period_s", float("inf"))]
+    for key, value in bad:
+        (corpus / "manifest.json").write_text(json.dumps({**manifest, key: value}))
+        capsys.readouterr()
+        assert main(["lint", "--scenes", str(corpus)]) == 2, (key, value)
+        err = capsys.readouterr().err
+        assert f"data error: ParseError: bad manifest {corpus / 'manifest.json'}: {key} must be" in err, err

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from _oracles import naive_broken, naive_swaps, random_match_sequence
+from _oracles import match_sequence_of, naive_broken, naive_swaps, random_match_sequence
 from conftest import directions
 from doatrack.assoc_metrics import ass_pr, count_associations
 from doatrack.errors import UndefinedOnEmptyGroundTruth, UndefinedOnEmptyTP
@@ -20,7 +20,7 @@ from doatrack.frame_metrics import (
     tsr,
 )
 from doatrack.geometry import Direction, sample_direction
-from doatrack.matching import FrameAssignment, MatchSequence, match_sequence
+from doatrack.matching import FrameAssignment, match_sequence
 from doatrack.trackmodel import FrameGrid, TrackSet
 
 from test_assoc_metrics import ms_from, two_way_merge
@@ -183,7 +183,7 @@ def test_mean_localization_error_examples():
         FrameAssignment(tps=(("p", "g", math.radians(2.0)),), fps=(), fns=()),
         FrameAssignment(tps=(("p", "g", math.radians(4.0)),), fps=(), fns=()),
     )
-    ms2 = MatchSequence(FrameGrid(0.1, 2), frames)
+    ms2 = match_sequence_of(FrameGrid(0.1, 2), frames)
     assert mean_localization_error(ms2) == pytest.approx(math.radians(3.0), abs=1e-15)
 
 

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from _oracles import brute_force_match, lsa_match_frame, lsa_ospa_frame
+from _oracles import brute_force_match, entries, lsa_match_frame, lsa_ospa_frame, per_frame_entries
 from conftest import directions
 from doatrack.errors import GridMismatch
 from doatrack.frame_metrics import ospa_frame, ospa_sequence
 from doatrack.geometry import Direction, angular_distance, sample_direction
-from doatrack.matching import match_frame, match_sequence
-from doatrack.trackmodel import FrameGrid, TrackSet, per_frame_entries
+from doatrack.matching import MatchSequence, match_frame, match_sequence
+from doatrack.trackmodel import FrameGrid, TrackSet
 
 
 def D(az_deg, el_deg=0.0):
@@ -137,21 +137,21 @@ def test_sequence_of_identical_tracksets_is_all_tp():
     rng = np.random.default_rng(9)
     grid = FrameGrid(0.1, 30)
     gts = _scene(rng, grid, 3, "g")
-    preds = TrackSet(grid, {f"p{i}": dict(v) for i, (_k, v) in enumerate(sorted(gts.entries.items()))})
-    ms = match_sequence(preds, gts, GATE20)
-    n_tp = sum(len(fa.tps) for fa in ms.frames)
+    preds = TrackSet(grid, {f"p{i}": dict(v) for i, (_k, v) in enumerate(sorted(entries(gts).items()))})
+    frames = match_sequence(preds, gts, GATE20).frames
+    n_tp = sum(len(fa.tps) for fa in frames)
     assert n_tp == gts.n_entries()
-    assert all(not fa.fps and not fa.fns for fa in ms.frames)
-    assert all(e == 0.0 for fa in ms.frames for _p, _g, e in fa.tps)
+    assert all(not fa.fps and not fa.fns for fa in frames)
+    assert all(e == 0.0 for fa in frames for _p, _g, e in fa.tps)
 
 
 def test_sequence_with_no_predictions_is_all_fn():
     rng = np.random.default_rng(10)
     grid = FrameGrid(0.1, 20)
     gts = _scene(rng, grid, 2, "g")
-    ms = match_sequence(TrackSet(grid, {}), gts, GATE20)
-    assert sum(len(fa.fns) for fa in ms.frames) == gts.n_entries()
-    assert all(not fa.tps and not fa.fps for fa in ms.frames)
+    frames = match_sequence(TrackSet(grid, {}), gts, GATE20).frames
+    assert sum(len(fa.fns) for fa in frames) == gts.n_entries()
+    assert all(not fa.tps and not fa.fps for fa in frames)
 
 
 def test_sequence_frames_match_independent_frame_calls():
@@ -159,14 +159,12 @@ def test_sequence_frames_match_independent_frame_calls():
     grid = FrameGrid(0.1, 25)
     gts = _scene(rng, grid, 3, "g")
     preds = _scene(rng, grid, 3, "p")
-    ms = match_sequence(preds, gts, GATE20)
-    from doatrack.trackmodel import per_frame_entries
-
-    for f, (pf, gf) in enumerate(zip(per_frame_entries(preds), per_frame_entries(gts))):
-        assert ms.frames[f] == match_frame(pf, gf, GATE20)
+    frames = match_sequence(preds, gts, GATE20).frames
+    for fa, pf, gf in zip(frames, per_frame_entries(preds), per_frame_entries(gts)):
+        assert fa == match_frame(pf, gf, GATE20)
         card, cost = brute_force_match(pf, gf, GATE20)
-        assert len(ms.frames[f].tps) == card
-        assert sum(e for _p, _g, e in ms.frames[f].tps) == pytest.approx(cost, abs=1e-9)
+        assert len(fa.tps) == card
+        assert sum(e for _p, _g, e in fa.tps) == pytest.approx(cost, abs=1e-9)
 
 
 def test_grid_mismatch_raises():
@@ -207,11 +205,11 @@ def scene_pairs(draw):
     pool = SPECIAL_DIRECTIONS + draw(st.lists(directions(), min_size=1, max_size=4))
 
     def trackset(prefix):
-        rows = []
+        tracks = {}
         for f in range(grid.n_frames):
             for i in draw(st.lists(st.integers(0, 5), max_size=4, unique=True)):
-                rows.append((f, f"{prefix}{i}", draw(st.sampled_from(pool))))
-        return TrackSet.build(grid, rows)
+                tracks.setdefault(f"{prefix}{i}", {})[f] = draw(st.sampled_from(pool))
+        return TrackSet(grid, tracks)
 
     return trackset("p"), trackset("g")
 
@@ -226,9 +224,9 @@ def test_sequence_path_equals_per_frame_reference(scene, gate, cutoff, order):
     preds, gts = scene
     ms = match_sequence(preds, gts, gate)
     values = []
-    for f, (pf, gf) in enumerate(zip(per_frame_entries(preds), per_frame_entries(gts))):
-        assert ms.frames[f] == lsa_match_frame(pf, gf, gate)
-        assert match_frame(pf, gf, gate) == ms.frames[f]
+    for fa, pf, gf in zip(ms.frames, per_frame_entries(preds), per_frame_entries(gts)):
+        assert fa == lsa_match_frame(pf, gf, gate)
+        assert match_frame(pf, gf, gate) == fa
         if pf or gf:
             p_dirs, g_dirs = [d for _i, d in pf], [d for _i, d in gf]
             value = ospa_frame(p_dirs, g_dirs, cutoff, order)
@@ -244,4 +242,4 @@ def test_ospa_sequence_needs_a_matched_sequence():
     ms = match_sequence(TrackSet(grid, {}), gts, GATE20)
     assert ospa_sequence(ms, math.radians(30.0)) == math.radians(30.0)
     with pytest.raises(ValueError):
-        ospa_sequence(type(ms)(ms.grid, ms.frames), math.radians(30.0))
+        ospa_sequence(MatchSequence(ms.grid, ms.matches), math.radians(30.0))

@@ -10,13 +10,14 @@ from hypothesis import given
 from _oracles import (
     lsa_match_frame,
     lsa_ospa_frame,
+    match_sequence_of,
     naive_association_scores,
     naive_broken,
     naive_swaps,
+    per_frame_entries,
 )
 from doatrack.errors import InsufficientData
 from doatrack.geometry import Direction
-from doatrack.matching import MatchSequence
 from doatrack.reporting import (
     REPORT_COLUMNS,
     aggregate_reports,
@@ -27,7 +28,6 @@ from doatrack.reporting import (
 from doatrack.trackmodel import (
     FrameGrid,
     TrackSet,
-    per_frame_entries,
     read_trackset,
     trackset_to_string,
 )
@@ -125,12 +125,12 @@ def test_report_degrees_properties():
 def oracle_report(gts, preds, gate, cutoff, order) -> dict:
     pred_frames, gt_frames = per_frame_entries(preds), per_frame_entries(gts)
     frames = tuple(lsa_match_frame(pf, gf, gate) for pf, gf in zip(pred_frames, gt_frames))
-    ms = MatchSequence(gts.grid, frames)
+    ms = match_sequence_of(gts.grid, frames)
     n_tp = sum(len(fa.tps) for fa in frames)
     n_fp = sum(len(fa.fps) for fa in frames)
     n_fn = sum(len(fa.fns) for fa in frames)
     swaps, broken = naive_swaps(ms), naive_broken(ms, gts)
-    duration, n_tracks, n_det = gts.grid.duration, len(gts.entries), gts.n_entries()
+    duration, n_tracks, n_det = gts.grid.duration, len(gts.track_ids()), gts.n_entries()
     ospa = [
         lsa_ospa_frame([d for _i, d in pf], [d for _i, d in gf], cutoff, order)
         for pf, gf in zip(pred_frames, gt_frames)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import activity_mask, entries, observation_frames
 from doatrack.errors import InvalidConfig
 from doatrack.geometry import angular_distance
 from doatrack.scenesim import (
@@ -11,7 +12,7 @@ from doatrack.scenesim import (
     generate_scene,
     simulate_observations,
 )
-from doatrack.trackmodel import activity_mask, trackset_to_string
+from doatrack.trackmodel import trackset_to_string
 
 
 def runs_of(mask):
@@ -49,7 +50,7 @@ def test_speaker_count_matches_config():
 
 def test_static_mode_single_constant_direction():
     gt = generate_scene(ScenarioConfig(n_speakers=1, mode="static", seed=4))
-    track = gt.entries["spk0"]
+    track = entries(gt)["spk0"]
     first = next(iter(track.values()))
     assert all(d == first for d in track.values())
     assert 0 < len(track) < gt.grid.n_frames
@@ -58,7 +59,7 @@ def test_static_mode_single_constant_direction():
 def test_jump_mode_piecewise_constant_within_runs():
     gt = generate_scene(ScenarioConfig(n_speakers=2, seed=12))
     for tid in gt.track_ids():
-        frames = gt.entries[tid]
+        frames = entries(gt)[tid]
         ordered = sorted(frames)
         for a, b in zip(ordered, ordered[1:]):
             if b == a + 1:
@@ -67,7 +68,7 @@ def test_jump_mode_piecewise_constant_within_runs():
 
 def test_jump_mode_consecutive_segments_change_position():
     gt = generate_scene(ScenarioConfig(n_speakers=1, seed=21))
-    frames = gt.entries["spk0"]
+    frames = entries(gt)["spk0"]
     ordered = sorted(frames)
     run_positions = []
     for a, b in zip([None] + ordered[:-1], ordered):
@@ -83,7 +84,7 @@ def test_jump_mode_positions_separated_and_bounded():
     gt = generate_scene(cfg)
     for tid in gt.track_ids():
         unique = []
-        for d in gt.entries[tid].values():
+        for d in entries(gt)[tid].values():
             if all(d != u for u in unique):
                 unique.append(d)
         assert len(unique) <= cfg.n_positions
@@ -124,13 +125,13 @@ def test_activity_stays_within_duration():
     cfg = ScenarioConfig(n_speakers=2, seed=8)
     gt = generate_scene(cfg)
     for tid in gt.track_ids():
-        assert max(gt.entries[tid]) < cfg.grid.n_frames
+        assert max(entries(gt)[tid]) < cfg.grid.n_frames
 
 
 def test_moving_mode_fully_active_constant_step():
     cfg = ScenarioConfig(n_speakers=1, mode="moving", seed=6, angular_speed=math.radians(12))
     gt = generate_scene(cfg)
-    track = gt.entries["spk0"]
+    track = entries(gt)["spk0"]
     assert len(track) == cfg.grid.n_frames
     step = cfg.angular_speed * cfg.frame_period_s
     for f in range(cfg.grid.n_frames - 1):
@@ -140,8 +141,8 @@ def test_moving_mode_fully_active_constant_step():
 def test_moving_zeroed_shares_trajectory_and_has_gaps():
     moving = generate_scene(ScenarioConfig(n_speakers=1, mode="moving", seed=7))
     zeroed = generate_scene(ScenarioConfig(n_speakers=1, mode="moving_zeroed", seed=7))
-    z = zeroed.entries["spk0"]
-    m = moving.entries["spk0"]
+    z = entries(zeroed)["spk0"]
+    m = entries(moving)["spk0"]
     assert 0 < len(z) < len(m)
     for f, d in z.items():
         assert d == m[f]
@@ -175,10 +176,11 @@ def test_noise_free_observations_equal_ground_truth():
     om = ObservationModel(angular_noise_sigma=0.0, p_miss=0.0, clutter_rate=0.0, seed=1)
     obs = simulate_observations(gt, om)
     assert obs.n_observations() == gt.n_entries()
-    for f, frame_obs in enumerate(obs.frames):
+    truth = entries(gt)
+    for f, frame_obs in enumerate(observation_frames(obs)):
         for d, src in frame_obs:
             assert src is not None
-            assert gt.entries[src][f] == d
+            assert truth[src][f] == d
 
 
 def test_all_missed_leaves_only_clutter():
@@ -186,7 +188,7 @@ def test_all_missed_leaves_only_clutter():
     om = ObservationModel(p_miss=1.0, clutter_rate=0.5, seed=2)
     obs = simulate_observations(gt, om)
     assert obs.n_observations() > 0
-    assert all(src is None for frame in obs.frames for _d, src in frame)
+    assert all(src is None for src in obs.source)
 
 
 def test_all_missed_no_clutter_is_empty():
@@ -202,9 +204,10 @@ def test_observation_noise_magnitude_matches_folded_normal():
     sigma = math.radians(5.0)
     om = ObservationModel(angular_noise_sigma=sigma, p_miss=0.0, clutter_rate=0.0, seed=3)
     obs = simulate_observations(gt, om)
+    truth = entries(gt)
     devs = [
-        angular_distance(gt.entries[src][f], d)
-        for f, frame in enumerate(obs.frames)
+        angular_distance(truth[src][f], d)
+        for f, frame in enumerate(observation_frames(obs))
         for d, src in frame
     ]
     assert len(devs) >= 5_000

@@ -1,8 +1,11 @@
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
+from _oracles import entries, observation_frames, observation_set, per_frame_entries
 from doatrack.errors import InvalidConfig, InvalidK, MissingTags
 from doatrack.geometry import Direction
 from doatrack.reporting import evaluate_scene
@@ -15,7 +18,7 @@ from doatrack.trackers import (
     splitter_tracker,
     swapper_tracker,
 )
-from doatrack.trackmodel import FrameGrid, Observation, ObservationSet, TrackSet, trackset_to_string
+from doatrack.trackmodel import FrameGrid, TrackSet, trackset_to_string
 
 GATE = math.radians(20.0)
 
@@ -50,9 +53,9 @@ def test_oracle_gaps_exactly_at_misses():
     obs = simulate_observations(gt, ObservationModel(p_miss=0.2, clutter_rate=0.0, seed=3))
     preds = oracle_tracker(obs)
     observed_frames = {
-        f for f, frame in enumerate(obs.frames) for _d, src in frame if src == "spk0"
+        f for f, frame in enumerate(observation_frames(obs)) for _d, src in frame if src == "spk0"
     }
-    assert set(preds.entries["p_spk0"]) == observed_frames
+    assert set(entries(preds)["p_spk0"]) == observed_frames
 
 
 def test_oracle_discards_clutter():
@@ -65,10 +68,10 @@ def test_oracle_discards_clutter():
 
 def test_oracle_requires_tags():
     grid = FrameGrid(0.1, 3)
-    untagged = ObservationSet(grid, ((Observation(D(0), None),), (), ()))
+    untagged = observation_set(grid, ([(D(0), None)], [], []))
     with pytest.raises(MissingTags):
         oracle_tracker(untagged)
-    assert oracle_tracker(ObservationSet(grid, ((), (), ()))).entries == {}
+    assert entries(oracle_tracker(observation_set(grid, ([], [], [])))) == {}
 
 
 # --------------------------------------------------------------------------
@@ -124,7 +127,7 @@ def test_merger_overlapping_tracks_keep_first_id_direction():
     grid = FrameGrid(0.1, 4)
     gt = TrackSet(grid, {"a": {0: D(0)}, "b": {0: D(90)}})
     preds = merger_tracker(gt)
-    assert preds.entries["m0"][0] == D(0)
+    assert entries(preds)["m0"][0] == D(0)
 
 
 def test_swapper_exchanges_labels_each_period():
@@ -138,11 +141,27 @@ def test_swapper_exchanges_labels_each_period():
     )
     preds = swapper_tracker(gt, period_s=1.0)
     # epoch 0 keeps labels, epoch 1 swaps them, and so on
-    assert preds.entries["p_a"][0] == D(0, 0)
-    assert preds.entries["p_b"][10] == D(0, 0)
+    assert entries(preds)["p_a"][0] == D(0, 0)
+    assert entries(preds)["p_b"][10] == D(0, 0)
     rep = evaluate_scene("s", gt, preds, GATE)
     assert rep.n_swaps == 2 * 5  # both tracks change id at all 5 epoch boundaries
     assert rep.ass_re == 0.5 and rep.ass_pr == 0.5
+
+
+@given(st.floats(0.01, 5.0), st.sampled_from([0.1, 0.05, 1 / 3]), st.integers(1, 200))
+def test_swapper_labels_follow_the_per_row_rule(period_s, frame_period, n_frames):
+    grid = FrameGrid(frame_period, n_frames)
+    gt = TrackSet(grid, {
+        "a": {f: D(0) for f in range(n_frames)},
+        "b": {f: D(90) for f in range(0, n_frames, 2)},
+        "c": {0: D(180)},
+    })
+    preds = entries(swapper_tracker(gt, period_s))
+    for tid, track in entries(gt).items():
+        for f, d in track.items():
+            swapped = int(grid.time_of(f) // period_s) % 2 == 1
+            out = {"a": "b", "b": "a"}.get(tid, tid) if swapped else tid
+            assert preds[f"p_{out}"][f] == d
 
 
 def test_swapper_needs_two_tracks():
@@ -179,9 +198,7 @@ def test_pf_respects_k_max_and_max_active():
     obs = simulate_observations(gt, ObservationModel(seed=10))
     cfg = TrackerConfig(max_active=2, k_max=2, birth_frames=2, death_frames=2, seed=11)
     preds = pf_tracker(obs, cfg)
-    assert len(preds.entries) <= 2
-    from doatrack.trackmodel import per_frame_entries
-
+    assert len(preds.track_ids()) <= 2
     for active in per_frame_entries(preds):
         assert len(active) <= 2
 
@@ -210,7 +227,7 @@ def test_pf_single_static_speaker_keeps_one_id():
     obs = clean_obs(gt, seed=15)
     preds = pf_tracker(obs, TrackerConfig(max_active=1, seed=16))
     rep = evaluate_scene("s", gt, preds, GATE)
-    assert len(preds.entries) == 1
+    assert len(preds.track_ids()) == 1
     assert rep.tsr == 0.0
     assert rep.ass_re > 0.97  # only birth latency shaves recall
 
@@ -229,7 +246,7 @@ def test_pf_jump_scene_splits_per_segment():
         seed=19,
     )
     preds = pf_tracker(obs, cfg)
-    frames = sorted(gt.entries["spk0"])
+    frames = sorted(entries(gt)["spk0"])
     runs = []
     for f in frames:
         if runs and f == runs[-1][-1] + 1:
@@ -239,7 +256,7 @@ def test_pf_jump_scene_splits_per_segment():
     n = len(frames)
     expected_re = sum(len(r) ** 2 for r in runs) / n**2
     rep = evaluate_scene("s", gt, preds, GATE)
-    assert len(preds.entries) == len(runs)
+    assert len(preds.track_ids()) == len(runs)
     assert rep.ass_re == pytest.approx(expected_re, abs=1e-12)
     assert rep.n_swaps == len(runs) - 1
 
@@ -250,9 +267,9 @@ def test_pf_never_reuses_live_id():
     preds = pf_tracker(
         obs, TrackerConfig(max_active=2, k_max=2, birth_frames=2, death_frames=3, seed=22)
     )
-    # structural: TrackSet.build would have raised on a duplicated
+    # structural: TrackSet.from_rows would have raised on a duplicated
     # (id, frame); also ids stay within budget
-    assert len(preds.entries) <= 2
+    assert len(preds.track_ids()) <= 2
 
 
 def test_pf_trend_endpoints_on_jump_scenes():

@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from doatrack.errors import DuplicateEntry, ParseError, UnknownTrack
+from _oracles import activity_mask, entries, observation_frames, observation_set, per_frame_entries
+from doatrack.errors import DuplicateEntry, ParseError
 from doatrack.geometry import Direction, _unit_xyz, angular_distance
+from doatrack.reporting import evaluate_scene
 from doatrack.trackmodel import (
     OBS_CSV_HEADER,
     TRACK_CSV_HEADER,
     FrameGrid,
-    Observation,
     ObservationSet,
     TrackSet,
-    activity_mask,
-    per_frame_entries,
     read_manifest,
     read_observations,
     read_trackset,
@@ -43,9 +42,8 @@ def test_frame_grid_validation():
 
 def test_build_rejects_duplicates():
     grid = FrameGrid(0.1, 10)
-    rows = [(3, "A", D(1, 1)), (3, "A", D(2, 2))]
     with pytest.raises(DuplicateEntry):
-        TrackSet.build(grid, rows)
+        TrackSet.from_rows(grid, [3, 3], ["A", "A"], [0.1, 0.2], [0.1, 0.2])
 
 
 def test_frame_out_of_range_rejected():
@@ -65,12 +63,6 @@ def test_activity_mask_fully_active():
     assert activity_mask(ts, "A").all()
 
 
-def test_activity_mask_unknown_track():
-    ts = TrackSet(FrameGrid(0.1, 4), {})
-    with pytest.raises(UnknownTrack):
-        activity_mask(ts, "nope")
-
-
 def test_sparse_entry_count():
     grid = FrameGrid(0.1, 100)
     ts = TrackSet(grid, {"A": {0: D(0, 0), 50: D(1, 1)}, "B": {3: D(2, 2)}})
@@ -80,7 +72,7 @@ def test_sparse_entry_count():
 def test_empty_body_reads_as_zero_tracks():
     grid = FrameGrid(0.1, 10)
     ts = read_trackset(io.StringIO("frame,time_s,track_id,azimuth_deg,elevation_deg\n"), grid)
-    assert ts.entries == {}
+    assert entries(ts) == {}
 
 
 def test_single_row_reads_one_track():
@@ -91,8 +83,8 @@ def test_single_row_reads_one_track():
     )
     ts = read_trackset(io.StringIO(body), grid)
     assert ts.track_ids() == ["A"]
-    assert list(ts.entries["A"]) == [0]
-    assert angular_distance(ts.entries["A"][0], D(10, 5)) < 1e-9
+    assert list(entries(ts)["A"]) == [0]
+    assert angular_distance(entries(ts)["A"][0], D(10, 5)) < 1e-9
 
 
 def test_duplicate_rows_raise_with_line_number():
@@ -154,11 +146,12 @@ def test_write_read_round_trip_preserves_structure():
     write_trackset(ts, buf)
     back = read_trackset(io.StringIO(buf.getvalue()), grid)
     assert back.track_ids() == ts.track_ids()
-    for tid in ts.entries:
-        assert sorted(back.entries[tid]) == sorted(ts.entries[tid])
-        for f, d in ts.entries[tid].items():
+    written, read = entries(ts), entries(back)
+    for tid in written:
+        assert sorted(read[tid]) == sorted(written[tid])
+        for f, d in written[tid].items():
             # 6-decimal-degree quantization bounds the round-trip error
-            assert angular_distance(d, back.entries[tid][f]) < 2e-8
+            assert angular_distance(d, read[tid][f]) < 2e-8
 
 
 def test_round_trip_exact_on_quantized_angles():
@@ -203,35 +196,25 @@ def test_comma_in_track_id_rejected_on_write():
 
 def test_observations_round_trip_with_tags():
     grid = FrameGrid(0.1, 3)
-    obs = ObservationSet(
-        grid,
-        (
-            (Observation(D(1, 2), "spk0"), Observation(D(50, -10), None)),
-            (),
-            (Observation(D(-20, 5), "spk1"),),
-        ),
-    )
+    obs = observation_set(grid, ([(D(1, 2), "spk0"), (D(50, -10), None)], [], [(D(-20, 5), "spk1")]))
     buf = io.StringIO()
     write_observations(obs, buf)
     back = read_observations(io.StringIO(buf.getvalue()), grid)
     assert back.n_observations() == 3
-    assert back.frames[0][0].source_id == "spk0"
-    assert back.frames[0][1].source_id is None
-    assert back.frames[2][0].source_id == "spk1"
-    for f in range(3):
-        for a, b in zip(obs.frames[f], back.frames[f]):
-            assert angular_distance(a.direction, b.direction) < 2e-8
+    assert back.source == ("spk0", None, "spk1")
+    assert back.offsets.tolist() == [0, 2, 2, 3]
+    for a, b in zip(observation_frames(obs), observation_frames(back)):
+        for (da, _sa), (db, _sb) in zip(a, b):
+            assert angular_distance(da, db) < 2e-8
 
 
 def test_failed_write_leaves_the_old_file_and_no_partial(tmp_path):
     grid = FrameGrid(0.1, 3)
     path = tmp_path / "scene_0000.obs.csv"
-    write_observations(ObservationSet(grid, ((), (Observation(D(5, 6), "spk0"),), ())), path)
+    write_observations(observation_set(grid, ([], [(D(5, 6), "spk0")], [])), path)
     before = path.read_bytes()
     # the bad tag sits in the last frame, after a row that was already written
-    bad = ObservationSet(
-        grid, ((Observation(D(1, 2), "spk0"),), (), (Observation(D(3, 4), "a,b"),))
-    )
+    bad = observation_set(grid, ([(D(1, 2), "spk0")], [], [(D(3, 4), "a,b")]))
     with pytest.raises(ValueError):
         write_observations(bad, path)
     assert path.read_bytes() == before
@@ -248,7 +231,7 @@ def test_read_observations_accepts_plain_track_header():
         "0,0.000000,0,1.000000,2.000000\n"
     )
     obs = read_observations(io.StringIO(body), grid)
-    assert obs.frames[0][0].source_id is None
+    assert obs.source == (None,)
 
 
 def test_manifest_round_trip(tmp_path):
@@ -317,12 +300,12 @@ def test_round_trip_columns_equal_the_written_directions_bit_for_bit(ts):
     assert _bits(cols.unit) == _bits([_unit_xyz(d) for d in expected])
     assert _bits(cols.azimuth) == _bits([d.azimuth for d in expected])
     assert _bits(cols.elevation) == _bits([d.elevation for d in expected])
-    frames = {tid: sorted(by_frame) for tid, by_frame in ts.entries.items()}
-    assert {tid: sorted(by_frame) for tid, by_frame in back.entries.items()} == frames
+    frames = {tid: sorted(by_frame) for tid, by_frame in entries(ts).items()}
+    assert {tid: sorted(by_frame) for tid, by_frame in entries(back).items()} == frames
     for (f, _t, tid, _a, _e), d in zip(written, expected):
-        assert back.entries[tid][int(f)] == d
+        assert entries(back)[tid][int(f)] == d
     # the columns of an in-memory TrackSet are the same arrays
-    built = TrackSet(ts.grid, back.entries).columns
+    built = TrackSet(ts.grid, entries(back)).columns
     for name in ("frame", "id_code", "unit", "azimuth", "elevation", "offsets"):
         assert _bits(getattr(built, name)) == _bits(getattr(cols, name)), name
     assert built.ids == cols.ids
@@ -332,27 +315,29 @@ def _observation_sets(draw, grid):
     frames = []
     for _f in range(grid.n_frames):
         n = draw(st.integers(0, 3))
-        frames.append(tuple(
-            Observation(Direction.from_degrees(*draw(directions_deg)), draw(st.one_of(st.none(), track_ids)))
+        frames.append([
+            (Direction.from_degrees(*draw(directions_deg)), draw(st.one_of(st.none(), track_ids)))
             for _ in range(n)
-        ))
-    return ObservationSet(grid, tuple(frames))
+        ])
+    return frames
 
 
 @given(st.data())
 def test_observation_round_trip_keeps_order_tags_and_directions(data):
     grid = FrameGrid(0.1, data.draw(st.integers(1, 6)))
-    obs = _observation_sets(data.draw, grid)
+    frames = _observation_sets(data.draw, grid)
     buf = io.StringIO()
-    write_observations(obs, buf)
+    write_observations(observation_set(grid, frames), buf)
     text = buf.getvalue()
     back = read_observations(io.StringIO(text), grid)
     rows = iter(line.split(",") for line in text.split("\n")[1:-1])
-    for frame_obs, frame_back in zip(obs.frames, back.frames):
-        assert [o.source_id for o in frame_back] == [o.source_id for o in frame_obs]
-        for o in frame_back:
-            _f, _t, _k, az, el, _tag = next(rows)
-            assert o.direction == Direction.from_degrees(float(az), float(el))
+    for frame_obs, frame_back in zip(frames, observation_frames(back)):
+        assert [src for _d, src in frame_back] == [src for _d, src in frame_obs]
+        for k, (d, src) in enumerate(frame_back):
+            _f, _t, index, az, el, tag = next(rows)
+            assert d == Direction.from_degrees(float(az), float(el))
+            # the index column counts within the frame; None is an empty tag
+            assert (int(index), tag) == (k, "" if src is None else src)
 
 
 FIELDS = st.one_of(
@@ -387,3 +372,126 @@ def test_parser_fuzz_raises_only_parse_errors(header, rows, newline):
             reader(io.StringIO(text), grid)
         except ParseError:
             pass
+
+
+# The one row builder, TrackSet.from_rows, behind every TrackSet.
+
+
+def _rows(ts):
+    """(frame, track_id, azimuth, elevation) of every row of ts."""
+    cols = ts.columns
+    return [
+        (f, cols.ids[code], az, el)
+        for f, code, az, el in zip(
+            cols.frame.tolist(), cols.id_code.tolist(),
+            cols.azimuth.tolist(), cols.elevation.tolist(),
+        )
+    ]
+
+
+def _from_rows(grid, rows, **kwargs):
+    return TrackSet.from_rows(
+        grid, [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows],
+        [r[3] for r in rows], **kwargs,
+    )
+
+
+@given(tracksets(), st.randoms())
+def test_rows_in_any_order_build_the_same_trackset(ts, random):
+    rows = _rows(ts)
+    random.shuffle(rows)
+    shuffled = _from_rows(ts.grid, rows)
+    assert shuffled == ts
+    for name in ("frame", "id_code", "unit", "azimuth", "elevation", "offsets"):
+        assert _bits(getattr(shuffled.columns, name)) == _bits(getattr(ts.columns, name)), name
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.sampled_from("AB")), min_size=2, max_size=10)
+    .filter(lambda keys: len(set(keys)) < len(keys))
+)
+def test_first_repeat_in_input_order_raises_with_its_line(keys):
+    grid = FrameGrid(0.1, 4)
+    first = next(i for i, key in enumerate(keys) if key in keys[:i])
+    f, tid = keys[first]
+    rows = [(f_, t, 0.0, 0.0) for f_, t in keys]
+    with pytest.raises(DuplicateEntry, match=f"track '{tid}' frame {f}$") as exc:
+        _from_rows(grid, rows)
+    assert exc.value.line is None
+    body = "".join(f"{f_},{grid.time_of(f_):.6f},{t},0.000000,0.000000\n" for f_, t in keys)
+    with pytest.raises(DuplicateEntry, match=f"track '{tid}' frame {f}$") as exc:
+        read_trackset(io.StringIO(TRACK_CSV_HEADER + "\n" + body), grid)
+    assert exc.value.line == first + 2
+
+
+@given(st.one_of(st.integers(max_value=-1), st.integers(min_value=5)))
+def test_out_of_range_frame_names_the_track(frame):
+    grid = FrameGrid(0.1, 5)
+    with pytest.raises(ValueError, match=f"track 'bad': frame {frame} outside"):
+        TrackSet(grid, {"ok": {0: D(0, 0)}, "bad": {1: D(0, 0), frame: D(1, 1)}})
+    with pytest.raises(ValueError, match="track 'bad'"):
+        _from_rows(grid, [(0, "ok", 0.0, 0.0), (frame, "bad", 0.0, 0.0)])
+
+
+def test_track_without_rows_keeps_its_id():
+    grid = FrameGrid(0.1, 5)
+    assert TrackSet(grid, {"A": {}}).track_ids() == ["A"]
+    gts = TrackSet(grid, {"A": {}, "B": {f: D(0, 0) for f in range(5)}})
+    preds = TrackSet(grid, {"p": {0: D(0, 0), 1: D(0, 0)}, "q": {2: D(0, 0), 3: D(0, 0)}})
+    report = evaluate_scene("s", gts, preds, math.radians(20.0))
+    assert report.n_swaps == 1
+    assert report.tsr_per_track == report.tsr / 2  # A counts as a track
+
+
+def _as_read(text: str) -> str:
+    """text with the one spelling a read changes: azimuth 180.000000 reads as -pi."""
+    rows = [line.split(",") for line in text.split("\n")]
+    for row in rows[1:-1]:
+        if row[3] == "180.000000":
+            row[3] = "-180.000000"
+    return "\n".join(",".join(row) for row in rows)
+
+
+@given(tracksets())
+def test_track_csv_round_trips_byte_for_byte(ts):
+    text = trackset_to_string(ts)
+    assert trackset_to_string(read_trackset(io.StringIO(text), ts.grid)) == _as_read(text)
+
+
+@given(st.data())
+def test_observation_csv_round_trips_byte_for_byte(data):
+    grid = FrameGrid(0.1, data.draw(st.integers(1, 6)))
+    buf = io.StringIO()
+    write_observations(observation_set(grid, _observation_sets(data.draw, grid)), buf)
+    again = io.StringIO()
+    write_observations(read_observations(io.StringIO(buf.getvalue()), grid), again)
+    assert again.getvalue() == _as_read(buf.getvalue())
+
+
+def test_observations_out_of_frame_order_keep_each_frame_order():
+    grid = FrameGrid(0.1, 3)
+    obs = observation_set(grid, [[(D(1, 0), "x")], [], [(D(2, 0), "y"), (D(3, 0), None)]])
+    body = "".join(f"{line}\n" for line in [
+        OBS_CSV_HEADER,
+        "2,0.200000,0,2.000000,0.000000,y",
+        "0,0.000000,0,1.000000,0.000000,x",
+        "2,0.200000,1,3.000000,0.000000,",
+    ])
+    assert read_observations(io.StringIO(body), grid) == obs
+
+
+def test_observation_frame_outside_the_grid_is_rejected():
+    for frame in (-1, 2):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+            ObservationSet(FrameGrid(0.1, 2), [0, frame], [0.0, 0.0], [0.0, 0.0], [None, None])
+
+
+@pytest.mark.parametrize("bad", ["a\rb", "a\nb", ""])  # commas have their own test
+def test_unrepresentable_ids_are_rejected_on_write(bad, tmp_path):
+    ts = TrackSet(FrameGrid(0.1, 2), {bad: {0: D(0, 0)}})
+    with pytest.raises(ValueError, match="not representable"):
+        write_trackset(ts, tmp_path / "scene.csv")
+    obs = observation_set(FrameGrid(0.1, 2), [[(D(0, 0), bad)], []])
+    with pytest.raises(ValueError, match="not representable"):
+        write_observations(obs, tmp_path / "scene.obs.csv")
+    assert list(tmp_path.iterdir()) == []
