@@ -59,21 +59,22 @@ def wrap_azimuth(az: float) -> float:
     return az
 
 
-def _unit_xyz(d: Direction) -> tuple[float, float, float]:
-    ce = math.cos(d.elevation)
-    return ce * math.cos(d.azimuth), ce * math.sin(d.azimuth), math.sin(d.elevation)
+def unit_xyz(azimuth: float, elevation: float) -> tuple[float, float, float]:
+    """Unit vector of an (azimuth, elevation) pair in radians, as three floats."""
+    ce = math.cos(elevation)
+    return ce * math.cos(azimuth), ce * math.sin(azimuth), math.sin(elevation)
 
 
 def unit_vector(d: Direction) -> np.ndarray:
     """Unit 3-vector of a direction, shape (3,)."""
-    return np.array(_unit_xyz(d))
+    return np.array(unit_xyz(d.azimuth, d.elevation))
 
 
 def unit_vectors_from_angles(azimuth: list[float], elevation: list[float]) -> np.ndarray:
     """(n, 3) unit vectors of azimuth/elevation lists in radians, as a
     Direction holds them.
 
-    Row i equals _unit_xyz of direction i bit for bit: the same math
+    Row i equals unit_xyz of direction i bit for bit: the same math
     calls and products. numpy's own sin and cos need not round as math
     does on every host.
     """
@@ -93,15 +94,20 @@ def unit_vectors(directions) -> np.ndarray:
     )
 
 
-def from_unit_vector(v: np.ndarray) -> Direction:
-    """Direction of a (near-)unit 3-vector.
+def angles_of_unit_vector(x: float, y: float, z: float) -> tuple[float, float]:
+    """(azimuth, elevation) of a (near-)unit 3-vector, wrapped and
+    clamped as a Direction stores them.
 
     Elevation comes from atan2 against the horizontal norm rather than
     asin(z), which is ill-conditioned near the poles.
     """
-    az = math.atan2(v[1], v[0])
-    el = math.atan2(float(v[2]), math.hypot(float(v[0]), float(v[1])))
-    return Direction(az, el)
+    el = math.atan2(z, math.hypot(x, y))
+    return wrap_azimuth(math.atan2(y, x)), min(math.pi / 2, max(-math.pi / 2, el))
+
+
+def from_unit_vector(v: np.ndarray) -> Direction:
+    """Direction of a (near-)unit 3-vector; see angles_of_unit_vector."""
+    return Direction(*angles_of_unit_vector(float(v[0]), float(v[1]), float(v[2])))
 
 
 def angular_distance(a: Direction, b: Direction) -> float:

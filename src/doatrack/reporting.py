@@ -124,10 +124,13 @@ def bootstrap_aggregate(
         return float(vals.mean()), None
     if rng is None:
         rng = np.random.default_rng(0)
-    m = math.ceil(fraction * len(vals))
-    means = np.empty(replicates)
+    n = len(vals)
+    m = math.ceil(fraction * n)
+    # one index draw per replicate consumes rng as drawing the values would
+    idx = np.empty((replicates, m), dtype=np.intp)
     for i in range(replicates):
-        means[i] = rng.choice(vals, size=m, replace=False).mean()
+        idx[i] = rng.choice(n, size=m, replace=False)
+    means = vals[idx].mean(axis=1)
     return float(means.mean()), float(means.std())
 
 

@@ -21,6 +21,18 @@ A track emits a direction on the frames where an observation supported
 it; between supports it stays alive (and can re-associate, keeping its
 id) for up to death_frames frames without emitting.
 
+The particles of a scene's live tracks form one (T, n_particles, 3)
+stack that lives across frames: each frame predicts and averages the
+whole stack with a few numpy calls, while the weight update and the
+resample run per associated track on its row. The generator is drawn
+from in a fixed order: per frame, each live track in live order draws
+its walk (uniform headings, then normal arcs, drawn even when
+process_noise_sigma is 0); each associated track, in pairing order,
+draws its resampling offset; each newborn track, in confirmation
+order, draws its first walk. tests/test_trackers.py pins the stacked
+filter bit for bit to the one-track-at-a-time filter in
+tests/_oracles.py.
+
 The white-box adversaries (splitter/merger/swapper) read the ground
 truth directly and exist to calibrate the metrics: they realize pure
 splitting, pure merging and pure label-swapping failure modes.
@@ -34,10 +46,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, InvalidK, MissingTags
-from .geometry import Direction, from_unit_vector, unit_vector
+from .geometry import angles_of_unit_vector, unit_xyz
 from .trackmodel import ObservationSet, TrackSet, columns_of
 
 TWO_PI = 2.0 * math.pi
+
+# Bounds on the two values that size the PF's particle stack (240 MB).
+MAX_PARTICLES = 100_000
+MAX_ACTIVE = 100
 
 
 @dataclass(frozen=True)
@@ -62,14 +78,14 @@ class TrackerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_active < 1:
-            raise InvalidConfig("max_active must be >= 1")
+        if not 1 <= self.max_active <= MAX_ACTIVE:
+            raise InvalidConfig(f"max_active must lie in [1, {MAX_ACTIVE}]")
         if self.k_max is not None and self.k_max < self.max_active:
             raise InvalidConfig("k_max must be >= max_active when bounded")
         if self.birth_frames < 1 or self.death_frames < 1:
             raise InvalidConfig("birth_frames and death_frames must be >= 1")
-        if self.n_particles < 1:
-            raise InvalidConfig("n_particles must be >= 1")
+        if not 1 <= self.n_particles <= MAX_PARTICLES:
+            raise InvalidConfig(f"n_particles must lie in [1, {MAX_PARTICLES}]")
         if not 0.0 < self.assoc_gate <= math.pi:
             raise InvalidConfig("assoc_gate must lie in (0, pi]")
         if self.process_noise_sigma < 0 or not self.likelihood_sigma > 0:
@@ -154,41 +170,66 @@ def swapper_tracker(gt: TrackSet, period_s: float) -> TrackSet:
 # ---------------------------------------------------------------------------
 
 
-def _random_walk(particles: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Rotate each particle by |N(0, sigma)| toward a uniform tangent heading."""
-    n = len(particles)
-    heading = rng.uniform(0.0, TWO_PI, n)
-    mag = np.abs(rng.normal(0.0, sigma, n))
+# The ufunc behind np.clip (numpy._core from numpy 2, numpy.core before),
+# called directly to skip np.clip's Python-level dispatch.
+_clip = (np._core if hasattr(np, "_core") else np.core).umath.clip
+
+
+def _predict(P: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """Rotate each particle of the (T, n, 3) stack P by |N(0, sigma)|
+    toward a uniform tangent heading; returns the new stack.
+
+    Each cloud draws uniform(0, 2 pi, n) and then normal(0, sigma, n),
+    in stack order and even at sigma = 0. The walk is one pass over the
+    stack through elementwise expressions only, so each cloud moves bit
+    for bit as it would alone.
+    """
+    T, n, _ = P.shape
+    # angles holds, per particle, its azimuth and elevation and then its
+    # heading and arc draws, so that one sin and one cos call cover all
+    angles = np.empty((4, T, n))
+    for t in range(T):
+        angles[2, t] = rng.uniform(0.0, TWO_PI, n)
+        angles[3, t] = rng.normal(0.0, sigma, n)
     if sigma == 0:
-        return particles
-    az = np.arctan2(particles[:, 1], particles[:, 0])
-    el = np.arcsin(np.clip(particles[:, 2], -1.0, 1.0))
-    sa, ca = np.sin(az), np.cos(az)
-    se, ce = np.sin(el), np.cos(el)
-    east = np.stack([-sa, ca, np.zeros(n)], axis=1)
-    north = np.stack([-se * ca, -se * sa, ce], axis=1)
-    tangent = np.cos(heading)[:, None] * east + np.sin(heading)[:, None] * north
-    moved = np.cos(mag)[:, None] * particles + np.sin(mag)[:, None] * tangent
-    return moved / np.linalg.norm(moved, axis=1, keepdims=True)
+        return P
+    np.abs(angles[3], out=angles[3])
+    np.arctan2(P[..., 1], P[..., 0], out=angles[0])
+    np.arcsin(_clip(P[..., 2], -1.0, 1.0), out=angles[1])
+    (ca, ce, ch, cm), (sa, se, sh, sm) = np.cos(angles), np.sin(angles)
+    # the local east (-sa, ca, 0) and north (-se * ca, -se * sa, ce)
+    east = np.empty_like(P)
+    east[..., 0] = -sa
+    east[..., 1] = ca
+    east[..., 2] = 0.0
+    north = np.empty_like(P)
+    north[..., 0] = -se * ca
+    north[..., 1] = -se * sa
+    north[..., 2] = ce
+    tangent = ch[..., None] * east + sh[..., None] * north
+    moved = cm[..., None] * P + sm[..., None] * tangent
+    # np.linalg.norm(moved, axis=-1) is this sum of squares
+    moved /= np.sqrt(np.add.reduce(moved * moved, axis=-1))[..., None]
+    return moved
 
 
-def _systematic_resample(
-    particles: np.ndarray, weights: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    n = len(particles)
-    positions = (rng.random() + np.arange(n)) / n
-    cumulative = np.cumsum(weights)
-    cumulative[-1] = 1.0  # guard against rounding shortfall
-    return particles[np.searchsorted(cumulative, positions)]
-
-
-def _mean_direction(particles: np.ndarray, weights: np.ndarray | None = None) -> Direction:
-    v = particles.mean(axis=0) if weights is None else weights @ particles
-    norm = float(np.linalg.norm(v))
+def _mean_angles(v: np.ndarray, cloud: np.ndarray) -> tuple[float, float]:
+    """(azimuth, elevation) of the mean vector v of a particle cloud:
+    the direction of v / |v|, or of the cloud's first particle when v
+    nearly vanishes (an antipodally spread cloud, where any particle is
+    as good as any other). |v| is sqrt(v . v), as np.linalg.norm
+    computes it for one vector."""
+    norm = math.sqrt(v.dot(v))
     if norm < 1e-12:
-        # Antipodally spread cloud; any particle is as good as any other.
-        return from_unit_vector(particles[0])
-    return from_unit_vector(v / norm)
+        return angles_of_unit_vector(*cloud[0].tolist())
+    x, y, z = v.tolist()
+    return angles_of_unit_vector(x / norm, y / norm, z / norm)
+
+
+def _cloud_means(P: np.ndarray) -> np.ndarray:
+    """(T, 3) unweighted mean of each cloud of the stack, as ndarray.mean
+    computes it: the sum over the particle axis divided by n."""
+    return np.add.reduce(P, axis=1) / P.shape[1]
 
 
 def _greedy_pairs(dist: np.ndarray, gate: float) -> list[tuple[int, int]]:
@@ -196,24 +237,16 @@ def _greedy_pairs(dist: np.ndarray, gate: float) -> list[tuple[int, int]]:
     pairs: list[tuple[int, int]] = []
     if dist.size == 0:
         return pairs
+    if dist.shape == (1, 1):
+        return [(0, 0)] if dist[0, 0] <= gate else []
     d = dist.copy()
     while True:
-        r, c = divmod(int(np.argmin(d)), d.shape[1])
+        r, c = divmod(int(d.argmin()), d.shape[1])
         if not d[r, c] <= gate:
             return pairs
         pairs.append((r, c))
         d[r, :] = np.inf
         d[:, c] = np.inf
-
-
-class _Track:
-    __slots__ = ("track_id", "particles", "estimate", "frames_since_assoc")
-
-    def __init__(self, track_id: str, particles: np.ndarray):
-        self.track_id = track_id
-        self.particles = particles
-        self.estimate = _mean_direction(particles)
-        self.frames_since_assoc = 0
 
 
 class _Candidate:
@@ -229,50 +262,55 @@ def pf_tracker(obs: ObservationSet, cfg: TrackerConfig) -> TrackSet:
 
     Online contract: the output at frame t depends only on observations
     up to t. Deterministic per cfg.seed.
+
+    A track's estimate, the direction of its cloud mean, is never
+    stored: after the predict step it only feeds the association, and
+    after an update or a birth it is the emitted row.
     """
     rng = np.random.default_rng(cfg.seed)
     kappa = 1.0 / cfg.likelihood_sigma**2
-    live: list[_Track] = []
+    n = cfg.n_particles
+    ar = np.arange(n)
+    sigma = cfg.process_noise_sigma
+    P = np.empty((0, n, 3))  # live[t]'s particles are P[t]
+    live: list[str] = []
+    unsupported: list[int] = []  # frames since live[t] was last associated
     candidates: list[_Candidate] = []
     dead_pool: list[tuple[int, str]] = []  # (death_frame, id)
     issued = 0
     rows: list[tuple[int, str, float, float]] = []  # (frame, id, azimuth, elevation)
-
-    def spawn_particles(unit: np.ndarray) -> np.ndarray:
-        base = np.tile(unit, (cfg.n_particles, 1))
-        return _random_walk(base, cfg.process_noise_sigma, rng)
 
     for f in range(obs.grid.n_frames):
         obs_units = obs.unit[obs.offsets[f]:obs.offsets[f + 1]]
         n_obs = len(obs_units)
 
         # 1. predict
-        for tr in live:
-            tr.particles = _random_walk(tr.particles, cfg.process_noise_sigma, rng)
-            tr.estimate = _mean_direction(tr.particles)
+        if live:
+            P = _predict(P, sigma, rng)
 
         # 2. gated greedy association, nearest angular distance first
         assigned_obs: set[int] = set()
         associated: set[int] = set()
         if live and n_obs:
-            track_units = np.array([unit_vector(tr.estimate) for tr in live])
-            dist = np.arccos(np.clip(track_units @ obs_units.T, -1.0, 1.0))
+            track_units = np.array([
+                unit_xyz(*_mean_angles(v, cloud)) for v, cloud in zip(_cloud_means(P), P)
+            ])
+            dist = np.arccos(_clip(track_units @ obs_units.T, -1.0, 1.0))
             for ti, oi in _greedy_pairs(dist, cfg.assoc_gate):
-                tr = live[ti]
-                u = obs_units[oi]
-                # 3. measurement update against the associated observation
-                logw = kappa * (tr.particles @ u - 1.0)
-                w = np.exp(logw - logw.max())
-                w /= w.sum()
-                tr.estimate = _mean_direction(tr.particles, w)
-                tr.particles = _systematic_resample(tr.particles, w, rng)
-                tr.frames_since_assoc = 0
-                rows.append((f, tr.track_id, tr.estimate.azimuth, tr.estimate.elevation))
+                # 3. measurement update against the associated observation,
+                #    then systematic resampling
+                cloud = P[ti]
+                logw = kappa * (cloud @ obs_units[oi] - 1.0)
+                w = np.exp(logw - np.maximum.reduce(logw))
+                w /= np.add.reduce(w)
+                az, el = _mean_angles(w @ cloud, cloud)
+                cumulative = np.cumsum(w)
+                cumulative[-1] = 1.0  # guard against rounding shortfall
+                P[ti] = cloud[np.searchsorted(cumulative, (rng.random() + ar) / n)]
+                rows.append((f, live[ti], az, el))
                 assigned_obs.add(oi)
                 associated.add(ti)
-        for ti, tr in enumerate(live):
-            if ti not in associated:
-                tr.frames_since_assoc += 1
+        unsupported = [0 if ti in associated else k + 1 for ti, k in enumerate(unsupported)]
 
         # 4. candidate maintenance on leftover observations; support must
         #    be consecutive, unsupported candidates drop out; age order is
@@ -282,7 +320,7 @@ def pf_tracker(obs: ObservationSet, cfg: TrackerConfig) -> TrackSet:
         if candidates and leftover:
             cand_units = np.array([c.unit for c in candidates])
             left_units = obs_units[leftover]
-            dist = np.arccos(np.clip(cand_units @ left_units.T, -1.0, 1.0))
+            dist = np.arccos(_clip(cand_units @ left_units.T, -1.0, 1.0))
             supported = {
                 ci: leftover[li] for ci, li in _greedy_pairs(dist, cfg.assoc_gate)
             }
@@ -302,6 +340,7 @@ def pf_tracker(obs: ObservationSet, cfg: TrackerConfig) -> TrackSet:
         # 6. confirmations, subject to the live cap and the id budget;
         #    reaching the support threshold consumes the candidate either way
         still_candidates: list[_Candidate] = []
+        born: list[np.ndarray] = []
         for cand in candidates:
             if cand.support < cfg.birth_frames:
                 still_candidates.append(cand)
@@ -316,18 +355,23 @@ def pf_tracker(obs: ObservationSet, cfg: TrackerConfig) -> TrackSet:
                 tid = dead_pool.pop()[1]  # newest-dead id
             else:
                 continue  # id budget exhausted, nothing to reuse
-            tr = _Track(tid, spawn_particles(cand.unit))
-            live.append(tr)
-            rows.append((f, tid, tr.estimate.azimuth, tr.estimate.elevation))
+            live.append(tid)
+            unsupported.append(0)
+            born.append(cand.unit)
         candidates = still_candidates
+        if born:
+            # each newborn cloud is n copies of its observation, walked once
+            clouds = _predict(np.repeat(np.array(born)[:, None, :], n, axis=1), sigma, rng)
+            for tid, v, cloud in zip(live[-len(born):], _cloud_means(clouds), clouds):
+                rows.append((f, tid, *_mean_angles(v, cloud)))
+            P = np.concatenate([P, clouds])
 
         # 7. deaths
-        kept: list[_Track] = []
-        for tr in live:
-            if tr.frames_since_assoc > cfg.death_frames:
-                dead_pool.append((f, tr.track_id))
-            else:
-                kept.append(tr)
-        live = kept
+        alive = [k <= cfg.death_frames for k in unsupported]
+        if not all(alive):
+            dead_pool.extend((f, tid) for tid, ok in zip(live, alive) if not ok)
+            P = P[alive]
+            live = [tid for tid, ok in zip(live, alive) if ok]
+            unsupported = [k for k, ok in zip(unsupported, alive) if ok]
 
     return TrackSet.from_rows(obs.grid, *columns_of(rows, 4))

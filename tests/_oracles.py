@@ -1,8 +1,10 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: per-TP double loops for the
-association scores, exhaustive injection enumeration for matching, and
-literal walk-the-frames counters. These stay independent of the code
+association scores, exhaustive injection enumeration for matching,
+literal walk-the-frames counters, a bootstrap that draws one replicate
+at a time and a particle filter that steps one track at a time. These
+stay independent of the code
 paths they verify. The package stores tracks, observations and matches
 only as columns; the per-object views the tests read (a track's
 {frame: Direction}, a frame's entries, a hand-built MatchSequence) are
@@ -18,8 +20,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from doatrack.geometry import Direction, angular_distance, unit_vector
+from doatrack.geometry import Direction, angular_distance, from_unit_vector, unit_vector
 from doatrack.matching import FrameAssignment, Matches, MatchSequence
+from doatrack.trackers import TrackerConfig
 from doatrack.trackmodel import FrameGrid, ObservationSet, TrackSet, columns_of
 
 
@@ -257,3 +260,200 @@ def random_match_sequence(
     zeros = np.zeros(len(gt_rows))
     gts = TrackSet.from_rows(grid, [f for f, _g in gt_rows], [g for _f, g in gt_rows], zeros, zeros)
     return gts, match_sequence_of(grid, frames)
+
+
+def naive_bootstrap_aggregate(values, fraction, replicates, rng) -> tuple[float, float]:
+    """(mean, std) of replicate means, one replicate at a time: each
+    draws ceil(fraction * n) of the values without replacement."""
+    vals = np.asarray(list(values), dtype=float)
+    m = math.ceil(fraction * len(vals))
+    means = np.empty(replicates)
+    for i in range(replicates):
+        means[i] = rng.choice(vals, size=m, replace=False).mean()
+    return float(means.mean()), float(means.std())
+
+
+# ---------------------------------------------------------------------------
+# particle filter, one track at a time
+# ---------------------------------------------------------------------------
+
+TWO_PI = 2.0 * math.pi
+
+
+def _random_walk(particles: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """Rotate each particle by |N(0, sigma)| toward a uniform tangent heading."""
+    n = len(particles)
+    heading = rng.uniform(0.0, TWO_PI, n)
+    mag = np.abs(rng.normal(0.0, sigma, n))
+    if sigma == 0:
+        return particles
+    az = np.arctan2(particles[:, 1], particles[:, 0])
+    el = np.arcsin(np.clip(particles[:, 2], -1.0, 1.0))
+    sa, ca = np.sin(az), np.cos(az)
+    se, ce = np.sin(el), np.cos(el)
+    east = np.stack([-sa, ca, np.zeros(n)], axis=1)
+    north = np.stack([-se * ca, -se * sa, ce], axis=1)
+    tangent = np.cos(heading)[:, None] * east + np.sin(heading)[:, None] * north
+    moved = np.cos(mag)[:, None] * particles + np.sin(mag)[:, None] * tangent
+    return moved / np.linalg.norm(moved, axis=1, keepdims=True)
+
+
+def _systematic_resample(
+    particles: np.ndarray, weights: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    n = len(particles)
+    positions = (rng.random() + np.arange(n)) / n
+    cumulative = np.cumsum(weights)
+    cumulative[-1] = 1.0  # guard against rounding shortfall
+    return particles[np.searchsorted(cumulative, positions)]
+
+
+def _mean_direction(particles: np.ndarray, weights: np.ndarray | None = None) -> Direction:
+    v = particles.mean(axis=0) if weights is None else weights @ particles
+    norm = float(np.linalg.norm(v))
+    if norm < 1e-12:
+        # Antipodally spread cloud; any particle is as good as any other.
+        return from_unit_vector(particles[0])
+    return from_unit_vector(v / norm)
+
+
+def _greedy_pairs(dist: np.ndarray, gate: float) -> list[tuple[int, int]]:
+    """Globally greedy gated pairing on a distance matrix."""
+    pairs: list[tuple[int, int]] = []
+    if dist.size == 0:
+        return pairs
+    d = dist.copy()
+    while True:
+        r, c = divmod(int(np.argmin(d)), d.shape[1])
+        if not d[r, c] <= gate:
+            return pairs
+        pairs.append((r, c))
+        d[r, :] = np.inf
+        d[:, c] = np.inf
+
+
+class _Track:
+    __slots__ = ("track_id", "particles", "estimate", "frames_since_assoc")
+
+    def __init__(self, track_id: str, particles: np.ndarray):
+        self.track_id = track_id
+        self.particles = particles
+        self.estimate = _mean_direction(particles)
+        self.frames_since_assoc = 0
+
+
+class _Candidate:
+    __slots__ = ("unit", "support")
+
+    def __init__(self, unit: np.ndarray):
+        self.unit = unit
+        self.support = 1
+
+
+def naive_pf_tracker(obs: ObservationSet, cfg: TrackerConfig) -> TrackSet:
+    """The particle filter one track at a time: each live track walks,
+    averages and resamples its own cloud with its own numpy calls.
+    pf_tracker, which steps all live tracks of a scene as one stacked
+    array, must equal it bit for bit.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    kappa = 1.0 / cfg.likelihood_sigma**2
+    live: list[_Track] = []
+    candidates: list[_Candidate] = []
+    dead_pool: list[tuple[int, str]] = []  # (death_frame, id)
+    issued = 0
+    rows: list[tuple[int, str, float, float]] = []  # (frame, id, azimuth, elevation)
+
+    def spawn_particles(unit: np.ndarray) -> np.ndarray:
+        base = np.tile(unit, (cfg.n_particles, 1))
+        return _random_walk(base, cfg.process_noise_sigma, rng)
+
+    for f in range(obs.grid.n_frames):
+        obs_units = obs.unit[obs.offsets[f]:obs.offsets[f + 1]]
+        n_obs = len(obs_units)
+
+        # 1. predict
+        for tr in live:
+            tr.particles = _random_walk(tr.particles, cfg.process_noise_sigma, rng)
+            tr.estimate = _mean_direction(tr.particles)
+
+        # 2. gated greedy association, nearest angular distance first
+        assigned_obs: set[int] = set()
+        associated: set[int] = set()
+        if live and n_obs:
+            track_units = np.array([unit_vector(tr.estimate) for tr in live])
+            dist = np.arccos(np.clip(track_units @ obs_units.T, -1.0, 1.0))
+            for ti, oi in _greedy_pairs(dist, cfg.assoc_gate):
+                tr = live[ti]
+                u = obs_units[oi]
+                # 3. measurement update against the associated observation
+                logw = kappa * (tr.particles @ u - 1.0)
+                w = np.exp(logw - logw.max())
+                w /= w.sum()
+                tr.estimate = _mean_direction(tr.particles, w)
+                tr.particles = _systematic_resample(tr.particles, w, rng)
+                tr.frames_since_assoc = 0
+                rows.append((f, tr.track_id, tr.estimate.azimuth, tr.estimate.elevation))
+                assigned_obs.add(oi)
+                associated.add(ti)
+        for ti, tr in enumerate(live):
+            if ti not in associated:
+                tr.frames_since_assoc += 1
+
+        # 4. candidate maintenance on leftover observations; support must
+        #    be consecutive, unsupported candidates drop out; age order is
+        #    preserved so older candidates confirm first under contention
+        leftover = [oi for oi in range(n_obs) if oi not in assigned_obs]
+        surviving: list[_Candidate] = []
+        if candidates and leftover:
+            cand_units = np.array([c.unit for c in candidates])
+            left_units = obs_units[leftover]
+            dist = np.arccos(np.clip(cand_units @ left_units.T, -1.0, 1.0))
+            supported = {
+                ci: leftover[li] for ci, li in _greedy_pairs(dist, cfg.assoc_gate)
+            }
+            for ci, cand in enumerate(candidates):
+                if ci in supported:
+                    cand.unit = obs_units[supported[ci]]
+                    cand.support += 1
+                    surviving.append(cand)
+            consumed = set(supported.values())
+            leftover = [oi for oi in leftover if oi not in consumed]
+        candidates = surviving
+
+        # 5. births from the remaining observations (first support counts)
+        for oi in leftover:
+            candidates.append(_Candidate(obs_units[oi]))
+
+        # 6. confirmations, subject to the live cap and the id budget;
+        #    reaching the support threshold consumes the candidate either way
+        still_candidates: list[_Candidate] = []
+        for cand in candidates:
+            if cand.support < cfg.birth_frames:
+                still_candidates.append(cand)
+                continue
+            if len(live) >= cfg.max_active:
+                continue  # rejected
+            if cfg.k_max is None or issued < cfg.k_max:
+                tid = f"t{issued}"
+                issued += 1
+            elif dead_pool:
+                dead_pool.sort()  # (death_frame, id): deterministic tie-break
+                tid = dead_pool.pop()[1]  # newest-dead id
+            else:
+                continue  # id budget exhausted, nothing to reuse
+            tr = _Track(tid, spawn_particles(cand.unit))
+            live.append(tr)
+            rows.append((f, tid, tr.estimate.azimuth, tr.estimate.elevation))
+        candidates = still_candidates
+
+        # 7. deaths
+        kept: list[_Track] = []
+        for tr in live:
+            if tr.frames_since_assoc > cfg.death_frames:
+                dead_pool.append((f, tr.track_id))
+            else:
+                kept.append(tr)
+        live = kept
+
+    return TrackSet.from_rows(obs.grid, *columns_of(rows, 4))

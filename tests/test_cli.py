@@ -546,6 +546,36 @@ def test_jobs_flag_matches_serial_run(tmp_path):
     assert dir_digest(eval_serial) == dir_digest(eval_parallel)
 
 
+def test_pf_jobs_flag_matches_serial_run_under_clutter_and_id_reuse(tmp_path):
+    # three speakers, clutter and an id budget below the speaker count:
+    # births, deaths and id reuse reshape each scene's particle stack
+    corpus = _simulated_corpus(tmp_path, {**SIM_DOC, "scenario": {"n_speakers": 3}, "n_scenes": 4})
+    tcfg = write_config(
+        tmp_path, "pf.json",
+        {"type": "pf", "k_max": 2, "max_active": 2, "birth_frames": 2, "death_frames": 2, "seed": 5},
+    )
+    runs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main([
+            "track", "--config", tcfg, "--scenes", str(corpus), "--out", str(out), "--jobs", jobs,
+        ]) == 0
+        runs[jobs] = dir_digest(out)
+    assert runs["1"] == runs["2"]
+    assert sum(name.endswith(".pred.csv") for name in runs["1"]) == 4
+
+
+def test_pf_particle_stack_limits_are_config_errors(tmp_path, capsys):
+    corpus = _simulated_corpus(tmp_path)
+    capsys.readouterr()
+    for key, value in (("n_particles", 100_001), ("max_active", 101)):
+        tcfg = write_config(tmp_path, "pf.json", {"type": "pf", key: value})
+        out = tmp_path / "preds"
+        assert main(["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(out)]) == 1
+        assert key in _config_error(capsys)
+        assert not out.exists()
+
+
 def test_jobs_clamped_to_available_cpus():
     assert _clamp_jobs(64, 2) == 2
     assert _clamp_jobs(2, 8) == 2

@@ -12,6 +12,7 @@ from _oracles import (
     lsa_ospa_frame,
     match_sequence_of,
     naive_association_scores,
+    naive_bootstrap_aggregate,
     naive_broken,
     naive_swaps,
     per_frame_entries,
@@ -63,6 +64,19 @@ def test_bootstrap_deterministic_per_rng_seed():
     a = bootstrap_aggregate(values, rng=np.random.default_rng(7))
     b = bootstrap_aggregate(values, rng=np.random.default_rng(7))
     assert a == b
+
+
+@given(
+    st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=200),
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.integers(1, 200),
+    st.integers(0, 2**32 - 1),
+)
+def test_bootstrap_equals_one_value_draw_per_replicate(values, fraction, replicates, seed):
+    # index draws consume the generator as value draws do: equal with ==
+    fast = bootstrap_aggregate(values, fraction, replicates, np.random.default_rng(seed))
+    naive = naive_bootstrap_aggregate(values, fraction, replicates, np.random.default_rng(seed))
+    assert fast == naive
 
 
 def _tiny_report(scene_id, ass_re=None):

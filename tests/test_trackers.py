@@ -3,15 +3,29 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
-from _oracles import entries, observation_frames, observation_set, per_frame_entries
+from _oracles import _greedy_pairs as naive_greedy_pairs
+from _oracles import (
+    _mean_direction,
+    entries,
+    naive_pf_tracker,
+    observation_frames,
+    observation_set,
+    per_frame_entries,
+)
 from doatrack.errors import InvalidConfig, InvalidK, MissingTags
-from doatrack.geometry import Direction
+from doatrack.geometry import Direction, from_unit_vector
 from doatrack.reporting import evaluate_scene
 from doatrack.scenesim import ObservationModel, ScenarioConfig, generate_scene, simulate_observations
 from doatrack.trackers import (
+    MAX_ACTIVE,
+    MAX_PARTICLES,
+    TWO_PI,
     TrackerConfig,
+    _greedy_pairs,
+    _mean_angles,
+    _predict,
     merger_tracker,
     oracle_tracker,
     pf_tracker,
@@ -183,6 +197,16 @@ def test_config_validation():
         TrackerConfig(max_active=1, birth_frames=0)
 
 
+def test_config_bounds_the_particle_stack():
+    # both limits hold at the bound and reject the value just above it;
+    # the check runs before any particle array exists
+    TrackerConfig(max_active=MAX_ACTIVE, n_particles=MAX_PARTICLES)
+    with pytest.raises(InvalidConfig, match="n_particles"):
+        TrackerConfig(max_active=1, n_particles=MAX_PARTICLES + 1)
+    with pytest.raises(InvalidConfig, match="max_active"):
+        TrackerConfig(max_active=MAX_ACTIVE + 1)
+
+
 def test_pf_deterministic_per_seed():
     gt = generate_scene(ScenarioConfig(n_speakers=2, seed=6))
     obs = simulate_observations(gt, ObservationModel(seed=7, p_miss=0.05))
@@ -305,3 +329,89 @@ def test_pf_output_is_value_semantic_input():
     snapshot = copy.deepcopy(obs)
     pf_tracker(obs, TrackerConfig(max_active=1, seed=25))
     assert obs == snapshot
+
+
+@st.composite
+def pf_scenes(draw):
+    """Observation sets of 0-4 jittered static sources with misses,
+    clutter, empty frames and observations antipodal to a source."""
+    n_frames = draw(st.integers(1, 40))
+    n_sources = draw(st.integers(0, 4))
+    p_present = draw(st.sampled_from([0.5, 0.9, 1.0]))
+    p_empty = draw(st.sampled_from([0.0, 0.2]))
+    clutter_rate = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    p_antipode = draw(st.sampled_from([0.0, 0.2]))
+    jitter = math.radians(draw(st.sampled_from([0.0, 1.0, 4.0])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def uniform_direction():
+        return rng.uniform(-math.pi, math.pi), math.asin(rng.uniform(-1.0, 1.0))
+
+    sources = [uniform_direction() for _ in range(n_sources)]
+    frames = []
+    for _f in range(n_frames):
+        frame = []
+        if rng.random() >= p_empty:
+            for s, (az, el) in enumerate(sources):
+                if rng.random() < p_present:
+                    el_obs = min(math.pi / 2, max(-math.pi / 2, el + jitter * rng.normal()))
+                    frame.append((Direction(az + jitter * rng.normal(), el_obs), f"s{s}"))
+                if rng.random() < p_antipode:
+                    frame.append((Direction(az + math.pi, -el), None))
+            frame += [(Direction(*uniform_direction()), None) for _ in range(rng.poisson(clutter_rate))]
+        frames.append(frame)
+    return observation_set(FrameGrid(0.1, n_frames), frames)
+
+
+@st.composite
+def pf_configs(draw):
+    max_active = draw(st.integers(1, 4))
+    return TrackerConfig(
+        max_active=max_active,
+        k_max=draw(st.none() | st.integers(max_active, max_active + 3)),
+        assoc_gate=math.radians(draw(st.sampled_from([5.0, 15.0, 60.0, 180.0]))),
+        birth_frames=draw(st.integers(1, 3)),
+        death_frames=draw(st.integers(1, 3)),
+        n_particles=draw(st.integers(1, 64)),
+        process_noise_sigma=math.radians(draw(st.sampled_from([0.0, 0.5, 5.0, 60.0]))),
+        likelihood_sigma=math.radians(draw(st.sampled_from([2.0, 5.0, 30.0]))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@given(pf_scenes(), pf_configs())
+@settings(max_examples=200)
+def test_pf_equals_the_per_track_filter_bit_for_bit(obs, cfg):
+    # the stacked filter against the filter that walks, averages and
+    # resamples one track at a time; no tolerance anywhere
+    fast, naive = pf_tracker(obs, cfg).columns, naive_pf_tracker(obs, cfg).columns
+    assert fast.ids == naive.ids
+    for name in ("frame", "id_code", "azimuth", "elevation"):
+        assert np.array_equal(getattr(fast, name), getattr(naive, name)), name
+
+
+def test_mean_of_an_antipodal_cloud_falls_back_to_its_first_particle():
+    u = np.array([0.6, 0.0, 0.8])
+    cloud = np.array([u, -u])
+    for w in (None, np.array([0.5, 0.5])):
+        v = cloud.mean(axis=0) if w is None else w @ cloud
+        assert not v.any()
+        assert Direction(*_mean_angles(v, cloud)) == _mean_direction(cloud, w) == from_unit_vector(u)
+
+
+def test_predict_draws_even_without_process_noise():
+    # sigma = 0 moves no particle, so no output shows these draws; the
+    # generator must still advance as if each cloud had walked
+    stack = np.zeros((2, 5, 3))
+    rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+    assert _predict(stack, 0.0, rng) is stack
+    for _ in range(2):
+        reference.uniform(0.0, TWO_PI, 5)
+        reference.normal(0.0, 0.0, 5)
+    assert rng.random() == reference.random()
+
+
+@pytest.mark.parametrize("d", [0.0, 0.5, np.nextafter(0.5, 1.0), math.inf, math.nan])
+def test_greedy_pairs_one_by_one_matches_the_general_loop(d):
+    dist = np.array([[d]])
+    assert _greedy_pairs(dist, 0.5) == naive_greedy_pairs(dist, 0.5)

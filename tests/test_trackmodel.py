@@ -8,7 +8,7 @@ from hypothesis import given
 
 from _oracles import activity_mask, entries, observation_frames, observation_set, per_frame_entries
 from doatrack.errors import DuplicateEntry, ParseError
-from doatrack.geometry import Direction, _unit_xyz, angular_distance
+from doatrack.geometry import Direction, angular_distance, unit_xyz
 from doatrack.reporting import evaluate_scene
 from doatrack.trackmodel import (
     OBS_CSV_HEADER,
@@ -297,7 +297,7 @@ def test_round_trip_columns_equal_the_written_directions_bit_for_bit(ts):
     assert back.track_ids() == ts.track_ids() == list(cols.ids)
     assert [cols.ids[c] for c in cols.id_code] == [tid for _f, _t, tid, _a, _e in written]
     assert cols.frame.tolist() == [int(f) for f, _t, _id, _a, _e in written]
-    assert _bits(cols.unit) == _bits([_unit_xyz(d) for d in expected])
+    assert _bits(cols.unit) == _bits([unit_xyz(d.azimuth, d.elevation) for d in expected])
     assert _bits(cols.azimuth) == _bits([d.azimuth for d in expected])
     assert _bits(cols.elevation) == _bits([d.elevation for d in expected])
     frames = {tid: sorted(by_frame) for tid, by_frame in entries(ts).items()}
