@@ -7,15 +7,7 @@ IDSW, MOTA, OSPA, localization error) and global association metrics
 (AssA, AssPr, AssRe) under angular-distance matching.
 """
 
-from .assoc_metrics import (
-    AssociationCounts,
-    AssociationScores,
-    ass_a,
-    ass_pr,
-    ass_re,
-    association_scores,
-    count_associations,
-)
+from .assoc_metrics import AssociationScores, association_scores
 from .errors import (
     DoatrackError,
     DuplicateEntry,
@@ -26,8 +18,6 @@ from .errors import (
     InvalidK,
     MissingTags,
     ParseError,
-    UndefinedOnEmptyGroundTruth,
-    UndefinedOnEmptyTP,
 )
 from .frame_metrics import (
     FrameMetricsReport,

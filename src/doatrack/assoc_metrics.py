@@ -15,9 +15,11 @@ predicted ids; a low precision means predicted ids aggregate portions
 of several ground-truth tracks; accuracy combines both.
 
 Scores are accumulated globally over the scene at a single matching
-gate, in contrast with the frame-level swap counters. The sums are
-evaluated in exact rational arithmetic and rounded once on return, so
-constructed cases (k-way splits, balanced merges) come out bit-exact.
+gate, in contrast with the frame-level swap counters. association_scores
+counts TPA/FPA/FNA per couple as arrays, sums the three ratios in exact
+rational arithmetic and rounds each once, so constructed cases (k-way
+splits, balanced merges) come out bit-exact. A scene without TPs has no
+scores: association_scores returns None, never 0.
 """
 
 from __future__ import annotations
@@ -27,68 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import UndefinedOnEmptyTP
 from .matching import MatchSequence
-
-
-@dataclass(frozen=True)
-class CoupleCounts:
-    """Association counts for one TP couple."""
-
-    tpa: int
-    fpa: int
-    fna: int
-
-
-@dataclass(frozen=True)
-class AssociationCounts:
-    couples: dict[tuple[str, str], CoupleCounts]
-    total_tp: int
-
-
-def count_associations(ms: MatchSequence) -> AssociationCounts:
-    """Accumulate TPA/FPA/FNA per TP couple over all frames."""
-    m = ms.matches
-    n_pred, n_gt = len(m.pred_ids), len(m.gt_ids)
-    pairs = m.tp_pred.astype(np.int64) * n_gt + m.tp_gt
-    couple, tpa = np.unique(pairs, return_counts=True)
-    pred, gt = np.divmod(couple, n_gt)
-    pred_tp = np.bincount(m.tp_pred, minlength=n_pred)
-    gt_tp = np.bincount(m.tp_gt, minlength=n_gt)
-    fpa = pred_tp[pred] - tpa + np.bincount(m.fp_pred, minlength=n_pred)[pred]
-    fna = gt_tp[gt] - tpa + np.bincount(m.fn_gt, minlength=n_gt)[gt]
-    couples = {
-        (m.pred_ids[p], m.gt_ids[g]): CoupleCounts(tpa=t, fpa=a, fna=n)
-        for p, g, t, a, n in zip(
-            pred.tolist(), gt.tolist(), tpa.tolist(), fpa.tolist(), fna.tolist()
-        )
-    }
-    return AssociationCounts(couples=couples, total_tp=len(m.tp_pred))
-
-
-def _mean_over_tps(counts: AssociationCounts, denom) -> float:
-    if counts.total_tp == 0:
-        raise UndefinedOnEmptyTP("no true positives in the match sequence")
-    total = Fraction(0)
-    for cc in counts.couples.values():
-        # each of the couple's tpa TPs contributes the same ratio
-        total += cc.tpa * Fraction(cc.tpa, denom(cc))
-    return float(total / counts.total_tp)
-
-
-def ass_re(counts: AssociationCounts) -> float:
-    """Association recall: mean of TPA/(TPA+FNA) over TPs."""
-    return _mean_over_tps(counts, lambda cc: cc.tpa + cc.fna)
-
-
-def ass_pr(counts: AssociationCounts) -> float:
-    """Association precision: mean of TPA/(TPA+FPA) over TPs."""
-    return _mean_over_tps(counts, lambda cc: cc.tpa + cc.fpa)
-
-
-def ass_a(counts: AssociationCounts) -> float:
-    """Association accuracy: mean of TPA/(TPA+FNA+FPA) over TPs."""
-    return _mean_over_tps(counts, lambda cc: cc.tpa + cc.fna + cc.fpa)
 
 
 @dataclass(frozen=True)
@@ -98,13 +39,25 @@ class AssociationScores:
     ass_a: float
 
 
-def association_scores(ms: MatchSequence) -> AssociationScores:
-    """All three scores from one counting pass.
-
-    Raises UndefinedOnEmptyTP when the sequence has no TPs; callers
-    report that as an absent value, never as 0.
-    """
-    counts = count_associations(ms)
+def association_scores(ms: MatchSequence) -> AssociationScores | None:
+    """AssRe, AssPr and AssA of a matched scene, or None when it has no TPs."""
+    m = ms.matches
+    n_tp = len(m.tp_pred)
+    if not n_tp:
+        return None
+    n_pred, n_gt = len(m.pred_ids), len(m.gt_ids)
+    couple, tpa = np.unique(m.tp_pred.astype(np.int64) * n_gt + m.tp_gt, return_counts=True)
+    pred, gt = np.divmod(couple, n_gt)
+    fpa = np.bincount(m.tp_pred, minlength=n_pred)[pred] - tpa
+    fpa += np.bincount(m.fp_pred, minlength=n_pred)[pred]
+    fna = np.bincount(m.tp_gt, minlength=n_gt)[gt] - tpa
+    fna += np.bincount(m.fn_gt, minlength=n_gt)[gt]
+    re = pr = a = Fraction(0)
+    for t, p, n in zip(tpa.tolist(), fpa.tolist(), fna.tolist()):
+        # each of the couple's t TPs contributes the same ratio t / denominator
+        re += Fraction(t * t, t + n)
+        pr += Fraction(t * t, t + p)
+        a += Fraction(t * t, t + n + p)
     return AssociationScores(
-        ass_re=ass_re(counts), ass_pr=ass_pr(counts), ass_a=ass_a(counts)
+        ass_re=float(re / n_tp), ass_pr=float(pr / n_tp), ass_a=float(a / n_tp)
     )

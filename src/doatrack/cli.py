@@ -33,6 +33,7 @@ from .matching import check_gate
 from .reporting import (
     AGGREGATE_METRICS,
     aggregate_reports,
+    check_bootstrap,
     evaluate_scene,
     report_csv_rows,
 )
@@ -92,8 +93,18 @@ _DEGREE_KEYS = {
 # Configs whose seed derives per scene from the master seed: not a JSON key.
 _SEEDED_PER_SCENE = (ScenarioConfig, ObservationModel)
 
-# Tracker JSON keys read by the adversary trackers, not by the PF.
-_ADVERSARY_KEYS = ("type", "k", "period_s")
+# The JSON keys of each adversary tracker type besides "type"; the PF
+# takes TrackerConfig's keys.
+_ADVERSARY_KEYS = {"oracle": (), "merger": (), "splitter": ("k",), "swapper": ("period_s",)}
+
+_SIMULATE_KEYS = ("scenario", "observation", "n_scenes", "seed")
+_SWEEP_KEYS = (
+    "subsets", "k_max_values", "scenario", "observation", "tracker", "gate_deg", "bootstrap",
+    "seed",
+)
+_SUBSET_KEYS = ("name", "n_speakers", "n_scenes")
+_BOOTSTRAP_KEYS = ("fraction", "replicates")
+
 
 def _json_fields(cls) -> list:
     """(field, JSON key) for every field a config JSON may set."""
@@ -106,12 +117,8 @@ def _json_fields(cls) -> list:
 
 def config_from_json(cls, doc: dict, what: str):
     """Build a config dataclass from its JSON object (angles in degrees)."""
-    if not isinstance(doc, dict):
-        raise InvalidConfig(f"{what} config must be a JSON object")
     pairs = _json_fields(cls)
-    unknown = set(doc) - {key for _f, key in pairs}
-    if unknown:
-        raise InvalidConfig(f"unknown {what} keys: {sorted(unknown)}")
+    _json_object(doc, f"{what} config", [key for _f, key in pairs])
     hints = get_type_hints(cls)
     kwargs = {}
     for f, key in pairs:
@@ -135,9 +142,14 @@ def config_to_json(cfg) -> dict:
     return doc
 
 
-def _json_object(value, what: str) -> dict:
+def _json_object(value, what: str, keys=None) -> dict:
+    """value, checked to be a JSON object and, when keys is given, to
+    hold no other key; raises InvalidConfig naming what."""
     if not isinstance(value, dict):
         raise InvalidConfig(f"{what} must be a JSON object, got {value!r}")
+    unknown = set(value) - set(value if keys is None else keys)
+    if unknown:
+        raise InvalidConfig(f"unknown {what} keys: {sorted(unknown)}")
     return value
 
 
@@ -284,7 +296,7 @@ def simulate_corpus(
 
 
 def cmd_simulate(args) -> int:
-    doc = _load_json(args.config)
+    doc = _json_object(_load_json(args.config), "simulate config", _SIMULATE_KEYS)
     master = args.seed if args.seed is not None else coerce(doc.get("seed", 0), int, "seed")
     n_scenes = coerce(doc.get("n_scenes", 1), int, "n_scenes")
     simulate_corpus(
@@ -310,12 +322,15 @@ def _tracker_spec(doc: dict, default_max_active) -> tuple[str, object]:
     to default_max_active unless that is None, the splitter's k, the
     swapper's period_s, and None for oracle and merger.
     """
-    ttype = doc.get("type", "pf")
+    ttype = coerce(doc.get("type", "pf"), str, "type")
     if ttype == "pf":
-        pf_doc = {k: v for k, v in doc.items() if k not in _ADVERSARY_KEYS}
+        pf_doc = {k: v for k, v in doc.items() if k != "type"}
         if default_max_active is not None:
             pf_doc.setdefault("max_active", default_max_active)
         return ttype, config_from_json(TrackerConfig, pf_doc, "tracker")
+    if ttype not in _ADVERSARY_KEYS:
+        raise InvalidConfig(f"unknown tracker type {ttype!r}")
+    _json_object(doc, f"{ttype} tracker", ("type", *_ADVERSARY_KEYS[ttype]))
     if ttype in ("oracle", "merger"):
         return ttype, None
     if ttype == "splitter":
@@ -325,14 +340,12 @@ def _tracker_spec(doc: dict, default_max_active) -> tuple[str, object]:
         if k < 1:
             raise InvalidConfig(f"k must be >= 1, got {k}")
         return ttype, k
-    if ttype == "swapper":
-        if "period_s" not in doc:
-            raise InvalidConfig("swapper config requires period_s")
-        period_s = coerce(doc["period_s"], float, "period_s")
-        if period_s <= 0:
-            raise InvalidConfig(f"period_s must be > 0, got {period_s}")
-        return ttype, period_s
-    raise InvalidConfig(f"unknown tracker type {ttype!r}")
+    if "period_s" not in doc:  # the swapper
+        raise InvalidConfig("swapper config requires period_s")
+    period_s = coerce(doc["period_s"], float, "period_s")
+    if period_s <= 0:
+        raise InvalidConfig(f"period_s must be > 0, got {period_s}")
+    return ttype, period_s
 
 
 def _run_tracker_scene(
@@ -404,10 +417,12 @@ def evaluate_corpus(
     Returns (reports, aggregate, failures); writes per_scene.csv and
     aggregate.json to out_dir when given. The gate and OSPA parameters,
     and the prediction manifest's frame grid, are checked here, so a bad
-    value is one error, not one failure per scene.
+    value is one error, not one failure per scene. The bootstrap fraction
+    and replicates are checked before anything is written.
     """
     check_gate(gate)
     check_ospa(ospa_cutoff, ospa_order)
+    check_bootstrap(fraction, replicates)
     grid, manifest = read_manifest(gt_dir / "manifest.json")
     pred_manifest = pred_dir / "manifest.json"
     if pred_manifest.exists():
@@ -493,36 +508,45 @@ def check_trends(
 def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict:
     """Simulate per-subset corpora, run the PF tracker per k_max value,
     evaluate, and aggregate into plot-ready tables."""
+    _json_object(doc, "sweep config", _SWEEP_KEYS)
     subsets = doc.get("subsets")
     k_values = doc.get("k_max_values")
     if not subsets or not isinstance(subsets, list):
         raise InvalidConfig("sweep config requires a non-empty subsets list")
     if not k_values or not isinstance(k_values, list):
         raise InvalidConfig("sweep config requires a non-empty k_max_values list")
-    scenario_doc = dict(_json_object(doc.get("scenario", {}), "sweep scenario"))
+    scenario_doc = _json_object(doc.get("scenario", {}), "sweep scenario")
     observation_doc = doc.get("observation", {})
+    config_from_json(ObservationModel, observation_doc, "observation")
     tracker_doc = dict(_json_object(doc.get("tracker", {}), "sweep tracker"))
     tracker_doc.setdefault("type", "pf")
     if tracker_doc["type"] != "pf":
         raise InvalidConfig("sweep supports only the pf tracker")
     gate = math.radians(coerce(doc.get("gate_deg", DEFAULT_GATE_DEG), float, "gate_deg"))
     check_gate(gate)
-    boot = _json_object(doc.get("bootstrap", {}), "sweep bootstrap")
+    boot = _json_object(doc.get("bootstrap", {}), "sweep bootstrap", _BOOTSTRAP_KEYS)
     fraction = coerce(boot.get("fraction", 0.8), float, "fraction")
     replicates = coerce(boot.get("replicates", 100), int, "replicates")
-    # Every subset and cell tracker config is checked before the first corpus is written.
+    check_bootstrap(fraction, replicates)
+    # Every subset, its corpus directory name and every cell tracker config
+    # are checked before the first corpus is written.
+    corpora: dict[str, tuple[int, int]] = {}
     for sub in subsets:
-        _json_object(sub, "sweep subset")
+        _json_object(sub, "sweep subset", _SUBSET_KEYS)
         n_speakers = coerce(sub.get("n_speakers"), int, "n_speakers")
+        name = coerce(sub.get("name", f"{n_speakers}spk"), str, "name")
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise InvalidConfig(f"subset name {name!r} is not one plain path component")
+        if name in corpora:
+            raise InvalidConfig(f"two subsets are named {name!r}")
+        config_from_json(ScenarioConfig, {**scenario_doc, "n_speakers": n_speakers}, "scenario")
         for k in k_values:
             _tracker_spec({**tracker_doc, "k_max": k}, n_speakers)
+        corpora[name] = n_speakers, coerce(sub.get("n_scenes", 150), int, "n_scenes")
     out_dir.mkdir(parents=True, exist_ok=True)
     results: dict[str, dict] = {}
     long_rows = ["subset,k_max,metric,mean,std"]
-    for si, sub in enumerate(subsets):
-        n_speakers = coerce(sub.get("n_speakers"), int, "n_speakers")
-        name = str(sub.get("name", f"{n_speakers}spk"))
-        n_scenes = coerce(sub.get("n_scenes", 150), int, "n_scenes")
+    for si, (name, (n_speakers, n_scenes)) in enumerate(corpora.items()):
         scenes_dir = out_dir / name / "scenes"
         sub_scenario = {**scenario_doc, "n_speakers": n_speakers}
         simulate_corpus(

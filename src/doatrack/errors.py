@@ -35,17 +35,6 @@ class GridMismatch(DoatrackError):
     """Two containers that must share a FrameGrid do not."""
 
 
-class UndefinedOnEmptyTP(DoatrackError):
-    """A metric that averages over true positives has none to average.
-
-    Reported upstream as an absent value, never coerced to 0.
-    """
-
-
-class UndefinedOnEmptyGroundTruth(DoatrackError):
-    """MOTA is undefined when the ground truth has no detections."""
-
-
 class InvalidConfig(DoatrackError, ValueError):
     """A scenario/tracker configuration violates its invariants."""
 

@@ -12,6 +12,12 @@ A broken track is a TP -> FN transition while the ground truth stays
 active; inactivity is not an FN. Rates normalize by scene duration
 (the per-ground-truth-track normalization is also provided, but the
 per-scene one is primary).
+
+A metric undefined on a scene is None where it arises, never 0: mota
+without ground-truth detections, mean_localization_error without TPs,
+ospa_sequence when no frame has an entity. ospa_frame and ospa_sequence
+share one path: a one-frame TrackSet's distance table goes through the
+same per-frame OSPA as a matched scene's.
 """
 
 from __future__ import annotations
@@ -23,9 +29,12 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import InvalidConfig, UndefinedOnEmptyGroundTruth, UndefinedOnEmptyTP
-from .geometry import Direction, pairwise_angular_distance, unit_vectors
-from .matching import MatchSequence
+from .errors import InvalidConfig
+from .geometry import Direction
+# Unused here since OSPA reads matching's distance tables; kept as the
+# attribute perfbench/tracer.py wraps to count distance calls in this module.
+from .geometry import pairwise_angular_distance
+from .matching import FrameTable, MatchSequence, _frame_table, _one_frame
 from .trackmodel import TrackSet
 
 
@@ -71,14 +80,15 @@ def tfr(n_swaps: int, n_broken: int, duration_s: float) -> float:
     return (n_swaps + n_broken) / duration_s
 
 
-def mota(n_fn: int, n_fp: int, n_idsw: int, n_gt_detections: int) -> float:
-    """1 - (FN + FP + IDSW) / total ground-truth detections.
+def mota(n_fn: int, n_fp: int, n_idsw: int, n_gt_detections: int) -> float | None:
+    """1 - (FN + FP + IDSW) / total ground-truth detections, or None
+    without ground-truth detections.
 
     Exact rational arithmetic, rounded once, so hand-computed values
     compare bit-equal.
     """
     if n_gt_detections <= 0:
-        raise UndefinedOnEmptyGroundTruth("no ground-truth detections")
+        return None
     return float(1 - Fraction(n_fn + n_fp + n_idsw, n_gt_detections))
 
 
@@ -106,14 +116,19 @@ def _ospa_local(dist: np.ndarray, cutoff: float, order: float) -> np.ndarray:
     return cost[np.arange(k)[:, None], solved[:, 0], solved[:, 1]].sum(axis=1)
 
 
-def _ospa_values(n_pred, n_gt, local, cutoff: float, order: float) -> list[float]:
-    """OSPA of frames from their cardinalities and assignment costs.
+def _ospa_values(table: FrameTable, cutoff: float, order: float) -> list[float]:
+    """OSPA of every frame of a table with an entry on some side, in frame order.
 
     The last power is taken in Python: numpy's power with a scalar
     exponent of 0.5 or 2 does not round as pow does.
     """
+    local = np.zeros(len(table.n_pred))
+    for group in table.groups:
+        local[group.frames] = _ospa_local(group.dist, cutoff, order)
+    present = np.flatnonzero((table.n_pred > 0) | (table.n_gt > 0))
+    n_pred, n_gt = table.n_pred[present], table.n_gt[present]
     n, m = np.maximum(n_pred, n_gt), np.minimum(n_pred, n_gt)
-    base = (local + cutoff**order * (n - m)) / n
+    base = (local[present] + cutoff**order * (n - m)) / n
     return [
         cutoff if one_sided else b ** (1.0 / order)
         for one_sided, b in zip((m == 0).tolist(), base.tolist())
@@ -134,13 +149,14 @@ def ospa_frame(
     Returns 0 when both sets are empty. Symmetric; result in [0, cutoff].
     """
     check_ospa(cutoff, order)
-    if not preds and not gts:
-        return 0.0
-    local = np.zeros(1)
-    if preds and gts:
-        dist = pairwise_angular_distance(unit_vectors(preds), unit_vectors(gts))
-        local = _ospa_local(dist[None], cutoff, order)
-    return _ospa_values(np.array([len(preds)]), np.array([len(gts)]), local, cutoff, order)[0]
+    # Ids that sort in input order keep each side's rows, and so the
+    # order of the assignment cost sum, as given.
+    pc, gc = (
+        _one_frame([(f"{i:09d}", d) for i, d in enumerate(side)]).columns
+        for side in (preds, gts)
+    )
+    values = _ospa_values(_frame_table(pc, gc), cutoff, order)
+    return values[0] if values else 0.0
 
 
 def ospa_sequence(ms: MatchSequence, cutoff: float, order: float = 1.0) -> float | None:
@@ -150,27 +166,17 @@ def ospa_sequence(ms: MatchSequence, cutoff: float, order: float = 1.0) -> float
     frame has any active entity.
     """
     check_ospa(cutoff, order)
-    table = ms.distances
-    if table is None:
+    if ms.distances is None:
         raise ValueError("OSPA needs the distance table of a sequence built by match_sequence")
-    local = np.zeros(len(table.n_pred))
-    for group in table.groups:
-        local[group.frames] = _ospa_local(group.dist, cutoff, order)
-    present = np.flatnonzero((table.n_pred > 0) | (table.n_gt > 0))
-    if not len(present):
-        return None
-    values = _ospa_values(
-        table.n_pred[present], table.n_gt[present], local[present], cutoff, order
-    )
-    return float(np.mean(values))
+    values = _ospa_values(ms.distances, cutoff, order)
+    return float(np.mean(values)) if values else None
 
 
-def mean_localization_error(ms: MatchSequence) -> float:
-    """Arithmetic mean of TP angular errors over the scene, in radians."""
+def mean_localization_error(ms: MatchSequence) -> float | None:
+    """Arithmetic mean of TP angular errors over the scene, in radians;
+    None without TPs."""
     errors = ms.matches.tp_err
-    if not len(errors):
-        raise UndefinedOnEmptyTP("no true positives in the match sequence")
-    return float(np.mean(errors))
+    return float(np.mean(errors)) if len(errors) else None
 
 
 @dataclass(frozen=True)
@@ -211,32 +217,20 @@ def frame_metrics_report(
     n_tp, n_fp, n_fn = len(m.tp_frame), len(m.fp_frame), len(m.fn_frame)
     n_swaps = count_swaps(ms)
     n_broken = count_broken(ms, gts)
-    duration = ms.grid.duration
+    swap_rate = tsr(n_swaps, ms.grid.duration)
+    frag_rate = tfr(n_swaps, n_broken, ms.grid.duration)
     n_gt_tracks = len(gts.columns.ids)
-    n_gt_detections = gts.n_entries()
-    try:
-        mota_value = mota(n_fn, n_fp, n_swaps, n_gt_detections)
-    except UndefinedOnEmptyGroundTruth:
-        mota_value = None
-    try:
-        mle = mean_localization_error(ms)
-    except UndefinedOnEmptyTP:
-        mle = None
     return FrameMetricsReport(
         n_tp=n_tp,
         n_fp=n_fp,
         n_fn=n_fn,
         n_swaps=n_swaps,
         n_broken=n_broken,
-        tsr=tsr(n_swaps, duration),
-        tfr=tfr(n_swaps, n_broken, duration),
-        tsr_per_track=(
-            tsr(n_swaps, duration) / n_gt_tracks if n_gt_tracks else None
-        ),
-        tfr_per_track=(
-            tfr(n_swaps, n_broken, duration) / n_gt_tracks if n_gt_tracks else None
-        ),
-        mota=mota_value,
+        tsr=swap_rate,
+        tfr=frag_rate,
+        tsr_per_track=swap_rate / n_gt_tracks if n_gt_tracks else None,
+        tfr_per_track=frag_rate / n_gt_tracks if n_gt_tracks else None,
+        mota=mota(n_fn, n_fp, n_swaps, gts.n_entries()),
         ospa_mean=ospa_sequence(ms, ospa_cutoff, ospa_order),
-        mean_loc_error=mle,
+        mean_loc_error=mean_localization_error(ms),
     )

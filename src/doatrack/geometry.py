@@ -5,7 +5,8 @@ containers (trackmodel.TrackSet and trackmodel.ObservationSet) hold it
 as two angle columns plus the unit-vector column that
 unit_vectors_from_angles makes from them. A Direction object is the
 form of one direction at the edges: scene generation, the trackers'
-estimates, match_frame and the scalar helpers here. External
+estimates, the inputs of match_frame and ospa_frame (which store them
+as a one-frame TrackSet) and the scalar helpers here. External
 interfaces (CSV files, CLI flags, JSON configs) carry angles in degrees
 and convert exactly at the boundary (multiply by pi/180).
 """
@@ -85,13 +86,6 @@ def unit_vectors_from_angles(azimuth: list[float], elevation: list[float]) -> np
     unit[:, 1] = ce * np.fromiter(map(math.sin, azimuth), float, n)
     unit[:, 2] = np.fromiter(map(math.sin, elevation), float, n)
     return unit
-
-
-def unit_vectors(directions) -> np.ndarray:
-    """Stack directions into an (n, 3) array of unit vectors."""
-    return unit_vectors_from_angles(
-        [d.azimuth for d in directions], [d.elevation for d in directions]
-    )
 
 
 def angles_of_unit_vector(x: float, y: float, z: float) -> tuple[float, float]:

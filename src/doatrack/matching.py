@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import GridMismatch, InvalidConfig
-from .geometry import Direction, pairwise_angular_distance, unit_vectors
+from .geometry import Direction, pairwise_angular_distance
 from .trackmodel import FrameGrid, TrackColumns, TrackSet
 
 # Must dominate any achievable sum of in-gate costs (<= n * pi) so the
@@ -155,44 +155,40 @@ def _match_stack(dist: np.ndarray, gate: float) -> tuple[np.ndarray, np.ndarray,
     return index[keep], rows[keep], cols[keep]
 
 
+_ONE_FRAME = FrameGrid(1.0, 1)
+
+
+def _one_frame(entries: list[tuple[str, Direction]]) -> TrackSet:
+    """A one-frame TrackSet of (id, Direction) pairs; ValueError on a repeated id."""
+    ids = [i for i, _d in entries]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate ids in frame: {ids!r}")
+    return TrackSet.from_rows(
+        _ONE_FRAME,
+        [0] * len(ids),
+        ids,
+        [d.azimuth for _i, d in entries],
+        [d.elevation for _i, d in entries],
+    )
+
+
 def match_frame(
     preds: list[tuple[str, Direction]],
     gts: list[tuple[str, Direction]],
     gate: float,
 ) -> FrameAssignment:
-    """Match one frame's predictions to its ground truths.
+    """Match one frame's predictions to its ground truths, as a one-frame
+    match_sequence.
 
-    Ids must be unique within each list; gate in (0, pi]. Inputs are
-    sorted by id before solving, which fixes the tie-break order among
-    equal-cost matchings.
+    Ids must be unique within each list (ValueError otherwise); gate in
+    (0, pi]. Inputs are sorted by id before solving, which fixes the
+    tie-break order among equal-cost matchings.
     """
-    check_gate(gate)
-    if len({p[0] for p in preds}) != len(preds):
-        raise ValueError("duplicate prediction ids in frame")
-    if len({g[0] for g in gts}) != len(gts):
-        raise ValueError("duplicate ground-truth ids in frame")
-    preds = sorted(preds, key=lambda p: p[0])
-    gts = sorted(gts, key=lambda g: g[0])
-    pred_ids = tuple(p for p, _d in preds)
-    gt_ids = tuple(g for g, _d in gts)
-    if not preds or not gts:
-        return FrameAssignment(tps=(), fps=pred_ids, fns=gt_ids)
-    dist = pairwise_angular_distance(
-        unit_vectors([d for _p, d in preds]), unit_vectors([d for _g, d in gts])
-    )
-    _index, rows, cols = _match_stack(dist[None], gate)
-    pairs = sorted(zip(rows.tolist(), cols.tolist()))
-    matched_p = {i for i, _j in pairs}
-    matched_g = {j for _i, j in pairs}
-    return FrameAssignment(
-        tps=tuple((pred_ids[i], gt_ids[j], float(dist[i, j])) for i, j in pairs),
-        fps=tuple(p for i, p in enumerate(pred_ids) if i not in matched_p),
-        fns=tuple(g for j, g in enumerate(gt_ids) if j not in matched_g),
-    )
+    return match_sequence(_one_frame(preds), _one_frame(gts), gate).frames[0]
 
 
 def match_sequence(preds: TrackSet, gts: TrackSet, gate: float) -> MatchSequence:
-    """Match the active entries of every frame, as match_frame does.
+    """Match the active entries of every frame.
 
     Works on the columns of both TrackSets. The returned sequence holds
     its matches as arrays and carries the frame table it matched on.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assoc_metrics import association_scores
-from .errors import InsufficientData, UndefinedOnEmptyTP
+from .errors import InsufficientData, InvalidConfig
 from .frame_metrics import FrameMetricsReport, frame_metrics_report
 from .matching import match_sequence
 from .trackmodel import TrackSet
@@ -75,14 +75,9 @@ def evaluate_scene(
     """Match one scene and compute every frame-level and association metric."""
     ms = match_sequence(preds, gts, gate)
     fm = frame_metrics_report(ms, gts, ospa_cutoff, ospa_order)
-    try:
-        assoc = association_scores(ms)
-        ass_a, ass_pr, ass_re = assoc.ass_a, assoc.ass_pr, assoc.ass_re
-    except UndefinedOnEmptyTP:
-        ass_a = ass_pr = ass_re = None
-    return MetricsReport(
-        **vars(fm), scene_id=scene_id, ass_a=ass_a, ass_pr=ass_pr, ass_re=ass_re
-    )
+    assoc = association_scores(ms)
+    ass = vars(assoc) if assoc is not None else dict.fromkeys(("ass_a", "ass_pr", "ass_re"))
+    return MetricsReport(**vars(fm), **ass, scene_id=scene_id)
 
 
 def _cell(value) -> str:
@@ -101,6 +96,14 @@ def report_csv_rows(reports: list[MetricsReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def check_bootstrap(fraction: float, replicates: int) -> None:
+    """Raise InvalidConfig (a ValueError) unless fraction lies in (0, 1] and replicates >= 0."""
+    if not 0.0 < fraction <= 1.0:
+        raise InvalidConfig(f"bootstrap fraction must lie in (0, 1], got {fraction!r}")
+    if not replicates >= 0:
+        raise InvalidConfig(f"bootstrap replicates must be >= 0, got {replicates!r}")
+
+
 def bootstrap_aggregate(
     values,
     fraction: float = 0.8,
@@ -113,14 +116,14 @@ def bootstrap_aggregate(
     the return is (mean of replicate means, std of replicate means).
     With replicates == 0 the plain mean is returned with std None.
 
-    Raises InsufficientData with fewer than two values.
+    Raises InsufficientData with fewer than two values, and
+    InvalidConfig unless check_bootstrap accepts fraction and replicates.
     """
     vals = np.asarray(list(values), dtype=float)
     if len(vals) < 2:
         raise InsufficientData(f"need >= 2 values, got {len(vals)}")
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must lie in (0, 1]")
-    if replicates <= 0:
+    check_bootstrap(fraction, replicates)
+    if replicates == 0:
         return float(vals.mean()), None
     if rng is None:
         rng = np.random.default_rng(0)

@@ -250,7 +250,10 @@ def _same(a, b, names) -> bool:
 
 
 def _fmt_angle(radians: float) -> str:
-    return f"{math.degrees(radians):.6f}"
+    """Degrees with 6 decimals. An azimuth that rounds up to 180 is written
+    as -180, the same angle in [-180, 180), which is how it reads back."""
+    text = f"{math.degrees(radians):.6f}"
+    return "-180.000000" if text == "180.000000" else text
 
 
 def _check_id(track_id: str) -> str:

@@ -1,17 +1,9 @@
 import numpy as np
-import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from _oracles import match_sequence_of, naive_association_scores, random_match_sequence
-from doatrack.assoc_metrics import (
-    ass_a,
-    ass_pr,
-    ass_re,
-    association_scores,
-    count_associations,
-)
-from doatrack.errors import UndefinedOnEmptyTP
+from doatrack.assoc_metrics import AssociationScores, association_scores
 from doatrack.matching import FrameAssignment
 from doatrack.trackmodel import FrameGrid
 
@@ -47,53 +39,51 @@ def two_way_merge(n=100):
     return ms_from(frames)
 
 
+def _scores_of_counts(tpa, fpa, fna) -> AssociationScores:
+    """The scores of a scene whose every TP has these TPA, FPA and FNA."""
+    return AssociationScores(
+        ass_re=tpa / (tpa + fna), ass_pr=tpa / (tpa + fpa), ass_a=tpa / (tpa + fna + fpa)
+    )
+
+
 def test_perfect_match_counts():
-    counts = count_associations(perfect_single_track(40))
-    assert set(counts.couples) == {("p", "g")}
-    cc = counts.couples[("p", "g")]
-    assert cc.tpa == 40 and cc.fpa == 0 and cc.fna == 0
-    assert counts.total_tp == 40
+    # one couple: each of the 40 TPs has TPA 40, FPA 0, FNA 0
+    assert association_scores(perfect_single_track(40)) == _scores_of_counts(40, 0, 0)
 
 
 def test_split_counts_match_worked_example():
-    counts = count_associations(two_way_split(100))
-    assert set(counts.couples) == {("p1", "g"), ("p2", "g")}
-    for cc in counts.couples.values():
-        assert cc.tpa == 50 and cc.fpa == 0 and cc.fna == 50
+    # couples (p1, g) and (p2, g): each TP has TPA 50, FPA 0, FNA 50
+    assert association_scores(two_way_split(100)) == _scores_of_counts(50, 0, 50)
 
 
 def test_merge_counts_match_worked_example():
-    counts = count_associations(two_way_merge(100))
-    assert set(counts.couples) == {("p", "g1"), ("p", "g2")}
-    for cc in counts.couples.values():
-        assert cc.tpa == 50 and cc.fpa == 50 and cc.fna == 0
+    # couples (p, g1) and (p, g2): each TP has TPA 50, FPA 50, FNA 0
+    assert association_scores(two_way_merge(100)) == _scores_of_counts(50, 50, 0)
 
 
 def test_multiplicity_totals_cover_all_tps():
-    _gts, ms = random_match_sequence(np.random.default_rng(0))
-    counts = count_associations(ms)
-    assert sum(cc.tpa for cc in counts.couples.values()) == counts.total_tp
+    # 90 TPs of (p1, g) with TPA 90, FNA 10 and 10 TPs of (p2, g) with
+    # TPA 10, FNA 90: the mean is over TPs, (90 * 0.9 + 10 * 0.1) / 100,
+    # not over couples, which would give 0.5
+    frames = [([("p1", "g")], [], [])] * 90 + [([("p2", "g")], [], [])] * 10
+    scores = association_scores(ms_from(frames))
+    assert scores == AssociationScores(ass_re=0.82, ass_pr=1.0, ass_a=0.82)
 
 
 def test_perfect_match_scores_are_one():
-    counts = count_associations(perfect_single_track(25))
-    assert ass_re(counts) == 1.0
-    assert ass_pr(counts) == 1.0
-    assert ass_a(counts) == 1.0
+    assert association_scores(perfect_single_track(25)) == AssociationScores(1.0, 1.0, 1.0)
 
 
 def test_split_scores_exact():
-    counts = count_associations(two_way_split(100))
-    assert ass_re(counts) == 0.5
-    assert ass_pr(counts) == 1.0
-    assert ass_a(counts) == 0.5
+    assert association_scores(two_way_split(100)) == AssociationScores(
+        ass_re=0.5, ass_pr=1.0, ass_a=0.5
+    )
 
 
 def test_merge_scores_exact():
-    counts = count_associations(two_way_merge(100))
-    assert ass_re(counts) == 1.0
-    assert ass_pr(counts) == 0.5
-    assert ass_a(counts) == 0.5
+    assert association_scores(two_way_merge(100)) == AssociationScores(
+        ass_re=1.0, ass_pr=0.5, ass_a=0.5
+    )
 
 
 def test_k_way_split_is_one_over_k():
@@ -102,22 +92,13 @@ def test_k_way_split_is_one_over_k():
         frames = []
         for i in range(k):
             frames += [([(f"p{i}", "g")], [], []) for _ in range(n // k)]
-        counts = count_associations(ms_from(frames))
-        assert ass_re(counts) == 1.0 / k
-        assert ass_pr(counts) == 1.0
-        assert ass_a(counts) == 1.0 / k
-        oracle = naive_association_scores(ms_from(frames))
-        assert abs(ass_re(counts) - oracle[0]) < 1e-12
+        scores = association_scores(ms_from(frames))
+        assert scores == AssociationScores(ass_re=1.0 / k, ass_pr=1.0, ass_a=1.0 / k)
+        assert scores == AssociationScores(*naive_association_scores(ms_from(frames)))
 
 
-def test_empty_tp_raises():
-    ms = ms_from([([], ["p"], ["g"])] * 5)
-    counts = count_associations(ms)
-    for fn in (ass_re, ass_pr, ass_a):
-        with pytest.raises(UndefinedOnEmptyTP):
-            fn(counts)
-    with pytest.raises(UndefinedOnEmptyTP):
-        association_scores(ms)
+def test_empty_tp_gives_none():
+    assert association_scores(ms_from([([], ["p"], ["g"])] * 5)) is None
 
 
 def test_matches_naive_oracle_on_random_scenes():
@@ -129,9 +110,7 @@ def test_matches_naive_oracle_on_random_scenes():
             continue
         scores = association_scores(ms)
         o_re, o_pr, o_a = naive_association_scores(ms)
-        assert abs(scores.ass_re - o_re) < 1e-12
-        assert abs(scores.ass_pr - o_pr) < 1e-12
-        assert abs(scores.ass_a - o_a) < 1e-12
+        assert (scores.ass_re, scores.ass_pr, scores.ass_a) == (o_re, o_pr, o_a)
         checked += 1
     assert checked >= 30
 
@@ -175,6 +154,6 @@ def test_single_gt_zero_fp_gives_perfect_precision():
     # merging is impossible with one ground truth and no false positives
     frames = [([(f"p{i % 3}", "g")], [], []) for i in range(60)]
     frames += [([], [], ["g"])] * 10
-    counts = count_associations(ms_from(frames))
-    assert ass_pr(counts) == 1.0
-    assert ass_re(counts) < 1.0
+    scores = association_scores(ms_from(frames))
+    assert scores.ass_pr == 1.0
+    assert scores.ass_re < 1.0

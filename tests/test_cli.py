@@ -85,8 +85,11 @@ def test_simulate_rejects_bad_config(tmp_path):
 
 
 def test_simulate_rejects_unknown_keys(tmp_path):
-    cfg = write_config(tmp_path, "sim.json", {"scenario": {"n_speakers": 1, "typo": 1}})
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    for doc in ({"scenario": {"n_speakers": 1, "typo": 1}},
+                {"scenario": {"n_speakers": 1}, "n_scene": 3}):
+        cfg = write_config(tmp_path, "sim.json", doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1, doc
+        assert not (tmp_path / "x").exists(), doc
 
 
 def test_lint_accepts_generated_corpus(tmp_path):
@@ -306,16 +309,24 @@ def test_evaluate_rejects_gate_and_ospa_parameters_once(tmp_path, capsys):
     preds = tmp_path / "preds"
     assert main(["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(preds)]) == 0
     capsys.readouterr()
+    report = tmp_path / "report"
     for flags in (["--gate-deg", "0"], ["--gate-deg", "nan"], ["--ospa-cutoff-deg", "500"],
-                  ["--ospa-order", "0.5"]):
-        assert main(["evaluate", "--gt", str(corpus), "--pred", str(preds), *flags]) == 1, flags
-        assert _config_error(capsys).count("\n") == 1, flags
-    sweep = write_config(tmp_path, "sweep.json", {
-        "subsets": [{"n_speakers": 1, "n_scenes": 1}], "k_max_values": [1], "gate_deg": 0,
-    })
-    assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep")]) == 1
-    assert "gate" in _config_error(capsys)
-    assert not (tmp_path / "sweep" / "1spk").exists()
+                  ["--ospa-order", "0.5"], ["--replicates", "-3"]):
+        # checked before any scene is read: a missing corpus is not reached
+        for gt in (corpus, tmp_path / "missing"):
+            args = ["evaluate", "--gt", str(gt), "--pred", str(preds), "--out", str(report)]
+            assert main([*args, *flags]) == 1, flags
+            assert _config_error(capsys).count("\n") == 1, flags
+            assert not report.exists(), flags
+    base = {"subsets": [{"n_speakers": 1, "n_scenes": 1}], "k_max_values": [1]}
+    for bad, word in (({"gate_deg": 0}, "gate"), ({"bootstrap": {"fraction": 0}}, "fraction"),
+                      ({"bootstrap": {"fraction": 1.5}}, "fraction"),
+                      ({"bootstrap": {"replicates": -5}}, "replicates")):
+        sweep = write_config(tmp_path, "sweep.json", {**base, **bad})
+        assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep")]) == 1, bad
+        err = _config_error(capsys)
+        assert word in err and err.count("\n") == 1, bad
+        assert not (tmp_path / "sweep").exists(), bad
 
 
 def test_config_that_is_not_a_json_object_is_a_config_error(tmp_path, capsys):
@@ -328,12 +339,23 @@ def test_config_that_is_not_a_json_object_is_a_config_error(tmp_path, capsys):
     assert main(["simulate", "--config", scfg, "--out", str(tmp_path / "x")]) == 1
     _config_error(capsys)
     base = {"subsets": [{"n_speakers": 1, "n_scenes": 1}], "k_max_values": [1]}
+    one = {"n_speakers": 1, "n_scenes": 1}
     for bad in ({"subsets": [3]}, {"subsets": [{"n_speakers": 1}, 3]},
-                {"bootstrap": [1]}, {"tracker": [1]}, {"scenario": "jump"}):
+                {"bootstrap": [1]}, {"tracker": [1]}, {"scenario": "jump"},
+                # unknown keys at every level
+                {"bootsrap": {"replicates": 0}}, {"bootstrap": {"fractoin": 0.5}},
+                {"subsets": [{"n_speakers": 1, "n_scene": 1}]},
+                {"scenario": {"typo": 1}}, {"observation": {"typo": 1}},
+                # subset names: unique, and one plain path component
+                {"subsets": [one, one]}, {"subsets": [one, {**one, "name": "1spk"}]},
+                {"subsets": [{**one, "name": "../escaped"}]}, {"subsets": [{**one, "name": "a/b"}]},
+                {"subsets": [{**one, "name": ".."}]}, {"subsets": [{**one, "name": ""}]},
+                {"subsets": [{**one, "name": 7}]}):
         cfg = write_config(tmp_path, "sweep.json", {**base, **bad})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 1, bad
-        _config_error(capsys)
-    assert not (tmp_path / "sweep" / "1spk").exists()
+        assert _config_error(capsys).count("\n") == 1, bad
+        assert not (tmp_path / "sweep").exists(), bad
+    assert not (tmp_path / "escaped").exists()
 
 
 def test_adversary_parameters_checked_once_per_corpus(tmp_path, capsys):
@@ -346,6 +368,13 @@ def test_adversary_parameters_checked_once_per_corpus(tmp_path, capsys):
         {"type": "swapper", "period_s": 0},
         {"type": "swapper", "period_s": "2"},
         {"type": "teleporter"},
+        {"type": 3},
+        # each type takes only its own keys
+        {"type": "pf", "k": 3, "period_s": 2},
+        {"type": "oracle", "k_max": 1},
+        {"type": "merger", "k": 2},
+        {"type": "splitter", "k": 2, "period_s": 1.0},
+        {"type": "swapper", "period_s": 1.0, "k": 2},
     ]
     for doc in bad_docs:
         tcfg = write_config(tmp_path, "adv.json", doc)

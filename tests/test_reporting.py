@@ -17,7 +17,7 @@ from _oracles import (
     naive_swaps,
     per_frame_entries,
 )
-from doatrack.errors import InsufficientData
+from doatrack.errors import InsufficientData, InvalidConfig
 from doatrack.geometry import Direction
 from doatrack.reporting import (
     REPORT_COLUMNS,
@@ -51,6 +51,12 @@ def test_bootstrap_mixed_values_statistics():
 def test_bootstrap_single_value_raises():
     with pytest.raises(InsufficientData):
         bootstrap_aggregate([1.0])
+
+
+def test_bootstrap_rejects_fraction_and_replicates_out_of_bounds():
+    for fraction, replicates in ((0.0, 10), (1.5, 10), (math.nan, 10), (0.8, -1)):
+        with pytest.raises(InvalidConfig):
+            bootstrap_aggregate([1.0, 2.0], fraction, replicates)
 
 
 def test_bootstrap_zero_replicates_gives_plain_mean():
