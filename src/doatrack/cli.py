@@ -243,12 +243,19 @@ def _corpus_scene_ids(directory: Path, manifest: dict) -> list[str]:
 
 def _manifest_scenario(manifest: dict, directory: Path) -> dict:
     """The scenario a corpus manifest echoes, {} if none; a data error
-    unless it is a JSON object."""
+    unless it is a JSON object whose n_speakers, the pf's default
+    max_active, is absent, null or an integer >= 1."""
     scenario = manifest.get("scenario", {})
     if not isinstance(scenario, dict):
         raise ParseError(
             f"bad manifest in {directory}: scenario {scenario!r} is not a JSON object"
         )
+    n_speakers = scenario.get("n_speakers")
+    try:
+        if n_speakers is not None and coerce(n_speakers, int, "n_speakers") < 1:
+            raise InvalidConfig(f"n_speakers must be >= 1, got {n_speakers!r}")
+    except InvalidConfig as exc:
+        raise ParseError(f"bad manifest in {directory}: {exc}") from exc
     return scenario
 
 
@@ -528,8 +535,11 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
     fraction = coerce(boot.get("fraction", 0.8), float, "fraction")
     replicates = coerce(boot.get("replicates", 100), int, "replicates")
     check_bootstrap(fraction, replicates)
-    # Every subset, its corpus directory name and every cell tracker config
-    # are checked before the first corpus is written.
+    # The k_max labels, every subset, its corpus directory name and every
+    # cell tracker config are checked before the first corpus is written.
+    labels = [_kmax_label(k) for k in k_values]
+    if len(set(labels)) < len(labels):
+        raise InvalidConfig(f"k_max_values name one cell twice: {labels}")
     corpora: dict[str, tuple[int, int]] = {}
     for sub in subsets:
         _json_object(sub, "sweep subset", _SUBSET_KEYS)
@@ -542,7 +552,10 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
         config_from_json(ScenarioConfig, {**scenario_doc, "n_speakers": n_speakers}, "scenario")
         for k in k_values:
             _tracker_spec({**tracker_doc, "k_max": k}, n_speakers)
-        corpora[name] = n_speakers, coerce(sub.get("n_scenes", 150), int, "n_scenes")
+        n_scenes = coerce(sub.get("n_scenes", 150), int, "n_scenes")
+        if n_scenes < 1:
+            raise InvalidConfig(f"subset {name!r}: n_scenes must be >= 1, got {n_scenes}")
+        corpora[name] = n_speakers, n_scenes
     out_dir.mkdir(parents=True, exist_ok=True)
     results: dict[str, dict] = {}
     long_rows = ["subset,k_max,metric,mean,std"]
@@ -553,8 +566,7 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
             sub_scenario, observation_doc, n_scenes, derive_seed(master_seed, si, 10), scenes_dir
         )
         results[name] = {}
-        for ki, k in enumerate(k_values):
-            label = _kmax_label(k)
+        for ki, (k, label) in enumerate(zip(k_values, labels)):
             cell_dir = out_dir / name / f"kmax_{label}"
             cell_tracker = {**tracker_doc, "k_max": k}
             cell_tracker.setdefault("seed", derive_seed(master_seed, si, ki, 11))
@@ -588,7 +600,7 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
     summary = {
         "seed": master_seed,
         "gate_deg": math.degrees(gate),
-        "k_max_values": [_kmax_label(k) for k in k_values],
+        "k_max_values": labels,
         "subsets": results,
     }
     write_json(summary, out_dir / "sweep.json")

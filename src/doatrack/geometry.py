@@ -3,12 +3,12 @@
 A direction is an (azimuth, elevation) pair in radians. The stored
 containers (trackmodel.TrackSet and trackmodel.ObservationSet) hold it
 as two angle columns plus the unit-vector column that
-unit_vectors_from_angles makes from them. A Direction object is the
-form of one direction at the edges: scene generation, the trackers'
-estimates, the inputs of match_frame and ospa_frame (which store them
-as a one-frame TrackSet) and the scalar helpers here. External
-interfaces (CSV files, CLI flags, JSON configs) carry angles in degrees
-and convert exactly at the boundary (multiply by pi/180).
+unit_vectors_from_angles makes from them; scene simulation, the walk
+and the trackers work on the two angles as floats. Direction objects
+remain only at the edges: the samplers here, the inputs of match_frame
+and ospa_frame, and angular_distance. External interfaces (CSV files,
+CLI flags, JSON configs) carry angles in degrees and convert exactly at
+the boundary (multiply by pi/180).
 """
 
 from __future__ import annotations
@@ -66,11 +66,6 @@ def unit_xyz(azimuth: float, elevation: float) -> tuple[float, float, float]:
     return ce * math.cos(azimuth), ce * math.sin(azimuth), math.sin(elevation)
 
 
-def unit_vector(d: Direction) -> np.ndarray:
-    """Unit 3-vector of a direction, shape (3,)."""
-    return np.array(unit_xyz(d.azimuth, d.elevation))
-
-
 def unit_vectors_from_angles(azimuth: list[float], elevation: list[float]) -> np.ndarray:
     """(n, 3) unit vectors of azimuth/elevation lists in radians, as a
     Direction holds them.
@@ -97,11 +92,6 @@ def angles_of_unit_vector(x: float, y: float, z: float) -> tuple[float, float]:
     """
     el = math.atan2(z, math.hypot(x, y))
     return wrap_azimuth(math.atan2(y, x)), min(math.pi / 2, max(-math.pi / 2, el))
-
-
-def from_unit_vector(v: np.ndarray) -> Direction:
-    """Direction of a (near-)unit 3-vector; see angles_of_unit_vector."""
-    return Direction(*angles_of_unit_vector(float(v[0]), float(v[1]), float(v[2])))
 
 
 def angular_distance(a: Direction, b: Direction) -> float:
@@ -182,35 +172,34 @@ def sample_separated_set(
     )
 
 
-def tangent_basis(d: Direction) -> tuple[np.ndarray, np.ndarray]:
-    """Local east/north unit tangent vectors at a direction.
-
-    Derived from the (azimuth, elevation) parametrization, so the frame
-    is well defined everywhere, including at the poles.
-    """
-    sa, ca = math.sin(d.azimuth), math.cos(d.azimuth)
-    se, ce = math.sin(d.elevation), math.cos(d.elevation)
-    east = np.array([-sa, ca, 0.0])
-    north = np.array([-se * ca, -se * sa, ce])
-    return east, north
-
-
-def move_along_great_circle(d: Direction, heading: float, arc: float) -> Direction:
-    """Advance a direction by `arc` radians along the great circle with
-    initial tangent at angle `heading` (measured from east toward north).
+def move_along_great_circle(
+    azimuth: float, elevation: float, heading: float, arc: float
+) -> tuple[float, float]:
+    """Advance an (azimuth, elevation) pair in radians by `arc` radians
+    along the great circle with initial tangent at angle `heading`
+    (measured from east toward north); the result is wrapped and clamped
+    as a Direction stores it.
 
     Successive calls with arcs k*step for k = 0, 1, ... trace the circle
     at exactly `step` angular spacing.
     """
-    u = unit_vector(d)
-    east, north = tangent_basis(d)
-    t = math.cos(heading) * east + math.sin(heading) * north
-    v = math.cos(arc) * u + math.sin(arc) * t
-    return from_unit_vector(v)
+    sa, ca = math.sin(azimuth), math.cos(azimuth)
+    se, ce = math.sin(elevation), math.cos(elevation)
+    ch, sh = math.cos(heading), math.sin(heading)
+    # tangent = ch * east + sh * north; east = (-sa, ca, 0), north = (-se ca, -se sa, ce)
+    tx = ch * -sa + sh * (-se * ca)
+    ty = ch * ca + sh * (-se * sa)
+    tz = ch * 0.0 + sh * ce  # the zero term fixes the sign of a zero tz
+    cr, sr = math.cos(arc), math.sin(arc)
+    return angles_of_unit_vector(
+        cr * (ce * ca) + sr * tx, cr * (ce * sa) + sr * ty, cr * se + sr * tz
+    )
 
 
-def perturb_direction(d: Direction, sigma: float, rng: np.random.Generator) -> Direction:
-    """Isotropically perturb a direction.
+def perturb_direction(
+    azimuth: float, elevation: float, sigma: float, rng: np.random.Generator
+) -> tuple[float, float]:
+    """Isotropically perturb an (azimuth, elevation) pair in radians.
 
     Rotates by a folded-normal magnitude (|N(0, sigma)|) toward a
     uniform tangent heading. The mean deflection is sigma * sqrt(2/pi).
@@ -220,5 +209,5 @@ def perturb_direction(d: Direction, sigma: float, rng: np.random.Generator) -> D
     heading = rng.uniform(0.0, TWO_PI)
     arc = abs(rng.normal(0.0, sigma))
     if arc == 0.0:
-        return d
-    return move_along_great_circle(d, heading, arc)
+        return azimuth, elevation
+    return move_along_great_circle(azimuth, elevation, heading, arc)

@@ -19,6 +19,9 @@ The observation model is a desk-scale stand-in for a frame-level DoA
 localizer: per active (track, frame) it emits the true direction
 perturbed by an isotropic folded-normal rotation, drops it with a miss
 probability, and adds Poisson-distributed uniform clutter per frame.
+
+Both stages work on (azimuth, elevation) floats and build their result
+from rows; the only Direction objects are the sampled positions.
 """
 
 from __future__ import annotations
@@ -30,13 +33,12 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .geometry import (
-    Direction,
     move_along_great_circle,
     perturb_direction,
     sample_direction,
     sample_separated_set,
 )
-from .trackmodel import FrameGrid, ObservationSet, TrackSet, columns_of
+from .trackmodel import MAX_FRAMES, FrameGrid, ObservationSet, TrackSet, columns_of
 
 MODES = ("jump", "static", "moving", "moving_zeroed")
 _SEGMENTED_MODES = ("jump", "static", "moving_zeroed")
@@ -72,6 +74,13 @@ class ScenarioConfig:
             raise InvalidConfig(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.duration_s > 0 or not self.frame_period_s > 0:
             raise InvalidConfig("duration_s and frame_period_s must be > 0")
+        ratio = self.duration_s / self.frame_period_s
+        # the bound comes first: round() of an infinite ratio raises OverflowError
+        if not (ratio < MAX_FRAMES + 1 and 1 <= round(ratio) <= MAX_FRAMES):
+            raise InvalidConfig(
+                f"duration_s / frame_period_s must round to a frame count in "
+                f"[1, {MAX_FRAMES}], got {ratio!r}"
+            )
         if self.mode == "jump" and self.n_positions < 2:
             raise InvalidConfig("jump mode needs n_positions >= 2")
         if self.mode in ("jump", "static") and not 0 < self.min_separation <= math.pi:
@@ -143,31 +152,24 @@ def generate_scene(cfg: ScenarioConfig) -> TrackSet:
     """Generate one ground-truth scene; deterministic per cfg.seed."""
     rng = np.random.default_rng(cfg.seed)
     grid = cfg.grid
-    entries: dict[str, dict[int, Direction]] = {}
-    for j in range(cfg.n_speakers):
-        track: dict[int, Direction] = {}
+    names = [f"spk{j}" for j in range(cfg.n_speakers)]
+    rows: list[tuple[int, str, float, float]] = []  # (frame, id, azimuth, elevation)
+    for name in names:
         if cfg.mode in ("jump", "static"):
             candidates = sample_separated_set(
                 cfg.n_positions, cfg.min_separation, rng, cfg.max_attempts
             )
             segments = _draw_segments(cfg.duration_s, cfg.segment_len_s, cfg.gap_len_s, rng)
-            if cfg.mode == "static":
-                idx = int(rng.integers(cfg.n_positions))
-                positions = [candidates[idx]] * len(segments)
-            else:
-                positions = []
-                idx = int(rng.integers(cfg.n_positions))
-                positions.append(candidates[idx])
-                for _ in segments[1:]:
+            idx = int(rng.integers(cfg.n_positions))
+            for s, (start, end) in enumerate(segments):
+                if s and cfg.mode == "jump":
                     if cfg.exclude_previous:
                         step = int(rng.integers(cfg.n_positions - 1))
                         idx = step if step < idx else step + 1
                     else:
                         idx = int(rng.integers(cfg.n_positions))
-                    positions.append(candidates[idx])
-            for (start, end), pos in zip(segments, positions):
-                for f in _segment_frames(start, end, grid):
-                    track[f] = pos
+                az, el = candidates[idx].azimuth, candidates[idx].elevation
+                rows += [(f, name, az, el) for f in _segment_frames(start, end, grid)]
         else:
             # Trajectory parameters are drawn before the activity pattern
             # so moving and moving_zeroed share trajectories per seed.
@@ -183,10 +185,10 @@ def generate_scene(cfg: ScenarioConfig) -> TrackSet:
                 active = [
                     f for s, e in segments for f in _segment_frames(s, e, grid)
                 ]
+            az, el = start_dir.azimuth, start_dir.elevation
             for f in active:
-                track[f] = move_along_great_circle(start_dir, heading, f * step)
-        entries[f"spk{j}"] = track
-    return TrackSet(grid, entries)
+                rows.append((f, name, *move_along_great_circle(az, el, heading, f * step)))
+    return TrackSet.from_rows(grid, *columns_of(rows, 4), ids=names)
 
 
 def simulate_observations(gt: TrackSet, om: ObservationModel) -> ObservationSet:
@@ -206,11 +208,9 @@ def simulate_observations(gt: TrackSet, om: ObservationModel) -> ObservationSet:
             # Draws are unconditional so the stream does not depend on
             # the miss outcome.
             missed = rng.random() < om.p_miss
-            noisy = perturb_direction(
-                Direction(azimuth[i], elevation[i]), om.angular_noise_sigma, rng
-            )
+            az, el = perturb_direction(azimuth[i], elevation[i], om.angular_noise_sigma, rng)
             if not missed:
-                rows.append((f, noisy.azimuth, noisy.elevation, cols.ids[cols.id_code[i]]))
+                rows.append((f, az, el, cols.ids[cols.id_code[i]]))
         for _ in range(int(rng.poisson(om.clutter_rate))):
             clutter = sample_direction(rng)
             rows.append((f, clutter.azimuth, clutter.elevation, None))

@@ -5,9 +5,9 @@ Each container is stored in one form, as columns: a TrackSet holds one
 row per active (track, frame), an ObservationSet one row per
 observation, each with its frame index, its angles in radians, its unit
 vector and per-frame row offsets. Inactivity is the absence of a row,
-never a validity flag. Direction objects appear only at the edges:
-TrackSet(grid, entries) takes them, the trackers and the scene
-generator make them. Track identities are opaque strings: prediction
+never a validity flag. Every TrackSet comes from TrackSet.from_rows;
+TrackSet(grid, entries), for callers holding Direction objects, is
+unused by the package. Track identities are opaque strings: prediction
 and ground-truth ids live in unrelated namespaces and nothing may
 compare them except through matching.
 
@@ -49,6 +49,9 @@ _HALF_PI = math.pi / 2
 _RADIANS_PER_DEGREE = math.pi / 180.0  # the factor of math.radians
 
 
+MAX_FRAMES = 1_000_000  # the most frames a FrameGrid holds
+
+
 @dataclass(frozen=True)
 class FrameGrid:
     """Uniform time grid: frame f sits at time f * frame_period seconds."""
@@ -59,8 +62,8 @@ class FrameGrid:
     def __post_init__(self):
         if not self.frame_period > 0:
             raise ValueError("frame_period must be > 0")
-        if not self.n_frames >= 1:
-            raise ValueError("n_frames must be >= 1")
+        if not 1 <= self.n_frames <= MAX_FRAMES:
+            raise ValueError(f"n_frames must be in [1, {MAX_FRAMES}], got {self.n_frames}")
 
     @property
     def duration(self) -> float:
@@ -105,10 +108,10 @@ class TrackSet:
     """Immutable collection of identity-labeled sparse trajectories,
     stored only as its TrackColumns.
 
-    TrackSet.from_rows builds every TrackSet. The CSV reader and the
-    trackers call it directly; TrackSet(grid, entries), which the scene
-    generator uses, is its in-memory front door. Treat as a value: never
-    mutate the arrays.
+    TrackSet.from_rows builds every TrackSet. The CSV reader, the scene
+    generator and the trackers call it directly; TrackSet(grid, entries)
+    is its front door for callers holding Direction objects. Treat as a
+    value: never mutate the arrays.
     """
 
     __slots__ = ("grid", "columns")

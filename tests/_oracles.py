@@ -20,10 +20,33 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from doatrack.geometry import Direction, angular_distance, from_unit_vector, unit_vector
+from doatrack.geometry import Direction, angles_of_unit_vector, angular_distance, unit_xyz
 from doatrack.matching import FrameAssignment, Matches, MatchSequence
 from doatrack.trackers import TrackerConfig
 from doatrack.trackmodel import FrameGrid, ObservationSet, TrackSet, columns_of
+
+
+def unit_vector(d: Direction) -> np.ndarray:
+    """Unit 3-vector of a direction, shape (3,)."""
+    return np.array(unit_xyz(d.azimuth, d.elevation))
+
+
+def from_unit_vector(v: np.ndarray) -> Direction:
+    """Direction of a (near-)unit 3-vector."""
+    return Direction(*angles_of_unit_vector(float(v[0]), float(v[1]), float(v[2])))
+
+
+def vector_move_along_great_circle(d: Direction, heading: float, arc: float) -> Direction:
+    """The great-circle walk on (3,) arrays: rotate the unit vector by
+    arc toward the tangent cos(heading) * east + sin(heading) * north of
+    the local east/north basis."""
+    sa, ca = math.sin(d.azimuth), math.cos(d.azimuth)
+    se, ce = math.sin(d.elevation), math.cos(d.elevation)
+    east = np.array([-sa, ca, 0.0])
+    north = np.array([-se * ca, -se * sa, ce])
+    t = math.cos(heading) * east + math.sin(heading) * north
+    v = math.cos(arc) * unit_vector(d) + math.sin(arc) * t
+    return from_unit_vector(v)
 
 
 def per_frame_entries(ts: TrackSet) -> list[list[tuple[str, Direction]]]:

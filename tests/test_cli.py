@@ -6,6 +6,7 @@ from doatrack.cli import _available_cpus, _clamp_jobs, config_from_json, lint_co
 from doatrack.geometry import Direction
 from doatrack.trackers import TrackerConfig
 from doatrack.trackmodel import (
+    MAX_FRAMES,
     FrameGrid,
     TrackSet,
     read_manifest,
@@ -338,6 +339,16 @@ def test_config_that_is_not_a_json_object_is_a_config_error(tmp_path, capsys):
     scfg = write_config(tmp_path, "s.json", "scenario")
     assert main(["simulate", "--config", scfg, "--out", str(tmp_path / "x")]) == 1
     _config_error(capsys)
+    # frame counts that round to 0 or to MAX_FRAMES + 1, or overflow round()
+    frame_counts = ({"mode": "moving", "duration_s": 0.049, "frame_period_s": 0.1,
+                     "gap_len_s": [0.01, 0.02]},
+                    {"duration_s": 100000.1, "frame_period_s": 0.1},
+                    {"duration_s": 1e308, "frame_period_s": 1e-10})
+    for scenario in frame_counts:
+        scfg = write_config(tmp_path, "s.json", {"scenario": {"n_speakers": 1, **scenario}})
+        assert main(["simulate", "--config", scfg, "--out", str(tmp_path / "x")]) == 1, scenario
+        assert "frame count" in _config_error(capsys), scenario
+        assert not (tmp_path / "x").exists(), scenario
     base = {"subsets": [{"n_speakers": 1, "n_scenes": 1}], "k_max_values": [1]}
     one = {"n_speakers": 1, "n_scenes": 1}
     for bad in ({"subsets": [3]}, {"subsets": [{"n_speakers": 1}, 3]},
@@ -350,7 +361,12 @@ def test_config_that_is_not_a_json_object_is_a_config_error(tmp_path, capsys):
                 {"subsets": [one, one]}, {"subsets": [one, {**one, "name": "1spk"}]},
                 {"subsets": [{**one, "name": "../escaped"}]}, {"subsets": [{**one, "name": "a/b"}]},
                 {"subsets": [{**one, "name": ".."}]}, {"subsets": [{**one, "name": ""}]},
-                {"subsets": [{**one, "name": 7}]}):
+                {"subsets": [{**one, "name": 7}]},
+                # two k_max values that name one cell; a later subset without scenes
+                {"k_max_values": [1, 1.0]},
+                {"subsets": [{"n_speakers": 1, "n_scenes": 2}, {"n_speakers": 2, "n_scenes": 0}],
+                 "k_max_values": [2]},
+                *({"scenario": scenario} for scenario in frame_counts)):
         cfg = write_config(tmp_path, "sweep.json", {**base, **bad})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 1, bad
         assert _config_error(capsys).count("\n") == 1, bad
@@ -457,13 +473,18 @@ def test_manifest_scenario_entry_is_checked(tmp_path, capsys):
     track = ["track", "--config", pf, "--scenes", str(corpus), "--out", str(tmp_path / "preds")]
     lint = ["lint", "--scenes", str(corpus)]
     far = {**manifest["scenario"], "min_separation_deg": "far"}
-    for scenario, commands in (("jump", [lint, track]), (far, [lint])):
+    # n_speakers is the pf's default max_active: an integer >= 1
+    speakers = [{**manifest["scenario"], "n_speakers": n} for n in ("abc", 0, 2.5, True)]
+    for scenario, commands in (("jump", [lint, track]), (far, [lint]),
+                               *((spk, [lint, track]) for spk in speakers)):
         (corpus / "manifest.json").write_text(json.dumps({**manifest, "scenario": scenario}))
         for argv in commands:
             capsys.readouterr()
             assert main(argv) == 2, (scenario, argv[0])
             err = capsys.readouterr().err
             assert "data error: ParseError: bad manifest" in err, err
+            assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert not (tmp_path / "preds").exists(), scenario
 
 
 def test_sweep_checks_every_cell_tracker_before_any_work(tmp_path, capsys):
@@ -689,7 +710,7 @@ def test_tracker_config_from_every_json_key():
 def test_manifest_n_frames_and_frame_period_are_never_reinterpreted(tmp_path, capsys):
     corpus = _simulated_corpus(tmp_path)
     manifest = json.loads((corpus / "manifest.json").read_text())
-    bad = [("n_frames", 2.7), ("n_frames", True), ("n_frames", "3"),
+    bad = [("n_frames", 2.7), ("n_frames", True), ("n_frames", "3"), ("n_frames", MAX_FRAMES + 1),
            ("frame_period_s", "0.1"), ("frame_period_s", False), ("frame_period_s", float("inf"))]
     for key, value in bad:
         (corpus / "manifest.json").write_text(json.dumps({**manifest, key: value}))

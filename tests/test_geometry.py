@@ -2,21 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from _oracles import vector_move_along_great_circle
 from conftest import directions
 from doatrack.errors import FeasibilityExhausted
 from doatrack.geometry import (
     Direction,
+    angles_of_unit_vector,
     angular_distance,
-    from_unit_vector,
     move_along_great_circle,
     pairwise_angular_distance,
     perturb_direction,
     sample_direction,
     sample_separated_set,
-    unit_vector,
+    unit_xyz,
 )
 
 
@@ -39,11 +40,11 @@ def test_orthogonal_directions_are_half_pi_apart():
 
 @given(directions())
 def test_unit_vector_round_trip(d):
-    v = unit_vector(d)
-    assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-    back = from_unit_vector(v)
+    v = unit_xyz(d.azimuth, d.elevation)
+    assert abs(math.hypot(*v) - 1.0) < 1e-12
+    back = angles_of_unit_vector(*v)
     # chord length bounds the angular deviation for small separations
-    assert np.linalg.norm(unit_vector(back) - v) < 1e-12
+    assert math.dist(unit_xyz(*back), v) < 1e-12
 
 
 def test_azimuth_wraps_into_range():
@@ -88,8 +89,10 @@ def _rotation_matrix(axis, angle):
 )
 def test_distance_invariant_under_common_rotation(a, b, ax, ay, az, angle):
     rot = _rotation_matrix(np.array([ax, ay, az + 1.5]), angle)
-    ra = from_unit_vector(rot @ unit_vector(a))
-    rb = from_unit_vector(rot @ unit_vector(b))
+    ra, rb = (
+        Direction(*angles_of_unit_vector(*(rot @ unit_xyz(d.azimuth, d.elevation)).tolist()))
+        for d in (a, b)
+    )
     assert angular_distance(ra, rb) == pytest.approx(angular_distance(a, b), abs=1e-9)
 
 
@@ -160,24 +163,50 @@ def test_separated_set_deterministic_per_seed():
 
 
 def test_great_circle_constant_step():
-    start = Direction(0.4, -0.3)
     heading = 1.1
     step = math.radians(2.0)
-    points = [move_along_great_circle(start, heading, k * step) for k in range(50)]
+    points = [
+        Direction(*move_along_great_circle(0.4, -0.3, heading, k * step)) for k in range(50)
+    ]
     for a, b in zip(points, points[1:]):
         assert angular_distance(a, b) == pytest.approx(step, abs=1e-9)
+
+
+_POLES = (-math.pi / 2, math.pi / 2)
+
+
+@settings(max_examples=500)
+@given(
+    st.one_of(st.sampled_from((-math.pi, -0.0, 0.0)), st.floats(-math.pi, math.pi, exclude_max=True)),
+    st.one_of(st.sampled_from((*_POLES, -0.0, 0.0)), st.floats(-math.pi / 2, math.pi / 2)),
+    st.one_of(st.sampled_from((0.0, math.pi / 2, math.pi)), st.floats(0.0, 2 * math.pi)),
+    st.one_of(st.sampled_from((0.0, math.pi)), st.floats(0.0, math.pi)),
+)
+@example(-math.pi, math.pi / 2, 0.0, 0.0)
+@example(-math.pi, -math.pi / 2, math.pi, math.pi)
+@example(-math.pi, 0.0, math.pi / 2, math.pi)
+@example(0.0, math.pi / 2, 1.0, 0.5)
+def test_float_walk_equals_the_vector_walk_bit_for_bit(azimuth, elevation, heading, arc):
+    # the float walk does per component what the (3,)-array walk does,
+    # down to the sign of a zero angle
+    got = move_along_great_circle(azimuth, elevation, heading, arc)
+    ref = vector_move_along_great_circle(Direction(azimuth, elevation), heading, arc)
+    for a, b in zip(got, (ref.azimuth, ref.elevation)):
+        assert a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 def test_perturb_magnitude_matches_folded_normal_mean():
     rng = np.random.default_rng(11)
     sigma = math.radians(5.0)
     base = Direction(0.2, 0.5)
-    devs = [angular_distance(base, perturb_direction(base, sigma, rng)) for _ in range(10_000)]
+    devs = [
+        angular_distance(base, Direction(*perturb_direction(0.2, 0.5, sigma, rng)))
+        for _ in range(10_000)
+    ]
     expected = sigma * math.sqrt(2 / math.pi)
     assert abs(np.mean(devs) - expected) / expected < 0.15
 
 
 def test_perturb_zero_sigma_is_identity():
     rng = np.random.default_rng(3)
-    d = Direction(1.0, 0.2)
-    assert perturb_direction(d, 0.0, rng) == d
+    assert perturb_direction(1.0, 0.2, 0.0, rng) == (1.0, 0.2)

@@ -12,7 +12,7 @@ from doatrack.scenesim import (
     generate_scene,
     simulate_observations,
 )
-from doatrack.trackmodel import trackset_to_string
+from doatrack.trackmodel import MAX_FRAMES, trackset_to_string
 
 
 def runs_of(mask):
@@ -162,6 +162,9 @@ def test_invalid_configs_rejected():
         ScenarioConfig(n_speakers=1, gap_len_s=(0.05, 1.0), frame_period_s=0.1)
     with pytest.raises(InvalidConfig):
         ScenarioConfig(n_speakers=1, segment_len_s=(3.0, 2.0))
+    with pytest.raises(InvalidConfig, match="frame count"):
+        ScenarioConfig(n_speakers=1, duration_s=100000.1, frame_period_s=0.1)
+    assert ScenarioConfig(n_speakers=1, duration_s=1e5, frame_period_s=0.1).grid.n_frames == MAX_FRAMES
 
 
 def test_observation_model_validation():

@@ -9,13 +9,14 @@ from _oracles import _greedy_pairs as naive_greedy_pairs
 from _oracles import (
     _mean_direction,
     entries,
+    from_unit_vector,
     naive_pf_tracker,
     observation_frames,
     observation_set,
     per_frame_entries,
 )
 from doatrack.errors import InvalidConfig, InvalidK, MissingTags
-from doatrack.geometry import Direction, from_unit_vector
+from doatrack.geometry import Direction
 from doatrack.reporting import evaluate_scene
 from doatrack.scenesim import ObservationModel, ScenarioConfig, generate_scene, simulate_observations
 from doatrack.trackers import (

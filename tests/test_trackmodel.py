@@ -13,6 +13,7 @@ from doatrack.reporting import evaluate_scene
 from doatrack.trackmodel import (
     OBS_CSV_HEADER,
     TRACK_CSV_HEADER,
+    MAX_FRAMES,
     FrameGrid,
     ObservationSet,
     TrackSet,
@@ -35,6 +36,9 @@ def test_frame_grid_validation():
         FrameGrid(0.0, 10)
     with pytest.raises(ValueError):
         FrameGrid(0.1, 0)
+    with pytest.raises(ValueError, match="n_frames must be in"):
+        FrameGrid(0.1, MAX_FRAMES + 1)
+    assert FrameGrid(0.1, MAX_FRAMES).n_frames == MAX_FRAMES
     grid = FrameGrid(0.1, 600)
     assert grid.duration == pytest.approx(60.0)
     assert grid.time_of(3) == pytest.approx(0.3)
