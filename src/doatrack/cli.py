@@ -1,5 +1,10 @@
 """Command-line orchestration: simulate, track, evaluate, sweep, lint.
 
+Each command plans, then works. Its plan step is pure: configs and
+arguments in, checked values out, with every config check and limit.
+It raises every InvalidConfig before the first file or directory is
+written, and the work step runs only what the plan returned.
+
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3
 trend-assertion failure.
 
@@ -37,8 +42,9 @@ from .reporting import (
     evaluate_scene,
     report_csv_rows,
 )
-from .scenesim import ObservationModel, ScenarioConfig, generate_scene, simulate_observations
+from .scenesim import MODES, ObservationModel, ScenarioConfig, generate_scene, simulate_observations
 from .trackers import (
+    MAX_ACTIVE,
     TrackerConfig,
     merger_tracker,
     oracle_tracker,
@@ -65,6 +71,8 @@ EXIT_TREND = 3
 
 DEFAULT_GATE_DEG = 20.0
 DEFAULT_OSPA_CUTOFF_DEG = 30.0
+
+MAX_SCENES = 10_000  # scene names hold four digits
 
 # Trend directions checked by --assert-trends, per metric: +1 means the
 # mean must not decrease as k_max grows, -1 must not increase.
@@ -158,7 +166,7 @@ def _load_json(path: str | Path) -> dict:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise InvalidConfig(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer too long to convert
         raise InvalidConfig(f"malformed JSON in {path}: {exc}") from exc
     return _json_object(doc, f"config {path}")
 
@@ -215,22 +223,37 @@ def _list_scene_ids(directory: Path, suffix: str) -> list[str]:
     return sorted(p.name[: -len(suffix)] for p in directory.glob(f"scene_*{suffix}"))
 
 
-def _corpus_scene_ids(directory: Path, manifest: dict) -> list[str]:
-    """Ground-truth scene ids of a corpus, checked against its manifest.
+def _int_in(value, key: str, lo: int, hi: float = math.inf) -> int:
+    """value, checked to be an integer in [lo, hi]; raises InvalidConfig naming key."""
+    n = coerce(value, int, key)
+    if not lo <= n <= hi:
+        raise InvalidConfig(f"{key} must be an integer in [{lo}, {hi}], got {n}")
+    return n
+
+
+def _open_corpus(directory: Path) -> tuple[FrameGrid, list[str], dict]:
+    """(grid, ground-truth scene ids, scenario echo) of a corpus, its
+    manifest read and checked once.
 
     A manifest with n_scenes names exactly scene_0000 .. scene_{n-1}; any
     other file set (left over from an earlier, larger corpus, or cut
-    short) is a data error, and so is a corpus without scenes.
+    short) is a data error, and so is a corpus without scenes. The
+    scenario echo, {} if none, is checked for the values commands read:
+    n_speakers (the pf's default max_active) and min_separation_deg.
     """
+    grid, manifest = read_manifest(directory / "manifest.json")
+    scenario, n = manifest.get("scenario", {}), manifest.get("n_scenes")
+    try:
+        if _json_object(scenario, "scenario").get("n_speakers") is not None:
+            _int_in(scenario["n_speakers"], "n_speakers", 1, MAX_ACTIVE)
+        coerce(scenario.get("min_separation_deg", 0.0), float, "min_separation_deg")
+        n = None if n is None else _int_in(n, "n_scenes", 1, MAX_SCENES)
+    except InvalidConfig as exc:
+        raise ParseError(f"bad manifest in {directory}: {exc}") from exc
     scene_ids = _list_scene_ids(directory, ".gt.csv")
     if not scene_ids:
         raise DoatrackError(f"no scenes found in {directory}")
-    if "n_scenes" not in manifest:
-        return scene_ids
-    n = manifest["n_scenes"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ParseError(f"bad manifest in {directory}: n_scenes {n!r}")
-    expected = [_scene_name(i) for i in range(n)]
+    expected = scene_ids if n is None else [_scene_name(i) for i in range(n)]
     if scene_ids != expected:
         extra = sorted(set(scene_ids) - set(expected))
         missing = sorted(set(expected) - set(scene_ids))
@@ -238,30 +261,22 @@ def _corpus_scene_ids(directory: Path, manifest: dict) -> list[str]:
             f"{directory} does not hold the {n} scenes its manifest names: "
             f"extra {extra}, missing {missing}"
         )
-    return scene_ids
-
-
-def _manifest_scenario(manifest: dict, directory: Path) -> dict:
-    """The scenario a corpus manifest echoes, {} if none; a data error
-    unless it is a JSON object whose n_speakers, the pf's default
-    max_active, is absent, null or an integer >= 1."""
-    scenario = manifest.get("scenario", {})
-    if not isinstance(scenario, dict):
-        raise ParseError(
-            f"bad manifest in {directory}: scenario {scenario!r} is not a JSON object"
-        )
-    n_speakers = scenario.get("n_speakers")
-    try:
-        if n_speakers is not None and coerce(n_speakers, int, "n_speakers") < 1:
-            raise InvalidConfig(f"n_speakers must be >= 1, got {n_speakers!r}")
-    except InvalidConfig as exc:
-        raise ParseError(f"bad manifest in {directory}: {exc}") from exc
-    return scenario
+    return grid, scene_ids, scenario
 
 
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
+
+
+def _simulate_plan(scenario_doc: dict, observation_doc: dict, n_scenes, seed) -> tuple:
+    """(scenario, observation model, scene count, master seed) of a corpus, checked."""
+    return (
+        config_from_json(ScenarioConfig, scenario_doc, "scenario"),
+        config_from_json(ObservationModel, observation_doc, "observation"),
+        _int_in(n_scenes, "n_scenes", 1, MAX_SCENES),
+        _int_in(seed, "seed", 0),
+    )
 
 
 def simulate_corpus(
@@ -272,10 +287,9 @@ def simulate_corpus(
     out_dir: Path,
 ) -> FrameGrid:
     """Write a seeded scene corpus; per-scene seeds derive from the master."""
-    if n_scenes < 1:
-        raise InvalidConfig("n_scenes must be >= 1")
-    base = config_from_json(ScenarioConfig, scenario_doc, "scenario")
-    om_base = config_from_json(ObservationModel, observation_doc, "observation")
+    base, om_base, n_scenes, master_seed = _simulate_plan(
+        scenario_doc, observation_doc, n_scenes, master_seed
+    )
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = base.grid
     write_manifest(
@@ -304,15 +318,10 @@ def simulate_corpus(
 
 def cmd_simulate(args) -> int:
     doc = _json_object(_load_json(args.config), "simulate config", _SIMULATE_KEYS)
-    master = args.seed if args.seed is not None else coerce(doc.get("seed", 0), int, "seed")
-    n_scenes = coerce(doc.get("n_scenes", 1), int, "n_scenes")
-    simulate_corpus(
-        doc.get("scenario", {}),
-        doc.get("observation", {}),
-        n_scenes,
-        master,
-        Path(args.out),
-    )
+    corpus = (doc.get("scenario", {}), doc.get("observation", {}), doc.get("n_scenes", 1),
+              doc.get("seed", 0) if args.seed is None else args.seed)
+    n_scenes = _simulate_plan(*corpus)[2]
+    simulate_corpus(*corpus, Path(args.out))
     print(f"simulate: wrote {n_scenes} scenes to {args.out}")
     return EXIT_OK
 
@@ -329,7 +338,7 @@ def _tracker_spec(doc: dict, default_max_active) -> tuple[str, object]:
     to default_max_active unless that is None, the splitter's k, the
     swapper's period_s, and None for oracle and merger.
     """
-    ttype = coerce(doc.get("type", "pf"), str, "type")
+    ttype = coerce(_json_object(doc, "tracker config").get("type", "pf"), str, "type")
     if ttype == "pf":
         pf_doc = {k: v for k, v in doc.items() if k != "type"}
         if default_max_active is not None:
@@ -379,11 +388,9 @@ def _run_tracker_scene(
 
 def track_corpus(scenes_dir: Path, tracker_doc: dict, out_dir: Path, jobs: int = 1) -> list[str]:
     """Run a tracker over every scene; returns per-scene failure messages."""
-    grid, manifest = read_manifest(scenes_dir / "manifest.json")
-    scene_ids = _corpus_scene_ids(scenes_dir, manifest)
+    grid, scene_ids, scenario = _open_corpus(scenes_dir)
     # Parsed once; per-scene workers only derive their seeds from it.
-    n_speakers = _manifest_scenario(manifest, scenes_dir).get("n_speakers")
-    ttype, param = _tracker_spec(tracker_doc, n_speakers)
+    ttype, param = _tracker_spec(tracker_doc, scenario.get("n_speakers"))
     out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(grid, out_dir / "manifest.json")
     worker = partial(_run_tracker_scene, scenes_dir, out_dir, grid, ttype, param)
@@ -422,15 +429,16 @@ def evaluate_corpus(
     """Evaluate a prediction corpus against its ground truths.
 
     Returns (reports, aggregate, failures); writes per_scene.csv and
-    aggregate.json to out_dir when given. The gate and OSPA parameters,
-    and the prediction manifest's frame grid, are checked here, so a bad
-    value is one error, not one failure per scene. The bootstrap fraction
-    and replicates are checked before anything is written.
+    aggregate.json to out_dir when given. The gate, OSPA and bootstrap
+    parameters and the seed are checked before any file is read, and the
+    prediction manifest's frame grid before any scene, so a bad value is
+    one error, not one failure per scene.
     """
     check_gate(gate)
     check_ospa(ospa_cutoff, ospa_order)
     check_bootstrap(fraction, replicates)
-    grid, manifest = read_manifest(gt_dir / "manifest.json")
+    seed = _int_in(seed, "seed", 0)
+    grid, gt_ids, _scenario = _open_corpus(gt_dir)
     pred_manifest = pred_dir / "manifest.json"
     if pred_manifest.exists():
         pred_grid = read_manifest(pred_manifest)[0]
@@ -438,7 +446,6 @@ def evaluate_corpus(
             raise GridMismatch(
                 f"prediction grid {pred_grid} of {pred_dir} != ground-truth grid {grid}"
             )
-    gt_ids = _corpus_scene_ids(gt_dir, manifest)
     pred_ids = _list_scene_ids(pred_dir, ".pred.csv")
     if gt_ids != pred_ids:
         missing = sorted(set(gt_ids) ^ set(pred_ids))
@@ -475,23 +482,17 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _kmax_label(k) -> str:
-    return "inf" if k is None else str(coerce(k, int, "k_max"))
-
-
-def check_trends(
-    means: dict[str, list[float | None]],
-    stds: dict[str, list[float | None]],
-    labels: list[str],
-) -> list[str]:
-    """Trend violations for one subset across an ordered k_max list.
+def check_trends(by_k: dict[str, dict], labels: list[str]) -> list[str]:
+    """Trend violations for one subset across an ordered k_max list, from
+    its aggregate per k_max label.
 
     Requires strict ordering between the endpoints in the metric's
     direction and tolerates adjacent inversions up to one bootstrap std.
     """
     problems = []
     for metric, direction in TREND_DIRECTIONS.items():
-        series = means.get(metric, [])
+        entries = [by_k[label]["metrics"][metric] for label in labels]
+        series, sd = [e["mean"] for e in entries], [e["std"] for e in entries]
         if len(series) < 2 or any(v is None for v in series):
             problems.append(f"{metric}: series undefined or too short")
             continue
@@ -501,7 +502,6 @@ def check_trends(
                 f"{metric}: endpoints not strictly ordered "
                 f"({labels[0]}={first:.4f} vs {labels[-1]}={last:.4f})"
             )
-        sd = stds.get(metric, [None] * len(series))
         for i in range(len(series) - 1):
             margin = max(sd[i] or 0.0, sd[i + 1] or 0.0)
             if direction * (series[i + 1] - series[i]) < -margin:
@@ -512,21 +512,25 @@ def check_trends(
     return problems
 
 
-def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict:
-    """Simulate per-subset corpora, run the PF tracker per k_max value,
-    evaluate, and aggregate into plot-ready tables."""
+def _sweep_plan(doc: dict, master_seed) -> tuple:
+    """The checked sweep: (master seed, gate, bootstrap fraction,
+    replicates, k_max labels, subsets).
+
+    Each subset is (name, simulate_corpus's arguments before out_dir,
+    cells), and each cell is (k_max label, tracker doc with k_max and
+    seed, evaluation seed). Every corpus and cell is checked by the plan
+    functions simulate_corpus and track_corpus run on them.
+    """
     _json_object(doc, "sweep config", _SWEEP_KEYS)
-    subsets = doc.get("subsets")
-    k_values = doc.get("k_max_values")
+    master_seed = _int_in(master_seed, "seed", 0)
+    subsets, k_values = doc.get("subsets"), doc.get("k_max_values")
     if not subsets or not isinstance(subsets, list):
         raise InvalidConfig("sweep config requires a non-empty subsets list")
     if not k_values or not isinstance(k_values, list):
         raise InvalidConfig("sweep config requires a non-empty k_max_values list")
     scenario_doc = _json_object(doc.get("scenario", {}), "sweep scenario")
     observation_doc = doc.get("observation", {})
-    config_from_json(ObservationModel, observation_doc, "observation")
-    tracker_doc = dict(_json_object(doc.get("tracker", {}), "sweep tracker"))
-    tracker_doc.setdefault("type", "pf")
+    tracker_doc = {"type": "pf", **_json_object(doc.get("tracker", {}), "sweep tracker")}
     if tracker_doc["type"] != "pf":
         raise InvalidConfig("sweep supports only the pf tracker")
     gate = math.radians(coerce(doc.get("gate_deg", DEFAULT_GATE_DEG), float, "gate_deg"))
@@ -535,42 +539,45 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
     fraction = coerce(boot.get("fraction", 0.8), float, "fraction")
     replicates = coerce(boot.get("replicates", 100), int, "replicates")
     check_bootstrap(fraction, replicates)
-    # The k_max labels, every subset, its corpus directory name and every
-    # cell tracker config are checked before the first corpus is written.
-    labels = [_kmax_label(k) for k in k_values]
+    labels = ["inf" if k is None else str(coerce(k, int, "k_max")) for k in k_values]
     if len(set(labels)) < len(labels):
         raise InvalidConfig(f"k_max_values name one cell twice: {labels}")
-    corpora: dict[str, tuple[int, int]] = {}
-    for sub in subsets:
+    planned: dict[str, tuple] = {}
+    for si, sub in enumerate(subsets):
         _json_object(sub, "sweep subset", _SUBSET_KEYS)
         n_speakers = coerce(sub.get("n_speakers"), int, "n_speakers")
         name = coerce(sub.get("name", f"{n_speakers}spk"), str, "name")
         if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
             raise InvalidConfig(f"subset name {name!r} is not one plain path component")
-        if name in corpora:
+        if name in planned:
             raise InvalidConfig(f"two subsets are named {name!r}")
-        config_from_json(ScenarioConfig, {**scenario_doc, "n_speakers": n_speakers}, "scenario")
-        for k in k_values:
-            _tracker_spec({**tracker_doc, "k_max": k}, n_speakers)
-        n_scenes = coerce(sub.get("n_scenes", 150), int, "n_scenes")
-        if n_scenes < 1:
-            raise InvalidConfig(f"subset {name!r}: n_scenes must be >= 1, got {n_scenes}")
-        corpora[name] = n_speakers, n_scenes
+        scenario = {**scenario_doc, "n_speakers": n_speakers}
+        corpus_seed = derive_seed(master_seed, si, 10)
+        corpus = _simulate_plan(scenario, observation_doc, sub.get("n_scenes", 150), corpus_seed)
+        cells = []
+        for ki, (k, label) in enumerate(zip(k_values, labels)):
+            tracker = {"seed": derive_seed(master_seed, si, ki, 11), **tracker_doc, "k_max": k}
+            _tracker_spec(tracker, n_speakers)
+            cells.append((label, tracker, derive_seed(master_seed, si, ki, 12)))
+        planned[name] = (scenario, observation_doc, corpus[2], corpus_seed), cells
+    return master_seed, gate, fraction, replicates, labels, planned
+
+
+def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict:
+    """Simulate per-subset corpora, run the PF tracker per k_max value,
+    evaluate, and aggregate into plot-ready tables: exactly the corpora
+    and cells of the sweep's plan, all checked before the first write."""
+    master_seed, gate, fraction, replicates, labels, planned = _sweep_plan(doc, master_seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     results: dict[str, dict] = {}
     long_rows = ["subset,k_max,metric,mean,std"]
-    for si, (name, (n_speakers, n_scenes)) in enumerate(corpora.items()):
+    for name, (corpus, cells) in planned.items():
         scenes_dir = out_dir / name / "scenes"
-        sub_scenario = {**scenario_doc, "n_speakers": n_speakers}
-        simulate_corpus(
-            sub_scenario, observation_doc, n_scenes, derive_seed(master_seed, si, 10), scenes_dir
-        )
+        simulate_corpus(*corpus, scenes_dir)
         results[name] = {}
-        for ki, (k, label) in enumerate(zip(k_values, labels)):
+        for label, tracker, eval_seed in cells:
             cell_dir = out_dir / name / f"kmax_{label}"
-            cell_tracker = {**tracker_doc, "k_max": k}
-            cell_tracker.setdefault("seed", derive_seed(master_seed, si, ki, 11))
-            failures = track_corpus(scenes_dir, cell_tracker, cell_dir / "preds", jobs)
+            failures = track_corpus(scenes_dir, tracker, cell_dir / "preds", jobs)
             if failures:
                 raise DoatrackError(
                     f"sweep cell {name}/kmax_{label} had failures: {failures[:3]}"
@@ -582,7 +589,7 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
                 cell_dir / "eval",
                 fraction=fraction,
                 replicates=replicates,
-                seed=derive_seed(master_seed, si, ki, 12),
+                seed=eval_seed,
                 jobs=jobs,
             )
             if eval_failures:
@@ -609,24 +616,16 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
 
 def cmd_sweep(args) -> int:
     doc = _load_json(args.config)
-    master = args.seed if args.seed is not None else coerce(doc.get("seed", 0), int, "seed")
+    master = doc.get("seed", 0) if args.seed is None else args.seed
     summary = run_sweep(doc, Path(args.out), master, args.jobs)
     print(f"sweep: results written to {args.out}")
     if not args.assert_trends:
         return EXIT_OK
-    labels = summary["k_max_values"]
-    all_problems = []
-    for name, by_k in summary["subsets"].items():
-        means = {
-            m: [by_k[lab]["metrics"][m]["mean"] for lab in labels]
-            for m in TREND_DIRECTIONS
-        }
-        stds = {
-            m: [by_k[lab]["metrics"][m]["std"] for lab in labels]
-            for m in TREND_DIRECTIONS
-        }
-        for p in check_trends(means, stds, labels):
-            all_problems.append(f"{name}: {p}")
+    all_problems = [
+        f"{name}: {p}"
+        for name, by_k in summary["subsets"].items()
+        for p in check_trends(by_k, summary["k_max_values"])
+    ]
     for p in all_problems:
         print(f"sweep: TREND VIOLATION {p}", file=sys.stderr)
     return EXIT_TREND if all_problems else EXIT_OK
@@ -668,15 +667,12 @@ def lint_corpus(scenes_dir: Path) -> list[str]:
     files, in-range frames, and for jump/static corpora piecewise-constant
     directions within each maximal active run plus candidate-separation
     on jump tracks."""
-    grid, manifest = read_manifest(scenes_dir / "manifest.json")
-    scene_ids = _corpus_scene_ids(scenes_dir, manifest)
-    scenario = _manifest_scenario(manifest, scenes_dir)
-    try:
-        min_sep_deg = coerce(scenario.get("min_separation_deg", 0.0), float, "min_separation_deg")
-    except InvalidConfig as exc:
-        raise ParseError(f"bad manifest in {scenes_dir}: {exc}") from exc
-    min_sep = math.radians(min_sep_deg)
-    worker = partial(_lint_scene, scenes_dir, grid, scenario.get("mode"), min_sep)
+    grid, scene_ids, scenario = _open_corpus(scenes_dir)
+    mode = scenario.get("mode")
+    if mode is not None and mode not in MODES:
+        raise ParseError(f"bad manifest in {scenes_dir}: mode {mode!r} is not one of {MODES}")
+    min_sep = math.radians(scenario.get("min_separation_deg", 0.0))
+    worker = partial(_lint_scene, scenes_dir, grid, mode, min_sep)
     results, failures = _map_scenes(worker, scene_ids, 1)
     return failures + [problem for problems in results for problem in problems]
 

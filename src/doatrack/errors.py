@@ -2,6 +2,7 @@
 values that raises InvalidConfig."""
 
 import math
+import sys
 from typing import get_args, get_origin
 
 
@@ -73,6 +74,8 @@ def coerce(value, hint, key: str):
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
         if ok and isinstance(value, float):
             ok = math.isfinite(value) and (hint is float or value.is_integer())
+        elif ok and hint is float:
+            ok = abs(value) <= sys.float_info.max  # float() of a larger int overflows
     if not ok:
         raise InvalidConfig(f"{key} must be {_TYPE_NAMES[hint]}, got {value!r}")
     return hint(value)

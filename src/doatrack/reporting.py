@@ -96,12 +96,19 @@ def report_csv_rows(reports: list[MetricsReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Bounds the (replicates, ceil(fraction * n)) index array of a bootstrap.
+MAX_REPLICATES = 1000
+
+
 def check_bootstrap(fraction: float, replicates: int) -> None:
-    """Raise InvalidConfig (a ValueError) unless fraction lies in (0, 1] and replicates >= 0."""
+    """Raise InvalidConfig (a ValueError) unless fraction lies in (0, 1]
+    and replicates in [0, MAX_REPLICATES]."""
     if not 0.0 < fraction <= 1.0:
         raise InvalidConfig(f"bootstrap fraction must lie in (0, 1], got {fraction!r}")
-    if not replicates >= 0:
-        raise InvalidConfig(f"bootstrap replicates must be >= 0, got {replicates!r}")
+    if not 0 <= replicates <= MAX_REPLICATES:
+        raise InvalidConfig(
+            f"bootstrap replicates must lie in [0, {MAX_REPLICATES}], got {replicates!r}"
+        )
 
 
 def bootstrap_aggregate(

@@ -38,10 +38,18 @@ from .geometry import (
     sample_direction,
     sample_separated_set,
 )
+from .trackers import MAX_ACTIVE
 from .trackmodel import MAX_FRAMES, FrameGrid, ObservationSet, TrackSet, columns_of
 
 MODES = ("jump", "static", "moving", "moving_zeroed")
 _SEGMENTED_MODES = ("jump", "static", "moving_zeroed")
+
+# Bounds on the values that size a scene's generation: sample_separated_set
+# makes up to n_positions * max_attempts**2 draws, and
+# simulate_observations one per clutter point.
+MAX_POSITIONS = 100
+MAX_ATTEMPTS = 1000
+MAX_CLUTTER_RATE = 100.0  # mean clutter points per frame
 
 
 @dataclass(frozen=True)
@@ -68,8 +76,9 @@ class ScenarioConfig:
     max_attempts: int = 200
 
     def __post_init__(self):
-        if self.n_speakers < 1:
-            raise InvalidConfig("n_speakers must be >= 1")
+        # n_speakers is the pf's default max_active, so the PF's bound holds
+        if not 1 <= self.n_speakers <= MAX_ACTIVE:
+            raise InvalidConfig(f"n_speakers must lie in [1, {MAX_ACTIVE}], got {self.n_speakers}")
         if self.mode not in MODES:
             raise InvalidConfig(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.duration_s > 0 or not self.frame_period_s > 0:
@@ -81,8 +90,12 @@ class ScenarioConfig:
                 f"duration_s / frame_period_s must round to a frame count in "
                 f"[1, {MAX_FRAMES}], got {ratio!r}"
             )
+        if not 1 <= self.n_positions <= MAX_POSITIONS:
+            raise InvalidConfig(f"n_positions must lie in [1, {MAX_POSITIONS}]")
         if self.mode == "jump" and self.n_positions < 2:
             raise InvalidConfig("jump mode needs n_positions >= 2")
+        if not 1 <= self.max_attempts <= MAX_ATTEMPTS:
+            raise InvalidConfig(f"max_attempts must lie in [1, {MAX_ATTEMPTS}]")
         if self.mode in ("jump", "static") and not 0 < self.min_separation <= math.pi:
             raise InvalidConfig("min_separation must lie in (0, pi]")
         seg_lo, seg_hi = self.segment_len_s
@@ -117,8 +130,10 @@ class ObservationModel:
     def __post_init__(self):
         if not 0.0 <= self.p_miss <= 1.0:
             raise InvalidConfig("p_miss must lie in [0, 1]")
-        if self.clutter_rate < 0 or self.angular_noise_sigma < 0:
-            raise InvalidConfig("clutter_rate and sigma must be >= 0")
+        if not 0 <= self.clutter_rate <= MAX_CLUTTER_RATE:
+            raise InvalidConfig(f"clutter_rate must lie in [0, {MAX_CLUTTER_RATE:g}]")
+        if self.angular_noise_sigma < 0:
+            raise InvalidConfig("angular_noise_sigma must be >= 0")
 
 
 def _draw_segments(

@@ -90,6 +90,8 @@ class TrackerConfig:
             raise InvalidConfig("assoc_gate must lie in (0, pi]")
         if self.process_noise_sigma < 0 or not self.likelihood_sigma > 0:
             raise InvalidConfig("bad noise parameters")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be a non-negative integer, got {self.seed}")
 
 
 def oracle_tracker(obs: ObservationSet) -> TrackSet:

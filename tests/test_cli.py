@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 from doatrack.cli import _available_cpus, _clamp_jobs, config_from_json, lint_corpus, main
@@ -312,7 +313,8 @@ def test_evaluate_rejects_gate_and_ospa_parameters_once(tmp_path, capsys):
     capsys.readouterr()
     report = tmp_path / "report"
     for flags in (["--gate-deg", "0"], ["--gate-deg", "nan"], ["--ospa-cutoff-deg", "500"],
-                  ["--ospa-order", "0.5"], ["--replicates", "-3"]):
+                  ["--ospa-order", "0.5"], ["--replicates", "-3"], ["--replicates", "1001"],
+                  ["--replicates", "1000000000000"], ["--seed", "-1"]):
         # checked before any scene is read: a missing corpus is not reached
         for gt in (corpus, tmp_path / "missing"):
             args = ["evaluate", "--gt", str(gt), "--pred", str(preds), "--out", str(report)]
@@ -322,7 +324,8 @@ def test_evaluate_rejects_gate_and_ospa_parameters_once(tmp_path, capsys):
     base = {"subsets": [{"n_speakers": 1, "n_scenes": 1}], "k_max_values": [1]}
     for bad, word in (({"gate_deg": 0}, "gate"), ({"bootstrap": {"fraction": 0}}, "fraction"),
                       ({"bootstrap": {"fraction": 1.5}}, "fraction"),
-                      ({"bootstrap": {"replicates": -5}}, "replicates")):
+                      ({"bootstrap": {"replicates": -5}}, "replicates"),
+                      ({"bootstrap": {"replicates": 1001}}, "replicates"), ({"seed": -5}, "seed")):
         sweep = write_config(tmp_path, "sweep.json", {**base, **bad})
         assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep")]) == 1, bad
         err = _config_error(capsys)
@@ -339,6 +342,27 @@ def test_config_that_is_not_a_json_object_is_a_config_error(tmp_path, capsys):
     scfg = write_config(tmp_path, "s.json", "scenario")
     assert main(["simulate", "--config", scfg, "--out", str(tmp_path / "x")]) == 1
     _config_error(capsys)
+    # a file that is not UTF-8, or holds an integer too long to convert
+    for raw in (b'{"seed": \xff}', b'{"seed": ' + b"1" * 5000 + b"}"):
+        (tmp_path / "raw.json").write_bytes(raw)
+        assert main(["simulate", "--config", str(tmp_path / "raw.json"), "--out", str(tmp_path / "x")]) == 1
+        assert "malformed JSON" in _config_error(capsys)
+    # one step past each scenario, observation, corpus-size and seed limit
+    past_limits = ({"scenario": {"max_attempts": 0}}, {"scenario": {"max_attempts": 1001}},
+                   {"scenario": {"mode": "static", "n_positions": 0}},
+                   {"scenario": {"n_positions": 101}},
+                   {"observation": {"clutter_rate": math.nextafter(100.0, math.inf)}})
+    for bad in (*past_limits, {"scenario": {"n_speakers": 101}}, {"n_scenes": 10_001},
+                {"seed": -1}, {"scenario": {"duration_s": 10**400}}):
+        doc = {**bad, "scenario": {"n_speakers": 1, **bad.get("scenario", {})}}
+        scfg = write_config(tmp_path, "s.json", doc)
+        assert main(["simulate", "--config", scfg, "--out", str(tmp_path / "x")]) == 1, bad
+        assert _config_error(capsys).count("\n") == 1, bad
+        assert not (tmp_path / "x").exists(), bad
+    scfg = write_config(tmp_path, "s.json", SIM_DOC)
+    assert main(["simulate", "--config", scfg, "--out", str(tmp_path / "x"), "--seed", "-1"]) == 1
+    assert "seed" in _config_error(capsys)
+    assert not (tmp_path / "x").exists()
     # frame counts that round to 0 or to MAX_FRAMES + 1, or overflow round()
     frame_counts = ({"mode": "moving", "duration_s": 0.049, "frame_period_s": 0.1,
                      "gap_len_s": [0.01, 0.02]},
@@ -366,7 +390,10 @@ def test_config_that_is_not_a_json_object_is_a_config_error(tmp_path, capsys):
                 {"k_max_values": [1, 1.0]},
                 {"subsets": [{"n_speakers": 1, "n_scenes": 2}, {"n_speakers": 2, "n_scenes": 0}],
                  "k_max_values": [2]},
-                *({"scenario": scenario} for scenario in frame_counts)):
+                *({"scenario": scenario} for scenario in frame_counts),
+                # the limits, and a negative master seed
+                *past_limits, {"subsets": [{**one, "n_scenes": 10_001}]},
+                {"subsets": [{**one, "n_speakers": 101}], "k_max_values": [None]}, {"seed": -5}):
         cfg = write_config(tmp_path, "sweep.json", {**base, **bad})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 1, bad
         assert _config_error(capsys).count("\n") == 1, bad
@@ -474,8 +501,10 @@ def test_manifest_scenario_entry_is_checked(tmp_path, capsys):
     lint = ["lint", "--scenes", str(corpus)]
     far = {**manifest["scenario"], "min_separation_deg": "far"}
     # n_speakers is the pf's default max_active: an integer >= 1
-    speakers = [{**manifest["scenario"], "n_speakers": n} for n in ("abc", 0, 2.5, True)]
-    for scenario, commands in (("jump", [lint, track]), (far, [lint]),
+    speakers = [{**manifest["scenario"], "n_speakers": n} for n in ("abc", 0, 2.5, True, 101)]
+    # lint reads the mode; an unknown one would skip every per-track check
+    mode = {**manifest["scenario"], "mode": 7}
+    for scenario, commands in (("jump", [lint, track]), (far, [lint]), (mode, [lint]),
                                *((spk, [lint, track]) for spk in speakers)):
         (corpus / "manifest.json").write_text(json.dumps({**manifest, "scenario": scenario}))
         for argv in commands:
@@ -485,6 +514,13 @@ def test_manifest_scenario_entry_is_checked(tmp_path, capsys):
             assert "data error: ParseError: bad manifest" in err, err
             assert err.count("\n") == 1 and "Traceback" not in err, err
         assert not (tmp_path / "preds").exists(), scenario
+    # a manifest naming more scenes than four-digit names hold
+    (corpus / "manifest.json").write_text(json.dumps({**manifest, "n_scenes": 10_001}))
+    capsys.readouterr()
+    assert main(lint) == 2 and main(track) == 2
+    err = capsys.readouterr().err
+    assert err.count("data error: ParseError: bad manifest") == 2 and "Traceback" not in err, err
+    assert not (tmp_path / "preds").exists()
 
 
 def test_sweep_checks_every_cell_tracker_before_any_work(tmp_path, capsys):
@@ -618,7 +654,7 @@ def test_pf_jobs_flag_matches_serial_run_under_clutter_and_id_reuse(tmp_path):
 def test_pf_particle_stack_limits_are_config_errors(tmp_path, capsys):
     corpus = _simulated_corpus(tmp_path)
     capsys.readouterr()
-    for key, value in (("n_particles", 100_001), ("max_active", 101)):
+    for key, value in (("n_particles", 100_001), ("max_active", 101), ("seed", -1)):
         tcfg = write_config(tmp_path, "pf.json", {"type": "pf", key: value})
         out = tmp_path / "preds"
         assert main(["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(out)]) == 1
