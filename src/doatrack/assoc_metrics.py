@@ -41,17 +41,16 @@ class AssociationScores:
 
 def association_scores(ms: MatchSequence) -> AssociationScores | None:
     """AssRe, AssPr and AssA of a matched scene, or None when it has no TPs."""
-    m = ms.matches
-    n_tp = len(m.tp_pred)
+    n_tp = len(ms.tp_pred)
     if not n_tp:
         return None
-    n_pred, n_gt = len(m.pred_ids), len(m.gt_ids)
-    couple, tpa = np.unique(m.tp_pred.astype(np.int64) * n_gt + m.tp_gt, return_counts=True)
+    n_pred, n_gt = len(ms.pred_ids), len(ms.gt_ids)
+    couple, tpa = np.unique(ms.tp_pred.astype(np.int64) * n_gt + ms.tp_gt, return_counts=True)
     pred, gt = np.divmod(couple, n_gt)
-    fpa = np.bincount(m.tp_pred, minlength=n_pred)[pred] - tpa
-    fpa += np.bincount(m.fp_pred, minlength=n_pred)[pred]
-    fna = np.bincount(m.tp_gt, minlength=n_gt)[gt] - tpa
-    fna += np.bincount(m.fn_gt, minlength=n_gt)[gt]
+    fpa = np.bincount(ms.tp_pred, minlength=n_pred)[pred] - tpa
+    fpa += np.bincount(ms.fp_pred, minlength=n_pred)[pred]
+    fna = np.bincount(ms.tp_gt, minlength=n_gt)[gt] - tpa
+    fna += np.bincount(ms.fn_gt, minlength=n_gt)[gt]
     re = pr = a = Fraction(0)
     for t, p, n in zip(tpa.tolist(), fpa.tolist(), fna.tolist()):
         # each of the couple's t TPs contributes the same ratio t / denominator

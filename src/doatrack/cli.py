@@ -639,13 +639,13 @@ def cmd_sweep(args) -> int:
 def _lint_scene(scenes_dir, grid, mode, min_sep, _index, sid) -> list[str]:
     """Worker: the problems of one ground-truth CSV that parses, per track
     in the order of the tracks' first rows."""
-    cols = read_trackset(scenes_dir / f"{sid}.gt.csv", grid).columns
+    ts = read_trackset(scenes_dir / f"{sid}.gt.csv", grid)
     problems = []
     if mode in ("jump", "static"):
-        for code in dict.fromkeys(cols.id_code.tolist()):
-            tid, rows = cols.ids[code], np.flatnonzero(cols.id_code == code)
-            az, el = cols.azimuth[rows], cols.elevation[rows]
-            run_starts = np.flatnonzero(np.diff(cols.frame[rows]) != 1) + 1
+        for code in dict.fromkeys(ts.id_code.tolist()):
+            tid, rows = ts.ids[code], np.flatnonzero(ts.id_code == code)
+            az, el = ts.azimuth[rows], ts.elevation[rows]
+            run_starts = np.flatnonzero(np.diff(ts.frame[rows]) != 1) + 1
             moved = (az[1:] != az[:-1]) | (el[1:] != el[:-1])
             moved[run_starts - 1] = False  # a new run may start anywhere
             if moved.any():

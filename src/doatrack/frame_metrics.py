@@ -44,22 +44,20 @@ def count_swaps(ms: MatchSequence) -> int:
     Comparisons span gaps: the reference prediction id for a ground
     truth persists through frames where it is inactive or unmatched.
     """
-    m = ms.matches
-    order = np.argsort(m.tp_gt, kind="stable")  # per gt, its TPs in frame order
-    gt, pred = m.tp_gt[order], m.tp_pred[order]
+    order = np.argsort(ms.tp_gt, kind="stable")  # per gt, its TPs in frame order
+    gt, pred = ms.tp_gt[order], ms.tp_pred[order]
     return int(np.count_nonzero((gt[1:] == gt[:-1]) & (pred[1:] != pred[:-1])))
 
 
 def count_broken(ms: MatchSequence, gts: TrackSet) -> int:
     """(gt, frame) pairs that are matched at f and FN at f+1 while active."""
-    m, cols = ms.matches, gts.columns
-    n_ids = max(len(cols.ids), 1)
-    code_of = {g: i for i, g in enumerate(cols.ids)}
-    code = np.array([code_of.get(g, -1) for g in m.gt_ids], dtype=np.int64)[m.tp_gt]
+    n_ids = max(len(gts.ids), 1)
+    code_of = {g: i for i, g in enumerate(gts.ids)}
+    code = np.array([code_of.get(g, -1) for g in ms.gt_ids], dtype=np.int64)[ms.tp_gt]
     known = code >= 0
     # (frame, gt) pairs as frame * n_ids + gt code
-    matched = np.unique(m.tp_frame[known].astype(np.int64) * n_ids + code[known])
-    active = cols.frame.astype(np.int64) * n_ids + cols.id_code
+    matched = np.unique(ms.tp_frame[known].astype(np.int64) * n_ids + code[known])
+    active = gts.frame.astype(np.int64) * n_ids + gts.id_code
     following = matched + n_ids
     return int(np.count_nonzero(
         np.isin(following, active) & ~np.isin(following, matched)
@@ -151,10 +149,7 @@ def ospa_frame(
     check_ospa(cutoff, order)
     # Ids that sort in input order keep each side's rows, and so the
     # order of the assignment cost sum, as given.
-    pc, gc = (
-        _one_frame([(f"{i:09d}", d) for i, d in enumerate(side)]).columns
-        for side in (preds, gts)
-    )
+    pc, gc = (_one_frame([(f"{i:09d}", d) for i, d in enumerate(side)]) for side in (preds, gts))
     values = _ospa_values(_frame_table(pc, gc), cutoff, order)
     return values[0] if values else 0.0
 
@@ -175,8 +170,7 @@ def ospa_sequence(ms: MatchSequence, cutoff: float, order: float = 1.0) -> float
 def mean_localization_error(ms: MatchSequence) -> float | None:
     """Arithmetic mean of TP angular errors over the scene, in radians;
     None without TPs."""
-    errors = ms.matches.tp_err
-    return float(np.mean(errors)) if len(errors) else None
+    return float(np.mean(ms.tp_err)) if len(ms.tp_err) else None
 
 
 @dataclass(frozen=True)
@@ -213,13 +207,12 @@ def frame_metrics_report(
 
     OSPA reads the distance table of ms, so ms must come from match_sequence.
     """
-    m = ms.matches
-    n_tp, n_fp, n_fn = len(m.tp_frame), len(m.fp_frame), len(m.fn_frame)
+    n_tp, n_fp, n_fn = len(ms.tp_frame), len(ms.fp_frame), len(ms.fn_frame)
     n_swaps = count_swaps(ms)
     n_broken = count_broken(ms, gts)
     swap_rate = tsr(n_swaps, ms.grid.duration)
     frag_rate = tfr(n_swaps, n_broken, ms.grid.duration)
-    n_gt_tracks = len(gts.columns.ids)
+    n_gt_tracks = len(gts.ids)
     return FrameMetricsReport(
         n_tp=n_tp,
         n_fp=n_fp,

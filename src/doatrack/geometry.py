@@ -2,11 +2,11 @@
 
 A direction is an (azimuth, elevation) pair in radians. The stored
 containers (trackmodel.TrackSet and trackmodel.ObservationSet) hold it
-as two angle columns plus the unit-vector column that
-unit_vectors_from_angles makes from them; scene simulation, the walk
-and the trackers work on the two angles as floats. Direction objects
-remain only at the edges: the samplers here, the inputs of match_frame
-and ospa_frame, and angular_distance. External interfaces (CSV files,
+as two angle columns only; matching and the PF derive unit vectors from
+them with unit_vectors_from_angles, once per scene. Scene simulation,
+the walk and the trackers work on the two angles as floats. Direction
+objects remain only at the edges: the samplers here, the inputs of
+match_frame and ospa_frame, and angular_distance. External interfaces (CSV files,
 CLI flags, JSON configs) carry angles in degrees and convert exactly at
 the boundary (multiply by pi/180).
 """

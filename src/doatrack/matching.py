@@ -6,6 +6,10 @@ among those, minimum total angular error; this is solved as a linear
 assignment over a cost matrix where out-of-gate pairs carry a
 prohibitive cost. FP/FN counts are therefore gate-driven, not
 cost-driven.
+
+Matching works on the angle columns of two TrackSets. The unit vectors
+it measures distances between are derived from them once per scene,
+and only when some frame has entries on both sides.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import GridMismatch, InvalidConfig
-from .geometry import Direction, pairwise_angular_distance
-from .trackmodel import FrameGrid, TrackColumns, TrackSet
+from .geometry import Direction, pairwise_angular_distance, unit_vectors_from_angles
+from .trackmodel import FrameGrid, TrackSet
 
 # Must dominate any achievable sum of in-gate costs (<= n * pi) so the
 # assignment never trades a real match away to avoid a prohibited pair.
@@ -64,13 +68,18 @@ class FrameTable(NamedTuple):
     groups: tuple[ShapeGroup, ...]
 
 
-class Matches(NamedTuple):
-    """A scene's TP/FP/FN partition as arrays, in frame order.
+@dataclass(frozen=True, eq=False)
+class MatchSequence:
+    """A scene's TP/FP/FN partition as arrays, in frame order, plus the
+    frame table it was made on.
 
     Codes index pred_ids and gt_ids, which are sorted, so within a frame
-    TPs and FPs follow pred id order and FNs gt id order.
+    TPs and FPs follow pred id order and FNs gt id order. distances is
+    the frame table match_sequence matched on, which OSPA reuses; a
+    sequence assembled otherwise carries None.
     """
 
+    grid: FrameGrid
     pred_ids: tuple[str, ...]
     gt_ids: tuple[str, ...]
     tp_frame: np.ndarray
@@ -81,55 +90,44 @@ class Matches(NamedTuple):
     fp_pred: np.ndarray
     fn_frame: np.ndarray
     fn_gt: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class MatchSequence:
-    """The matches of a scene plus the frame table they were made on.
-
-    matches holds the TP/FP/FN partition as arrays, which the counters
-    read. distances is the frame table match_sequence matched on, which
-    OSPA reuses; a sequence assembled otherwise carries None.
-    """
-
-    grid: FrameGrid
-    matches: Matches
     distances: FrameTable | None = None
 
     @property
     def frames(self) -> tuple[FrameAssignment, ...]:
-        """One FrameAssignment per frame, derived from matches on each read."""
-        m = self.matches
+        """One FrameAssignment per frame, derived from the arrays on each read."""
         parts: list[tuple[list, list, list]] = [([], [], []) for _ in range(self.grid.n_frames)]
         for f, p, g, e in zip(
-            m.tp_frame.tolist(), m.tp_pred.tolist(), m.tp_gt.tolist(), m.tp_err.tolist()
+            self.tp_frame.tolist(), self.tp_pred.tolist(),
+            self.tp_gt.tolist(), self.tp_err.tolist(),
         ):
-            parts[f][0].append((m.pred_ids[p], m.gt_ids[g], e))
-        for f, p in zip(m.fp_frame.tolist(), m.fp_pred.tolist()):
-            parts[f][1].append(m.pred_ids[p])
-        for f, g in zip(m.fn_frame.tolist(), m.fn_gt.tolist()):
-            parts[f][2].append(m.gt_ids[g])
+            parts[f][0].append((self.pred_ids[p], self.gt_ids[g], e))
+        for f, p in zip(self.fp_frame.tolist(), self.fp_pred.tolist()):
+            parts[f][1].append(self.pred_ids[p])
+        for f, g in zip(self.fn_frame.tolist(), self.fn_gt.tolist()):
+            parts[f][2].append(self.gt_ids[g])
         return tuple(FrameAssignment(*map(tuple, frame)) for frame in parts)
 
 
-def _frame_table(pc: TrackColumns, gc: TrackColumns) -> FrameTable:
+def _frame_table(preds: TrackSet, gts: TrackSet) -> FrameTable:
     """Distances of every frame of a scene, one batched call per frame shape.
 
     Frames with the same (n_pred, n_gt) are stacked and measured in one
     pairwise_angular_distance call, which gives bit for bit the matrix a
-    per-frame call gives.
+    per-frame call gives. Each side's unit vectors are derived once.
     """
-    n_pred, n_gt = np.diff(pc.offsets), np.diff(gc.offsets)
+    n_pred, n_gt = np.diff(preds.offsets), np.diff(gts.offsets)
     both = np.flatnonzero((n_pred > 0) & (n_gt > 0))
     groups = []
     if len(both):
+        pu = unit_vectors_from_angles(preds.azimuth.tolist(), preds.elevation.tolist())
+        gu = unit_vectors_from_angles(gts.azimuth.tolist(), gts.elevation.tolist())
         shape = n_pred[both] * (int(n_gt.max()) + 1) + n_gt[both]
         order = np.argsort(shape, kind="stable")
         starts = np.unique(shape[order], return_index=True)[1]
         for frames in np.split(both[order], starts[1:]):
-            rows_p = pc.offsets[frames][:, None] + np.arange(n_pred[frames[0]])
-            rows_g = gc.offsets[frames][:, None] + np.arange(n_gt[frames[0]])
-            dist = pairwise_angular_distance(pc.unit[rows_p], gc.unit[rows_g])
+            rows_p = preds.offsets[frames][:, None] + np.arange(n_pred[frames[0]])
+            rows_g = gts.offsets[frames][:, None] + np.arange(n_gt[frames[0]])
+            dist = pairwise_angular_distance(pu[rows_p], gu[rows_g])
             groups.append(ShapeGroup(frames, dist))
     return FrameTable(n_pred, n_gt, tuple(groups))
 
@@ -160,16 +158,10 @@ _ONE_FRAME = FrameGrid(1.0, 1)
 
 def _one_frame(entries: list[tuple[str, Direction]]) -> TrackSet:
     """A one-frame TrackSet of (id, Direction) pairs; ValueError on a repeated id."""
-    ids = [i for i, _d in entries]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate ids in frame: {ids!r}")
-    return TrackSet.from_rows(
-        _ONE_FRAME,
-        [0] * len(ids),
-        ids,
-        [d.azimuth for _i, d in entries],
-        [d.elevation for _i, d in entries],
-    )
+    by_id = {i: {0: d} for i, d in entries}
+    if len(by_id) != len(entries):
+        raise ValueError(f"duplicate ids in frame: {[i for i, _d in entries]!r}")
+    return TrackSet(_ONE_FRAME, by_id)
 
 
 def match_frame(
@@ -191,21 +183,21 @@ def match_sequence(preds: TrackSet, gts: TrackSet, gate: float) -> MatchSequence
     """Match the active entries of every frame.
 
     Works on the columns of both TrackSets. The returned sequence holds
-    its matches as arrays and carries the frame table it matched on.
+    its TPs, FPs and FNs as arrays and carries the frame table it
+    matched on.
     Raises GridMismatch unless both TrackSets share the same FrameGrid.
     """
     check_gate(gate)
     if preds.grid != gts.grid:
         raise GridMismatch(f"prediction grid {preds.grid} != ground-truth grid {gts.grid}")
-    pc, gc = preds.columns, gts.columns
-    table = _frame_table(pc, gc)
+    table = _frame_table(preds, gts)
     no_rows = np.zeros(0, dtype=np.int64)
     pred_rows, gt_rows, errors = [no_rows], [no_rows], [np.zeros(0)]
     for group in table.groups:
         index, rows, cols = _match_stack(group.dist, gate)
         frames = group.frames[index]
-        pred_rows.append(pc.offsets[frames] + rows)
-        gt_rows.append(gc.offsets[frames] + cols)
+        pred_rows.append(preds.offsets[frames] + rows)
+        gt_rows.append(gts.offsets[frames] + cols)
         errors.append(group.dist[index, rows, cols])
     # Pred rows run in (frame, id) order, so TPs sorted by pred row are
     # in frame order and then in pred id order.
@@ -213,20 +205,21 @@ def match_sequence(preds: TrackSet, gts: TrackSet, gate: float) -> MatchSequence
     order = np.argsort(tp_pred_row)
     tp_pred_row = tp_pred_row[order]
     tp_gt_row = np.concatenate(gt_rows)[order]
-    fp = np.ones(len(pc.frame), dtype=bool)
+    fp = np.ones(len(preds.frame), dtype=bool)
     fp[tp_pred_row] = False
-    fn = np.ones(len(gc.frame), dtype=bool)
+    fn = np.ones(len(gts.frame), dtype=bool)
     fn[tp_gt_row] = False
-    matches = Matches(
-        pc.ids,
-        gc.ids,
-        pc.frame[tp_pred_row],
-        pc.id_code[tp_pred_row],
-        gc.id_code[tp_gt_row],
+    return MatchSequence(
+        gts.grid,
+        preds.ids,
+        gts.ids,
+        preds.frame[tp_pred_row],
+        preds.id_code[tp_pred_row],
+        gts.id_code[tp_gt_row],
         np.concatenate(errors)[order],
-        pc.frame[fp],
-        pc.id_code[fp],
-        gc.frame[fn],
-        gc.id_code[fn],
+        preds.frame[fp],
+        preds.id_code[fp],
+        gts.frame[fn],
+        gts.id_code[fn],
+        table,
     )
-    return MatchSequence(gts.grid, matches, table)

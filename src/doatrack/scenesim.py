@@ -214,9 +214,8 @@ def simulate_observations(gt: TrackSet, om: ObservationModel) -> ObservationSet:
     id; clutter is untagged and uniform on the sphere.
     """
     rng = np.random.default_rng(om.seed)
-    cols = gt.columns
-    offsets = cols.offsets.tolist()
-    azimuth, elevation = cols.azimuth.tolist(), cols.elevation.tolist()
+    offsets = gt.offsets.tolist()
+    azimuth, elevation = gt.azimuth.tolist(), gt.elevation.tolist()
     rows: list[tuple[int, float, float, str | None]] = []  # (frame, azimuth, elevation, source)
     for f in range(gt.grid.n_frames):
         for i in range(offsets[f], offsets[f + 1]):
@@ -225,7 +224,7 @@ def simulate_observations(gt: TrackSet, om: ObservationModel) -> ObservationSet:
             missed = rng.random() < om.p_miss
             az, el = perturb_direction(azimuth[i], elevation[i], om.angular_noise_sigma, rng)
             if not missed:
-                rows.append((f, az, el, cols.ids[cols.id_code[i]]))
+                rows.append((f, az, el, gt.ids[gt.id_code[i]]))
         for _ in range(int(rng.poisson(om.clutter_rate))):
             clutter = sample_direction(rng)
             rows.append((f, clutter.azimuth, clutter.elevation, None))

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, InvalidK, MissingTags
-from .geometry import angles_of_unit_vector, unit_xyz
+from .geometry import angles_of_unit_vector, unit_vectors_from_angles, unit_xyz
 from .trackmodel import ObservationSet, TrackSet, columns_of
 
 TWO_PI = 2.0 * math.pi
@@ -115,13 +115,12 @@ def oracle_tracker(obs: ObservationSet) -> TrackSet:
 
 def _relabeled(gt: TrackSet, names: list[str], code: np.ndarray, rows=slice(None)) -> TrackSet:
     """The ground-truth rows `rows` of gt, row i now labeled names[code[i]]."""
-    cols = gt.columns
     return TrackSet.from_rows(
         gt.grid,
-        cols.frame[rows],
+        gt.frame[rows],
         np.array(names, dtype=object)[code],
-        cols.azimuth[rows],
-        cols.elevation[rows],
+        gt.azimuth[rows],
+        gt.elevation[rows],
     )
 
 
@@ -131,15 +130,14 @@ def splitter_tracker(gt: TrackSet, k: int) -> TrackSet:
     is not divisible by k)."""
     if k < 1:
         raise InvalidK("k must be >= 1")
-    cols = gt.columns
-    code = np.empty(len(cols.frame), dtype=np.int64)
-    for c, tid in enumerate(cols.ids):
-        rows = np.flatnonzero(cols.id_code == c)  # the track's rows, in frame order
+    code = np.empty(len(gt.frame), dtype=np.int64)
+    for c, tid in enumerate(gt.ids):
+        rows = np.flatnonzero(gt.id_code == c)  # the track's rows, in frame order
         if k > len(rows):
             raise InvalidK(f"k={k} exceeds {len(rows)} active frames of {tid!r}")
         for i, span in enumerate(np.array_split(rows, k)):
             code[span] = c * k + i
-    return _relabeled(gt, [f"{tid}_s{i}" for tid in cols.ids for i in range(k)], code)
+    return _relabeled(gt, [f"{tid}_s{i}" for tid in gt.ids for i in range(k)], code)
 
 
 def merger_tracker(gt: TrackSet) -> TrackSet:
@@ -148,8 +146,7 @@ def merger_tracker(gt: TrackSet) -> TrackSet:
     When several tracks are active in a frame the merged prediction
     takes the direction of the lexicographically first one.
     """
-    offsets = gt.columns.offsets
-    first_rows = offsets[:-1][np.diff(offsets) > 0]
+    first_rows = gt.offsets[:-1][np.diff(gt.offsets) > 0]
     return _relabeled(gt, ["m0"], np.zeros(len(first_rows), dtype=np.int64), first_rows)
 
 
@@ -157,14 +154,13 @@ def swapper_tracker(gt: TrackSet, period_s: float) -> TrackSet:
     """Exchange the id labels of the two first tracks every period_s."""
     if period_s <= 0:
         raise InvalidConfig("period_s must be > 0")
-    cols = gt.columns
-    if len(cols.ids) < 2:
+    if len(gt.ids) < 2:
         raise InvalidConfig("swapper needs at least two tracks")
-    swapped = np.arange(len(cols.ids))
+    swapped = np.arange(len(gt.ids))
     swapped[:2] = 1, 0
-    odd_period = (cols.frame * gt.grid.frame_period) // period_s % 2 == 1
-    code = np.where(odd_period, swapped[cols.id_code], cols.id_code)
-    return _relabeled(gt, [f"p_{tid}" for tid in cols.ids], code)
+    odd_period = (gt.frame * gt.grid.frame_period) // period_s % 2 == 1
+    code = np.where(odd_period, swapped[gt.id_code], gt.id_code)
+    return _relabeled(gt, [f"p_{tid}" for tid in gt.ids], code)
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +277,10 @@ def pf_tracker(obs: ObservationSet, cfg: TrackerConfig) -> TrackSet:
     dead_pool: list[tuple[int, str]] = []  # (death_frame, id)
     issued = 0
     rows: list[tuple[int, str, float, float]] = []  # (frame, id, azimuth, elevation)
+    units = unit_vectors_from_angles(obs.azimuth.tolist(), obs.elevation.tolist())
 
     for f in range(obs.grid.n_frames):
-        obs_units = obs.unit[obs.offsets[f]:obs.offsets[f + 1]]
+        obs_units = units[obs.offsets[f]:obs.offsets[f + 1]]
         n_obs = len(obs_units)
 
         # 1. predict

@@ -1,15 +1,16 @@
 """Identity-labeled, time-sparse track and observation containers and
 their file formats.
 
-Each container is stored in one form, as columns: a TrackSet holds one
-row per active (track, frame), an ObservationSet one row per
-observation, each with its frame index, its angles in radians, its unit
-vector and per-frame row offsets. Inactivity is the absence of a row,
-never a validity flag. Every TrackSet comes from TrackSet.from_rows;
-TrackSet(grid, entries), for callers holding Direction objects, is
-unused by the package. Track identities are opaque strings: prediction
-and ground-truth ids live in unrelated namespaces and nothing may
-compare them except through matching.
+Each container is one flat set of columns: a TrackSet holds one row per
+active (track, frame), an ObservationSet one row per observation, each
+with its frame index, its angles in radians and per-frame row offsets.
+Unit vectors are not stored: matching and the PF derive them from the
+angles once per scene. Inactivity is the absence of a row, never a
+validity flag. Every TrackSet comes from TrackSet.from_rows;
+TrackSet(grid, entries) is its one door for Direction objects. Track
+identities are opaque strings: prediction and ground-truth ids live in
+unrelated namespaces and nothing may compare them except through
+matching.
 
 File formats (all UTF-8, LF line endings):
   - track CSV: header ``frame,time_s,track_id,azimuth_deg,elevation_deg``,
@@ -36,7 +37,7 @@ from typing import NamedTuple, Sequence, TextIO
 import numpy as np
 
 from .errors import DuplicateEntry, ParseError, coerce
-from .geometry import Direction, unit_vectors_from_angles, wrap_azimuth
+from .geometry import Direction, wrap_azimuth
 
 TRACK_CSV_HEADER = "frame,time_s,track_id,azimuth_deg,elevation_deg"
 OBS_CSV_HEADER = TRACK_CSV_HEADER + ",source_id"
@@ -73,25 +74,6 @@ class FrameGrid:
         return frame * self.frame_period
 
 
-class TrackColumns(NamedTuple):
-    """The columns of a TrackSet: one row per active (track, frame),
-    sorted by frame and then by track id.
-
-    ids holds every track id, sorted; id_code indexes it, so code order
-    is id order. azimuth and elevation are radians as a Direction holds
-    them, unit the matching unit vectors. Frame f owns rows
-    offsets[f]:offsets[f + 1].
-    """
-
-    ids: tuple[str, ...]
-    frame: np.ndarray
-    id_code: np.ndarray
-    azimuth: np.ndarray
-    elevation: np.ndarray
-    unit: np.ndarray
-    offsets: np.ndarray
-
-
 def columns_of(rows: list[tuple], n: int) -> tuple[tuple, ...]:
     """The n columns of a list of n-tuples; n empty columns if there are no rows."""
     return tuple(zip(*rows)) or ((),) * n
@@ -105,8 +87,13 @@ def _offsets(frame: np.ndarray, n_frames: int) -> np.ndarray:
 
 
 class TrackSet:
-    """Immutable collection of identity-labeled sparse trajectories,
-    stored only as its TrackColumns.
+    """Immutable collection of identity-labeled sparse trajectories, as
+    columns: one row per active (track, frame), sorted by frame and then
+    by track id.
+
+    ids holds every track id, sorted; id_code indexes it, so code order
+    is id order. azimuth and elevation are radians as a Direction holds
+    them. Frame f owns rows offsets[f]:offsets[f + 1].
 
     TrackSet.from_rows builds every TrackSet. The CSV reader, the scene
     generator and the trackers call it directly; TrackSet(grid, entries)
@@ -114,7 +101,7 @@ class TrackSet:
     value: never mutate the arrays.
     """
 
-    __slots__ = ("grid", "columns")
+    __slots__ = ("grid", "ids", "frame", "id_code", "azimuth", "elevation", "offsets")
 
     def __init__(self, grid: FrameGrid, entries: dict[str, dict[int, Direction]] | None = None):
         """A TrackSet of entries mapping track_id -> {frame: Direction}.
@@ -129,10 +116,9 @@ class TrackSet:
             track_id += [tid] * len(track)
             azimuth += [d.azimuth for d in track.values()]
             elevation += [d.elevation for d in track.values()]
-        self.grid = grid
-        self.columns = TrackSet.from_rows(
-            grid, frame, track_id, azimuth, elevation, ids=entries
-        ).columns
+        built = TrackSet.from_rows(grid, frame, track_id, azimuth, elevation, ids=entries)
+        for name in TrackSet.__slots__:
+            setattr(self, name, getattr(built, name))
 
     @classmethod
     def from_rows(
@@ -173,49 +159,40 @@ class TrackSet:
             frame, code = frame[order], code[order]
             azimuth, elevation = azimuth[order], elevation[order]
         ts = cls.__new__(cls)
-        ts.grid = grid
-        ts.columns = TrackColumns(
-            names,
-            frame.astype(np.int32),
-            code.astype(np.int32),
-            azimuth,
-            elevation,
-            unit_vectors_from_angles(azimuth.tolist(), elevation.tolist()),
-            _offsets(frame, grid.n_frames),
-        )
+        ts.grid, ts.ids, ts.offsets = grid, names, _offsets(frame, grid.n_frames)
+        ts.frame, ts.id_code = frame.astype(np.int32), code.astype(np.int32)
+        ts.azimuth, ts.elevation = azimuth, elevation
         return ts
 
     def __eq__(self, other):
         if not isinstance(other, TrackSet):
             return NotImplemented
         return self.grid == other.grid and _same(
-            self.columns, other.columns, ("ids", "frame", "id_code", "azimuth", "elevation")
+            self, other, ("ids", "frame", "id_code", "azimuth", "elevation")
         )
 
     def __repr__(self) -> str:
-        cols = self.columns
-        return f"TrackSet(grid={self.grid!r}, ids={cols.ids!r}, n_entries={len(cols.frame)})"
+        return f"TrackSet(grid={self.grid!r}, ids={self.ids!r}, n_entries={len(self.frame)})"
 
     def track_ids(self) -> list[str]:
-        return list(self.columns.ids)
+        return list(self.ids)
 
     def n_entries(self) -> int:
         """Total number of active (track, frame) pairs."""
-        return len(self.columns.frame)
+        return len(self.frame)
 
 
 class ObservationSet:
     """A scene's observations as columns, one row per observation.
 
     Rows run in frame order and, within a frame, in the order given.
-    frame, azimuth and elevation (radians as a Direction holds them) and
-    unit (the matching unit vectors) are arrays; source holds each
-    row's true source track id, or None for clutter and untagged rows
-    (read only by the oracle tracker and tests). Frame f owns rows
-    offsets[f]:offsets[f + 1].
+    frame, azimuth and elevation (radians as a Direction holds them) are
+    arrays; source holds each row's true source track id, or None for
+    clutter and untagged rows (read only by the oracle tracker and
+    tests). Frame f owns rows offsets[f]:offsets[f + 1].
     """
 
-    __slots__ = ("grid", "frame", "azimuth", "elevation", "unit", "offsets", "source")
+    __slots__ = ("grid", "frame", "azimuth", "elevation", "offsets", "source")
 
     def __init__(self, grid: FrameGrid, frame, azimuth, elevation, source):
         """Observations of rows in any frame order; a stable sort by frame
@@ -233,7 +210,6 @@ class ObservationSet:
             source = tuple(source[i] for i in order)
         self.grid = grid
         self.frame, self.azimuth, self.elevation, self.source = frame, azimuth, elevation, source
-        self.unit = unit_vectors_from_angles(azimuth.tolist(), elevation.tolist())
         self.offsets = _offsets(frame, grid.n_frames)
 
     def __eq__(self, other):
@@ -296,17 +272,15 @@ def write_trackset(ts: TrackSet, dest: str | Path | TextIO) -> None:
 
     The columns are already in the file's (frame, track_id) row order.
     """
-    cols = ts.columns
-    for tid in cols.ids:
+    for tid in ts.ids:
         _check_id(tid)
     with open_text(dest, "w") as stream:
         stream.write(TRACK_CSV_HEADER + "\n")
         for f, code, az, el in zip(
-            cols.frame.tolist(), cols.id_code.tolist(),
-            cols.azimuth.tolist(), cols.elevation.tolist(),
+            ts.frame.tolist(), ts.id_code.tolist(), ts.azimuth.tolist(), ts.elevation.tolist()
         ):
             stream.write(
-                f"{f},{ts.grid.time_of(f):.6f},{cols.ids[code]},{_fmt_angle(az)},{_fmt_angle(el)}\n"
+                f"{f},{ts.grid.time_of(f):.6f},{ts.ids[code]},{_fmt_angle(az)},{_fmt_angle(el)}\n"
             )
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from doatrack.geometry import Direction, angles_of_unit_vector, angular_distance, unit_xyz
-from doatrack.matching import FrameAssignment, Matches, MatchSequence
+from doatrack.matching import FrameAssignment, MatchSequence
 from doatrack.trackers import TrackerConfig
 from doatrack.trackmodel import FrameGrid, ObservationSet, TrackSet, columns_of
 
@@ -51,18 +51,17 @@ def vector_move_along_great_circle(d: Direction, heading: float, arc: float) -> 
 
 def per_frame_entries(ts: TrackSet) -> list[list[tuple[str, Direction]]]:
     """Active (track_id, Direction) pairs per frame, in row order."""
-    cols = ts.columns
     frames: list[list[tuple[str, Direction]]] = [[] for _ in range(ts.grid.n_frames)]
     for f, code, az, el in zip(
-        cols.frame.tolist(), cols.id_code.tolist(), cols.azimuth.tolist(), cols.elevation.tolist()
+        ts.frame.tolist(), ts.id_code.tolist(), ts.azimuth.tolist(), ts.elevation.tolist()
     ):
-        frames[f].append((cols.ids[code], Direction(az, el)))
+        frames[f].append((ts.ids[code], Direction(az, el)))
     return frames
 
 
 def entries(ts: TrackSet) -> dict[str, dict[int, Direction]]:
     """track_id -> {frame: Direction}; a track without rows maps to {}."""
-    out: dict[str, dict[int, Direction]] = {tid: {} for tid in ts.columns.ids}
+    out: dict[str, dict[int, Direction]] = {tid: {} for tid in ts.ids}
     for f, frame in enumerate(per_frame_entries(ts)):
         for tid, d in frame:
             out[tid][f] = d
@@ -103,12 +102,12 @@ def match_sequence_of(grid: FrameGrid, frames) -> MatchSequence:
     def column(rows, i, ids=None, dtype=np.int64):
         return np.array([r[i] if ids is None else ids.index(r[i]) for r in rows], dtype=dtype)
 
-    return MatchSequence(grid, Matches(
-        pred_ids, gt_ids,
+    return MatchSequence(
+        grid, pred_ids, gt_ids,
         column(tps, 0), column(tps, 1, pred_ids), column(tps, 2, gt_ids),
         column(tps, 3, dtype=float),
         column(fps, 0), column(fps, 1, pred_ids), column(fns, 0), column(fns, 1, gt_ids),
-    ))
+    )
 
 
 def naive_association_scores(ms: MatchSequence) -> tuple[float, float, float]:
@@ -392,7 +391,10 @@ def naive_pf_tracker(obs: ObservationSet, cfg: TrackerConfig) -> TrackSet:
         return _random_walk(base, cfg.process_noise_sigma, rng)
 
     for f in range(obs.grid.n_frames):
-        obs_units = obs.unit[obs.offsets[f]:obs.offsets[f + 1]]
+        rows_f = range(obs.offsets[f], obs.offsets[f + 1])
+        obs_units = np.array(
+            [unit_xyz(obs.azimuth[i], obs.elevation[i]) for i in rows_f]
+        ).reshape(-1, 3)
         n_obs = len(obs_units)
 
         # 1. predict

@@ -17,6 +17,7 @@ from doatrack.geometry import (
     perturb_direction,
     sample_direction,
     sample_separated_set,
+    unit_vectors_from_angles,
     unit_xyz,
 )
 
@@ -45,6 +46,14 @@ def test_unit_vector_round_trip(d):
     back = angles_of_unit_vector(*v)
     # chord length bounds the angular deviation for small separations
     assert math.dist(unit_xyz(*back), v) < 1e-12
+
+
+@given(st.lists(directions(), max_size=8))
+def test_unit_vectors_from_angles_equal_unit_xyz_bit_for_bit(ds):
+    units = unit_vectors_from_angles([d.azimuth for d in ds], [d.elevation for d in ds])
+    assert units.shape == (len(ds), 3)
+    for row, d in zip(units, ds):
+        assert row.tobytes() == np.array(unit_xyz(d.azimuth, d.elevation)).tobytes()
 
 
 def test_azimuth_wraps_into_range():

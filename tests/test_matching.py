@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -10,7 +11,7 @@ from conftest import directions
 from doatrack.errors import GridMismatch
 from doatrack.frame_metrics import ospa_frame, ospa_sequence
 from doatrack.geometry import Direction, angular_distance, sample_direction
-from doatrack.matching import MatchSequence, match_frame, match_sequence
+from doatrack.matching import match_frame, match_sequence
 from doatrack.trackmodel import FrameGrid, TrackSet
 
 
@@ -242,4 +243,4 @@ def test_ospa_sequence_needs_a_matched_sequence():
     ms = match_sequence(TrackSet(grid, {}), gts, GATE20)
     assert ospa_sequence(ms, math.radians(30.0)) == math.radians(30.0)
     with pytest.raises(ValueError):
-        ospa_sequence(MatchSequence(ms.grid, ms.matches), math.radians(30.0))
+        ospa_sequence(replace(ms, distances=None), math.radians(30.0))

@@ -385,7 +385,7 @@ def pf_configs(draw):
 def test_pf_equals_the_per_track_filter_bit_for_bit(obs, cfg):
     # the stacked filter against the filter that walks, averages and
     # resamples one track at a time; no tolerance anywhere
-    fast, naive = pf_tracker(obs, cfg).columns, naive_pf_tracker(obs, cfg).columns
+    fast, naive = pf_tracker(obs, cfg), naive_pf_tracker(obs, cfg)
     assert fast.ids == naive.ids
     for name in ("frame", "id_code", "azimuth", "elevation"):
         assert np.array_equal(getattr(fast, name), getattr(naive, name)), name

@@ -8,7 +8,7 @@ from hypothesis import given
 
 from _oracles import activity_mask, entries, observation_frames, observation_set, per_frame_entries
 from doatrack.errors import DuplicateEntry, ParseError
-from doatrack.geometry import Direction, angular_distance, unit_xyz
+from doatrack.geometry import Direction, angular_distance
 from doatrack.reporting import evaluate_scene
 from doatrack.trackmodel import (
     OBS_CSV_HEADER,
@@ -297,22 +297,20 @@ def test_round_trip_columns_equal_the_written_directions_bit_for_bit(ts):
     # what each written row means, one Direction per row
     written = [line.split(",") for line in text.split("\n")[1:-1]]
     expected = [Direction.from_degrees(float(az), float(el)) for _f, _t, _id, az, el in written]
-    cols = back.columns
-    assert back.track_ids() == ts.track_ids() == list(cols.ids)
-    assert [cols.ids[c] for c in cols.id_code] == [tid for _f, _t, tid, _a, _e in written]
-    assert cols.frame.tolist() == [int(f) for f, _t, _id, _a, _e in written]
-    assert _bits(cols.unit) == _bits([unit_xyz(d.azimuth, d.elevation) for d in expected])
-    assert _bits(cols.azimuth) == _bits([d.azimuth for d in expected])
-    assert _bits(cols.elevation) == _bits([d.elevation for d in expected])
+    assert back.track_ids() == ts.track_ids() == list(back.ids)
+    assert [back.ids[c] for c in back.id_code] == [tid for _f, _t, tid, _a, _e in written]
+    assert back.frame.tolist() == [int(f) for f, _t, _id, _a, _e in written]
+    assert _bits(back.azimuth) == _bits([d.azimuth for d in expected])
+    assert _bits(back.elevation) == _bits([d.elevation for d in expected])
     frames = {tid: sorted(by_frame) for tid, by_frame in entries(ts).items()}
     assert {tid: sorted(by_frame) for tid, by_frame in entries(back).items()} == frames
     for (f, _t, tid, _a, _e), d in zip(written, expected):
         assert entries(back)[tid][int(f)] == d
     # the columns of an in-memory TrackSet are the same arrays
-    built = TrackSet(ts.grid, entries(back)).columns
-    for name in ("frame", "id_code", "unit", "azimuth", "elevation", "offsets"):
-        assert _bits(getattr(built, name)) == _bits(getattr(cols, name)), name
-    assert built.ids == cols.ids
+    built = TrackSet(ts.grid, entries(back))
+    for name in ("frame", "id_code", "azimuth", "elevation", "offsets"):
+        assert _bits(getattr(built, name)) == _bits(getattr(back, name)), name
+    assert built.ids == back.ids
 
 
 def _observation_sets(draw, grid):
@@ -383,12 +381,10 @@ def test_parser_fuzz_raises_only_parse_errors(header, rows, newline):
 
 def _rows(ts):
     """(frame, track_id, azimuth, elevation) of every row of ts."""
-    cols = ts.columns
     return [
-        (f, cols.ids[code], az, el)
+        (f, ts.ids[code], az, el)
         for f, code, az, el in zip(
-            cols.frame.tolist(), cols.id_code.tolist(),
-            cols.azimuth.tolist(), cols.elevation.tolist(),
+            ts.frame.tolist(), ts.id_code.tolist(), ts.azimuth.tolist(), ts.elevation.tolist()
         )
     ]
 
@@ -406,8 +402,8 @@ def test_rows_in_any_order_build_the_same_trackset(ts, random):
     random.shuffle(rows)
     shuffled = _from_rows(ts.grid, rows)
     assert shuffled == ts
-    for name in ("frame", "id_code", "unit", "azimuth", "elevation", "offsets"):
-        assert _bits(getattr(shuffled.columns, name)) == _bits(getattr(ts.columns, name)), name
+    for name in ("frame", "id_code", "azimuth", "elevation", "offsets"):
+        assert _bits(getattr(shuffled, name)) == _bits(getattr(ts, name)), name
 
 
 @given(
