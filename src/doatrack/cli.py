@@ -286,22 +286,18 @@ def simulate_corpus(
     master_seed: int,
     out_dir: Path,
 ) -> FrameGrid:
-    """Write a seeded scene corpus; per-scene seeds derive from the master."""
+    """Write a seeded scene corpus; per-scene seeds derive from the master.
+
+    The manifest is written last, once every scene is, and an earlier
+    corpus's manifest is removed before the first scene write: a run that
+    fails leaves no manifest, so no command takes the directory for a
+    corpus.
+    """
     base, om_base, n_scenes, master_seed = _simulate_plan(
         scenario_doc, observation_doc, n_scenes, master_seed
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = base.grid
-    write_manifest(
-        grid,
-        out_dir / "manifest.json",
-        extra={
-            "scenario": config_to_json(base),
-            "observation": config_to_json(om_base),
-            "n_scenes": n_scenes,
-            "seed": master_seed,
-        },
-    )
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     for i in range(n_scenes):
         gt = generate_scene(replace(base, seed=derive_seed(master_seed, i, 0)))
         obs = simulate_observations(gt, replace(om_base, seed=derive_seed(master_seed, i, 1)))
@@ -313,7 +309,17 @@ def simulate_corpus(
             index = sid[len("scene_"):]
             if index.isdecimal() and sid == _scene_name(int(index)) and int(index) >= n_scenes:
                 (out_dir / f"{sid}{suffix}").unlink()
-    return grid
+    write_manifest(
+        base.grid,
+        out_dir / "manifest.json",
+        extra={
+            "scenario": config_to_json(base),
+            "observation": config_to_json(om_base),
+            "n_scenes": n_scenes,
+            "seed": master_seed,
+        },
+    )
+    return base.grid
 
 
 def cmd_simulate(args) -> int:
@@ -387,7 +393,13 @@ def _run_tracker_scene(
 
 
 def track_corpus(scenes_dir: Path, tracker_doc: dict, out_dir: Path, jobs: int = 1) -> list[str]:
-    """Run a tracker over every scene; returns per-scene failure messages."""
+    """Run a tracker over every scene; returns per-scene failure messages.
+
+    out_dir must not be the corpus itself: its manifest would replace
+    the corpus manifest.
+    """
+    if out_dir.resolve() == scenes_dir.resolve():
+        raise InvalidConfig(f"track --out {out_dir} is the corpus directory {scenes_dir}")
     grid, scene_ids, scenario = _open_corpus(scenes_dir)
     # Parsed once; per-scene workers only derive their seeds from it.
     ttype, param = _tracker_spec(tracker_doc, scenario.get("n_speakers"))
@@ -739,8 +751,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except InvalidConfig as exc:

@@ -96,8 +96,19 @@ class ScenarioConfig:
             raise InvalidConfig("jump mode needs n_positions >= 2")
         if not 1 <= self.max_attempts <= MAX_ATTEMPTS:
             raise InvalidConfig(f"max_attempts must lie in [1, {MAX_ATTEMPTS}]")
-        if self.mode in ("jump", "static") and not 0 < self.min_separation <= math.pi:
-            raise InvalidConfig("min_separation must lie in (0, pi]")
+        if self.mode in ("jump", "static"):
+            if not 0 < self.min_separation <= math.pi:
+                raise InvalidConfig("min_separation must lie in (0, pi]")
+            # Caps of angular radius min_separation / 2 around the positions
+            # are disjoint, and each covers 2 pi (1 - cos radius) of the 4 pi
+            # sphere. Passing this bound does not make a request feasible.
+            load = self.n_positions * (1 - math.cos(self.min_separation / 2))
+            if load > 2 + 1e-9:
+                raise InvalidConfig(
+                    f"{self.n_positions} positions cannot lie "
+                    f"{math.degrees(self.min_separation):g} deg apart on the sphere: "
+                    f"n_positions * (1 - cos(min_separation / 2)) = {load:.4g} > 2"
+                )
         seg_lo, seg_hi = self.segment_len_s
         gap_lo, gap_hi = self.gap_len_s
         if not 0 < seg_lo <= seg_hi:

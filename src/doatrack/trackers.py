@@ -259,7 +259,8 @@ def pf_tracker(obs: ObservationSet, cfg: TrackerConfig) -> TrackSet:
     """Run the particle-filter tracker over an observation set.
 
     Online contract: the output at frame t depends only on observations
-    up to t. Deterministic per cfg.seed.
+    up to t. Deterministic per cfg.seed. The observations' unit vectors
+    are derived from their angles once per scene.
 
     A track's estimate, the direction of its cloud mean, is never
     stored: after the predict step it only feeds the association, and

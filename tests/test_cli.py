@@ -351,7 +351,10 @@ def test_config_that_is_not_a_json_object_is_a_config_error(tmp_path, capsys):
     past_limits = ({"scenario": {"max_attempts": 0}}, {"scenario": {"max_attempts": 1001}},
                    {"scenario": {"mode": "static", "n_positions": 0}},
                    {"scenario": {"n_positions": 101}},
-                   {"observation": {"clutter_rate": math.nextafter(100.0, math.inf)}})
+                   {"observation": {"clutter_rate": math.nextafter(100.0, math.inf)}},
+                   # past the spherical-cap area bound, refused before any sampling
+                   {"scenario": {"n_positions": 100, "max_attempts": 3}},
+                   {"scenario": {"mode": "static", "n_positions": 3, "min_separation_deg": 180}})
     for bad in (*past_limits, {"scenario": {"n_speakers": 101}}, {"n_scenes": 10_001},
                 {"seed": -1}, {"scenario": {"duration_s": 10**400}}):
         doc = {**bad, "scenario": {"n_speakers": 1, **bad.get("scenario", {})}}
@@ -425,6 +428,47 @@ def test_adversary_parameters_checked_once_per_corpus(tmp_path, capsys):
         assert main(["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(out)]) == 1, doc
         assert _config_error(capsys).count("\n") == 1, doc
         assert not out.exists()
+
+
+def test_failed_simulate_leaves_no_manifest_over_another_corpus(tmp_path, capsys):
+    corpus = _simulated_corpus(tmp_path)
+    tcfg = write_config(tmp_path, "oracle.json", {"type": "oracle"})
+    # past the cap bound: refused before any write, the old corpus intact
+    before = dir_digest(corpus)
+    for scenario, code in (({"n_speakers": 2, "n_positions": 100, "max_attempts": 3}, 1),
+                           # passes the bound, but 14 positions cannot lie 60 deg apart
+                           ({"n_speakers": 2, "n_positions": 14, "max_attempts": 3}, 2)):
+        sim = write_config(tmp_path, "sim.json", {**SIM_DOC, "scenario": scenario})
+        capsys.readouterr()
+        assert main(["simulate", "--config", sim, "--out", str(corpus)]) == code, scenario
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        if code == 1:
+            assert "cannot lie" in err and dir_digest(corpus) == before
+            continue
+        assert "FeasibilityExhausted" in err, err
+        assert not (corpus / "manifest.json").exists()
+        for argv in (["lint", "--scenes", str(corpus)],
+                     ["track", "--config", tcfg, "--scenes", str(corpus),
+                      "--out", str(tmp_path / "preds")],
+                     ["evaluate", "--gt", str(corpus), "--pred", str(corpus)]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "data error" in err and err.count("\n") == 1 and "Traceback" not in err, err
+        assert not (tmp_path / "preds").exists()
+
+
+def test_track_out_must_not_be_the_corpus(tmp_path, capsys):
+    corpus = _simulated_corpus(tmp_path)
+    tcfg = write_config(tmp_path, "oracle.json", {"type": "oracle"})
+    before = dir_digest(corpus)
+    (tmp_path / "link").symlink_to(corpus, target_is_directory=True)
+    for out in (corpus, corpus / ".", tmp_path / "x" / ".." / "corpus", tmp_path / "link"):
+        capsys.readouterr()
+        assert main(["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(out)]) == 1
+        assert _config_error(capsys).count("\n") == 1, out
+        assert dir_digest(corpus) == before, out
+    assert main(["lint", "--scenes", str(corpus)]) == 0
 
 
 def test_stale_scenes_beyond_the_manifest_are_a_data_error(tmp_path, capsys):
@@ -607,8 +651,18 @@ def test_evaluate_reports_grid_mismatch_per_scene(tmp_path, capsys):
     assert "GridMismatch" in capsys.readouterr().err
 
 
-def test_usage_error_for_missing_config(tmp_path):
+def test_usage_error_for_missing_config(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 1
+    # argparse's own usage errors exit 1 too, with one error line
+    for argv in (["simulate", "--out", str(tmp_path / "x")],
+                 ["evaluate", "--gt", "c", "--pred", "p", "--seed", "abc"], ["track"], []):
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err, err
+    assert not (tmp_path / "x").exists()
+    assert main(["sweep", "--help"]) == 0
+    assert "--assert-trends" in capsys.readouterr().out
 
 
 def test_jobs_flag_matches_serial_run(tmp_path):

@@ -164,6 +164,14 @@ def test_invalid_configs_rejected():
         ScenarioConfig(n_speakers=1, segment_len_s=(3.0, 2.0))
     with pytest.raises(InvalidConfig, match="frame count"):
         ScenarioConfig(n_speakers=1, duration_s=100000.1, frame_period_s=0.1)
+    # the spherical-cap area bound: n (1 - cos(sep / 2)) <= 2
+    for mode, n, sep_deg in (("jump", 100, 60.0), ("static", 3, 180.0), ("jump", 15, 60.0)):
+        with pytest.raises(InvalidConfig, match="cannot lie"):
+            ScenarioConfig(n_speakers=1, mode=mode, n_positions=n,
+                           min_separation=math.radians(sep_deg))
+    for mode, n, sep_deg in (("static", 2, 180.0), ("jump", 14, 60.0)):
+        ScenarioConfig(n_speakers=1, mode=mode, n_positions=n, min_separation=math.radians(sep_deg))
+    ScenarioConfig(n_speakers=1, mode="moving", n_positions=100)  # no positions are sampled
     assert ScenarioConfig(n_speakers=1, duration_s=1e5, frame_period_s=0.1).grid.n_frames == MAX_FRAMES
 
 

@@ -4,12 +4,18 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from _oracles import activity_mask, entries, observation_frames, observation_set, per_frame_entries
 from doatrack.errors import DuplicateEntry, ParseError
 from doatrack.geometry import Direction, angular_distance
 from doatrack.reporting import evaluate_scene
+from doatrack.scenesim import (
+    ObservationModel,
+    ScenarioConfig,
+    generate_scene,
+    simulate_observations,
+)
 from doatrack.trackmodel import (
     OBS_CSV_HEADER,
     TRACK_CSV_HEADER,
@@ -374,6 +380,76 @@ def test_parser_fuzz_raises_only_parse_errors(header, rows, newline):
             reader(io.StringIO(text), grid)
         except ParseError:
             pass
+
+
+def _scene_texts() -> tuple[FrameGrid, list[str]]:
+    """The grid and the track and observation CSV texts of a small simulated scene."""
+    gt = generate_scene(ScenarioConfig(n_speakers=2, duration_s=1.0, segment_len_s=(0.2, 0.5),
+                                       gap_len_s=(0.1, 0.2), seed=5))
+    obs = simulate_observations(gt, ObservationModel(p_miss=0.1, clutter_rate=1.0, seed=6))
+    buf = io.StringIO()
+    write_observations(obs, buf)
+    return gt.grid, [trackset_to_string(gt), buf.getvalue()]
+
+
+SCENE_GRID, SCENE_TEXTS = _scene_texts()
+BAD_VALUES = ["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400", "1e308",
+              "9" * 400, "-0", "1e-400", "", " ", "\r", "0x10", "1_0", "90.0000001", "A,B"]
+BAD_HEADERS = ["", "frame,time_s,track_id,azimuth_deg", TRACK_CSV_HEADER + ",x",
+               OBS_CSV_HEADER + "\r", TRACK_CSV_HEADER.upper(), "\ufeff" + TRACK_CSV_HEADER]
+MUTATIONS = st.lists(st.tuples(
+    st.sampled_from(["value", "drop_field", "add_field", "blank", "cr", "duplicate", "swap",
+                     "delete", "header"]),
+    st.integers(0, 10**6), st.integers(0, 6), st.sampled_from(BAD_VALUES),
+), max_size=4)
+
+
+def _mutated(text: str, mutations) -> str:
+    lines = text.split("\n")[:-1]
+    for kind, i, j, value in mutations:
+        i = 1 + i % max(len(lines) - 1, 1)  # a body line, or just past the header
+        fields = lines[i].split(",") if i < len(lines) else [""]
+        j %= len(fields)
+        if kind == "header":
+            lines[0] = BAD_HEADERS[i % len(BAD_HEADERS)]
+        elif kind == "blank":
+            lines.insert(i, "")
+        elif i >= len(lines):
+            continue
+        elif kind == "value":
+            lines[i] = ",".join([*fields[:j], value, *fields[j + 1:]])
+        elif kind == "drop_field":
+            lines[i] = ",".join(fields[:j] + fields[j + 1:])
+        elif kind == "add_field":
+            lines[i] += "," + value
+        elif kind == "cr":
+            lines[i] += "\r"
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap" and i + 1 < len(lines):
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        elif kind == "delete":
+            del lines[i]
+    return "".join(line + "\n" for line in lines)
+
+
+@given(st.sampled_from([0, 1]), MUTATIONS)
+@settings(max_examples=300)
+def test_scene_csv_fuzz_gives_a_container_or_a_parse_error(which, mutations):
+    # a scene CSV, mutated: a reader returns a container of finite,
+    # in-range values, or raises ParseError; nothing else
+    text = _mutated(SCENE_TEXTS[which], mutations)
+    for reader in (read_trackset, read_observations):
+        try:
+            back = reader(io.StringIO(text), SCENE_GRID)
+        except ParseError:
+            continue
+        assert np.all((back.frame >= 0) & (back.frame < SCENE_GRID.n_frames))
+        assert np.all((back.azimuth >= -math.pi) & (back.azimuth < math.pi))
+        assert np.all(np.abs(back.elevation) <= math.pi / 2)
+        assert back.offsets[-1] == len(back.frame) == len(back.azimuth) == len(back.elevation)
+    if not mutations:
+        assert text == SCENE_TEXTS[which]
 
 
 # The one row builder, TrackSet.from_rows, behind every TrackSet.
