@@ -288,10 +288,9 @@ def simulate_corpus(
 ) -> FrameGrid:
     """Write a seeded scene corpus; per-scene seeds derive from the master.
 
-    The manifest is written last, once every scene is, and an earlier
-    corpus's manifest is removed before the first scene write: a run that
-    fails leaves no manifest, so no command takes the directory for a
-    corpus.
+    An earlier corpus's manifest is removed before the first scene is
+    written, and the new manifest is written last: a run that fails
+    leaves no manifest, so no command takes the directory for a corpus.
     """
     base, om_base, n_scenes, master_seed = _simulate_plan(
         scenario_doc, observation_doc, n_scenes, master_seed
