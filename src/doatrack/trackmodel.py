@@ -7,7 +7,7 @@ with its frame index, its angles in radians and per-frame row offsets.
 Unit vectors are not stored: matching and the PF derive them from the
 angles once per scene. Inactivity is the absence of a row, never a
 validity flag. Every TrackSet comes from TrackSet.from_rows;
-TrackSet(grid, entries) is its one door for Direction objects. Track
+TrackSet(grid, entries) is the one door for Direction objects. Track
 identities are opaque strings: prediction and ground-truth ids live in
 unrelated namespaces and nothing may compare them except through
 matching.
