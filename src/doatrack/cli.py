@@ -649,8 +649,12 @@ def cmd_sweep(args) -> int:
 
 def _lint_scene(scenes_dir, grid, mode, min_sep, _index, sid) -> list[str]:
     """Worker: the problems of one ground-truth CSV that parses, per track
-    in the order of the tracks' first rows."""
+    in the order of the tracks' first rows, once its observation CSV, if
+    any, parses too."""
     ts = read_trackset(scenes_dir / f"{sid}.gt.csv", grid)
+    obs = scenes_dir / f"{sid}.obs.csv"
+    if obs.exists():
+        read_observations(obs, grid)
     problems = []
     if mode in ("jump", "static"):
         for code in dict.fromkeys(ts.id_code.tolist()):
@@ -664,12 +668,10 @@ def _lint_scene(scenes_dir, grid, mode, min_sep, _index, sid) -> list[str]:
             if mode == "jump" and min_sep > 0:
                 starts = np.r_[0, run_starts]
                 unique = dict.fromkeys(zip(az[starts].tolist(), el[starts].tolist()))
-                for a, b in combinations(unique, 2):
-                    # 1e-6 rad absorbs the 6-decimal CSV quantization
-                    if angular_distance(Direction(*a), Direction(*b)) < min_sep - 1e-6:
-                        problems.append(
-                            f"{sid}/{tid}: positions closer than the minimum separation"
-                        )
+                # 1e-6 rad absorbs the 6-decimal CSV quantization
+                if any(angular_distance(Direction(*a), Direction(*b)) < min_sep - 1e-6
+                       for a, b in combinations(unique, 2)):
+                    problems.append(f"{sid}/{tid}: positions closer than the minimum separation")
     return problems
 
 

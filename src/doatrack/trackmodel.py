@@ -342,9 +342,9 @@ class _Rows(NamedTuple):
 def _parse_rows(stream: TextIO, grid: FrameGrid, expect_source: bool) -> _Rows:
     """The one row parser of track and observation CSVs.
 
-    Rows are checked a column at a time. If any check fails, the rows
-    are checked again one at a time, and the first bad row in file order
-    raises its ParseError.
+    Rows are checked a column at a time. If a check fails, the same
+    checks run again on one row at a time, and the first bad row in file
+    order raises its ParseError, naming its line.
     """
     header = stream.readline().rstrip("\n")
     allowed = {OBS_CSV_HEADER} if expect_source else {TRACK_CSV_HEADER}
@@ -358,67 +358,61 @@ def _parse_rows(stream: TextIO, grid: FrameGrid, expect_source: bool) -> _Rows:
     if not all(texts):  # blank lines are skipped
         lines = [n for n, text in zip(lines, texts) if text]
         texts = [text for text in texts if text]
+    try:
+        return _Rows(lines, *_checked_columns(texts, n_fields, grid, expect_source))
+    except ParseError:
+        for line, text in zip(lines, texts):
+            try:
+                _checked_columns([text], n_fields, grid, expect_source)
+            except ParseError as exc:
+                raise ParseError(str(exc), line=line) from None
+        raise
+
+
+def _checked_columns(texts: list[str], n_fields: int, grid: FrameGrid, expect_source: bool):
+    """(frame, track_id, azimuth, elevation, source) of CSV data rows,
+    each row rule checked once, on whole columns. Refusing "\\r" and a
+    track file's empty track_id keeps every id and tag read writable.
+
+    Raises the ParseError of the first rule some row breaks, worded from
+    the first such row, without its line.
+    """
+    if "\r" in "".join(texts):
+        raise ParseError("carriage return in a row: files are LF only")
+    n = len(texts)
     parts = [text.split(",") for text in texts]
-    columns = _checked_columns(parts, n_fields, grid)
-    if columns is None:
-        for line, row in zip(lines, parts):
-            _check_row(row, line, n_fields, grid)
-        raise ParseError("rows failed a check no single row fails")
-    return _Rows(lines, *columns)
-
-
-def _checked_columns(parts: list[list[str]], n_fields: int, grid: FrameGrid):
-    """(frame, track_id, azimuth, elevation, source) of split rows that
-    all pass the checks of _check_row, made here on whole columns; None
-    if some row fails one."""
-    n = len(parts)
     if set(map(len, parts)) - {n_fields}:
-        return None
+        raise ParseError(f"expected {n_fields} fields")
     cols = list(zip(*parts)) or [()] * n_fields
+    if not expect_source and "" in cols[2]:
+        raise ParseError("empty track_id")
     try:
         frame = list(map(int, cols[0]))
-        time_s = np.fromiter(map(float, cols[1]), float, n)
-        azimuth = np.fromiter(map(float, cols[3]), float, n) * _RADIANS_PER_DEGREE
-        elevation = np.fromiter(map(float, cols[4]), float, n) * _RADIANS_PER_DEGREE
-    except ValueError:
-        return None
+        time_s, az_deg, el_deg = (np.fromiter(map(float, cols[j]), float, n) for j in (1, 3, 4))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     if not (min(frame, default=0) >= 0 and max(frame, default=0) < grid.n_frames):
-        return None
+        outside = next(f for f in frame if not 0 <= f < grid.n_frames)
+        raise ParseError(f"frame {outside} outside [0, {grid.n_frames})")
     frame = np.array(frame, dtype=np.int64)
-    if not np.all(np.abs(time_s - frame * grid.frame_period) <= TIME_TOLERANCE_S):
-        return None
-    el_ok = (elevation >= -_HALF_PI - 1e-12) & (elevation <= _HALF_PI + 1e-12)
-    if not (np.all(el_ok) and np.all(np.isfinite(azimuth))):
-        return None
+    bad = ~(np.abs(time_s - frame * grid.frame_period) <= TIME_TOLERANCE_S)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ParseError(
+            f"time_s {cols[1][i]} is not frame {frame[i]} x frame period {grid.frame_period} s"
+        )
+    azimuth, elevation = az_deg * _RADIANS_PER_DEGREE, el_deg * _RADIANS_PER_DEGREE
+    bad = ~((elevation >= -_HALF_PI - 1e-12) & (elevation <= _HALF_PI + 1e-12))
+    if bad.any():
+        raise ParseError(f"elevation_deg {cols[4][np.argmax(bad)]} outside [-90, 90]")
+    bad = ~np.isfinite(azimuth)
+    if bad.any():
+        raise ParseError(f"azimuth_deg {cols[3][np.argmax(bad)]} is not finite")
     for i in np.flatnonzero((azimuth < -math.pi) | (azimuth >= math.pi)):
         azimuth[i] = wrap_azimuth(float(azimuth[i]))
     elevation = np.minimum(np.maximum(elevation, -_HALF_PI), _HALF_PI)
     source = tuple(tag or None for tag in cols[5]) if n_fields == 6 else (None,) * n
     return frame, cols[2], azimuth, elevation, source
-
-
-def _check_row(parts: list[str], line: int, n_fields: int, grid: FrameGrid) -> None:
-    """Raise the ParseError of one bad row, naming its line."""
-    if len(parts) != n_fields:
-        raise ParseError(f"expected {n_fields} fields", line=line)
-    try:
-        frame = int(parts[0])
-        time_s = float(parts[1])
-        az_deg = float(parts[3])
-        el_deg = float(parts[4])
-    except ValueError as exc:
-        raise ParseError(str(exc), line=line) from exc
-    if not 0 <= frame < grid.n_frames:
-        raise ParseError(f"frame {frame} outside [0, {grid.n_frames})", line=line)
-    if not abs(time_s - grid.time_of(frame)) <= TIME_TOLERANCE_S:
-        raise ParseError(
-            f"time_s {parts[1]} is not frame {frame} x frame period {grid.frame_period} s",
-            line=line,
-        )
-    try:
-        Direction.from_degrees(az_deg, el_deg)
-    except ValueError as exc:
-        raise ParseError(str(exc), line=line) from exc
 
 
 def write_json(doc: dict, path: str | Path) -> None:

@@ -3,7 +3,11 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
+from doatrack import cli
 from doatrack.cli import _available_cpus, _clamp_jobs, config_from_json, lint_corpus, main
+from doatrack.errors import DoatrackError
 from doatrack.geometry import Direction
 from doatrack.trackers import TrackerConfig
 from doatrack.trackmodel import (
@@ -129,6 +133,8 @@ def test_lint_flags_jump_track_geometry(tmp_path):
         # three runs on two positions 10 deg apart: one pair closer than 30 deg
         "a": {0: near, 1: near, 5: far, 6: far, 8: near, 9: near},
         "b": {0: near, 1: far},
+        # three runs on three positions 5 deg apart: three close pairs, one problem
+        "c": {0: near, 3: Direction.from_degrees(5.0, 0.0), 6: Direction.from_degrees(10.0, 0.0)},
     })
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -141,6 +147,7 @@ def test_lint_flags_jump_track_geometry(tmp_path):
     assert lint_corpus(corpus) == [
         "scene_0000/a: positions closer than the minimum separation",
         "scene_0000/b: direction varies within an active run",
+        "scene_0000/c: positions closer than the minimum separation",
         "scene_0001/z: direction varies within an active run",
         "scene_0001/a: direction varies within an active run",
     ]
@@ -537,6 +544,22 @@ def test_time_column_is_cross_checked_against_the_frame(tmp_path, capsys):
     assert "FAILED scene_0002: ParseError: line 2: time_s" in capsys.readouterr().err
 
 
+def test_crlf_rows_under_an_lf_header_are_a_parse_error(tmp_path, capsys):
+    # a source_id ending in "\r" would pass the reader and fail the writer
+    corpus = _simulated_corpus(tmp_path)
+    obs = corpus / "scene_0001.obs.csv"
+    header, *rows = obs.read_text().split("\n")[:-1]
+    obs.write_bytes(("\n".join([header, *(row + "\r" for row in rows)]) + "\n").encode())
+    oracle = write_config(tmp_path, "oracle.json", {"type": "oracle"})
+    capsys.readouterr()
+    assert main(["lint", "--scenes", str(corpus)]) == 2
+    assert main(["track", "--config", oracle, "--scenes", str(corpus),
+                 "--out", str(tmp_path / "preds")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("FAILED scene_0001: ParseError: line 2: carriage return") == 2, err
+    assert err.count("\n") == 2 and "ValueError" not in err, err
+
+
 def test_manifest_scenario_entry_is_checked(tmp_path, capsys):
     corpus = _simulated_corpus(tmp_path)
     manifest = json.loads((corpus / "manifest.json").read_text())
@@ -569,12 +592,40 @@ def test_manifest_scenario_entry_is_checked(tmp_path, capsys):
 
 def test_sweep_checks_every_cell_tracker_before_any_work(tmp_path, capsys):
     base = {"subsets": [{"n_speakers": 1, "n_scenes": 1}], "k_max_values": [1]}
-    for bad in ({"tracker": {"typo": 1}}, {"k_max_values": [1, 2.5]},
-                {"subsets": [{"n_speakers": 1, "n_scenes": 1}, {"n_speakers": 0.5}]}):
+    for bad, word in (({"tracker": {"typo": 1}}, "typo"), ({"k_max_values": [1, 2.5]}, "k_max"),
+                      ({"subsets": [{"n_speakers": 1, "n_scenes": 1}, {"n_speakers": 0.5}]},
+                       "n_speakers"),
+                      ({"tracker": {"type": "oracle"}}, "sweep supports only the pf tracker")):
         cfg = write_config(tmp_path, "sweep.json", {**base, **bad})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 1, bad
-        _config_error(capsys)
+        assert word in _config_error(capsys), bad
         assert not (tmp_path / "sweep").exists(), bad
+
+
+@pytest.mark.parametrize("stage, failed", [("pf_tracker", "had failures"),
+                                           ("evaluate_scene", "evaluation failed")])
+def test_sweep_cell_with_a_failed_scene_is_a_data_error(stage, failed, tmp_path, capsys,
+                                                        monkeypatch):
+    real, calls = getattr(cli, stage), []
+
+    def fail_once(*args):
+        calls.append(None)
+        if len(calls) == 1:
+            raise DoatrackError("injected scene failure")
+        return real(*args)
+
+    monkeypatch.setattr(cli, stage, fail_once)
+    doc = {"subsets": [{"n_speakers": 1, "n_scenes": 2}], "k_max_values": [2],
+           "scenario": {"duration_s": 5.0}, "bootstrap": {"replicates": 0}}
+    with pytest.raises(DoatrackError, match=f"sweep cell 1spk/kmax_2 {failed}"):
+        cli.run_sweep(doc, tmp_path / "direct", 0)
+    calls.clear()
+    cfg = write_config(tmp_path, "sweep.json", doc)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: DoatrackError: sweep cell 1spk/kmax_2 {failed}" in err, err
+    assert "scene_0000: DoatrackError: injected scene failure" in err, err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
 
 
 def test_sweep_produces_rows_per_subset_and_k(tmp_path):

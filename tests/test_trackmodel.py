@@ -119,6 +119,37 @@ def test_malformed_row_raises_parse_error_with_line():
     with pytest.raises(ParseError) as exc:
         read_trackset(io.StringIO(body), grid)
     assert exc.value.line == 3
+    # two rows failing two different checks: the first bad row in file
+    # order raises, whichever check the column pass met first
+    for rows, message in (
+        (["0,0.500000,A,1.0,2.0", "1,0.100000,A,1.0,2.0,x"], "line 2: time_s 0.500000 is not "),
+        (["0,0.000000,A,1.0,2.0,x", "12,1.200000,A,1.0,2.0"], "line 2: expected 5 fields"),
+        (["0,0.000000,A,1.0,2.0", "1,0.100000,A,nan,90.0001"],
+         "line 3: elevation_deg 90.0001 outside [-90, 90]"),
+        (["0,0.000000,A,1.0,2.0", "1,0.100000,A,-inf,0.0"],
+         "line 3: azimuth_deg -inf is not finite"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            read_trackset(io.StringIO(TRACK_CSV_HEADER + "\n" + "\n".join(rows) + "\n"), grid)
+        assert str(exc.value).startswith(message), (rows, str(exc.value))
+
+
+def test_rows_the_writers_would_refuse_are_parse_errors():
+    grid = FrameGrid(0.1, 10)
+    for reader, header, row in (
+        (read_trackset, TRACK_CSV_HEADER, "0,0.000000,A,1.0,2.0\r"),
+        (read_trackset, TRACK_CSV_HEADER, "0,0.000000,,1.0,2.0"),
+        (read_observations, OBS_CSV_HEADER, "0,0.000000,0,1.0,2.0,spk0\r"),
+        (read_observations, OBS_CSV_HEADER, "0,0.000000,0,1.0,2.0,\r"),
+        (read_observations, TRACK_CSV_HEADER, "0,0.000000,0,1.0,2.0\r"),
+    ):
+        good = "1,0.100000,0,1.0,2.0" + ("," if header == OBS_CSV_HEADER else "")
+        with pytest.raises(ParseError) as exc:
+            reader(io.StringIO(f"{header}\n{good}\n{row}\n"), grid)
+        assert exc.value.line == 3, (reader, row)
+    # an observation file's track_id is an index that is not read: it may be empty
+    obs = read_observations(io.StringIO(f"{OBS_CSV_HEADER}\n0,0.000000,,1.0,2.0,spk0\n"), grid)
+    assert obs.source == ("spk0",)
 
 
 def test_bad_header_rejected():
@@ -437,17 +468,21 @@ def _mutated(text: str, mutations) -> str:
 @settings(max_examples=300)
 def test_scene_csv_fuzz_gives_a_container_or_a_parse_error(which, mutations):
     # a scene CSV, mutated: a reader returns a container of finite,
-    # in-range values, or raises ParseError; nothing else
+    # in-range values that its writer takes back, or raises a ParseError
+    # naming its line; nothing else
     text = _mutated(SCENE_TEXTS[which], mutations)
-    for reader in (read_trackset, read_observations):
+    for reader, writer in ((read_trackset, write_trackset),
+                           (read_observations, write_observations)):
         try:
             back = reader(io.StringIO(text), SCENE_GRID)
-        except ParseError:
+        except ParseError as exc:
+            assert exc.line is not None, exc
             continue
         assert np.all((back.frame >= 0) & (back.frame < SCENE_GRID.n_frames))
         assert np.all((back.azimuth >= -math.pi) & (back.azimuth < math.pi))
         assert np.all(np.abs(back.elevation) <= math.pi / 2)
         assert back.offsets[-1] == len(back.frame) == len(back.azimuth) == len(back.elevation)
+        writer(back, io.StringIO())
     if not mutations:
         assert text == SCENE_TEXTS[which]
 
