@@ -45,7 +45,7 @@ def association_scores(ms: MatchSequence) -> AssociationScores | None:
     if not n_tp:
         return None
     n_pred, n_gt = len(ms.pred_ids), len(ms.gt_ids)
-    couple, tpa = np.unique(ms.tp_pred.astype(np.int64) * n_gt + ms.tp_gt, return_counts=True)
+    couple, tpa = np.unique(ms.tp_pred * n_gt + ms.tp_gt, return_counts=True)
     pred, gt = np.divmod(couple, n_gt)
     fpa = np.bincount(ms.tp_pred, minlength=n_pred)[pred] - tpa
     fpa += np.bincount(ms.fp_pred, minlength=n_pred)[pred]

@@ -183,10 +183,11 @@ def _available_cpus() -> int:
 
 
 def _run_scene(worker, index: int, scene_id: str) -> tuple[object, str | None]:
-    """(worker's result, None), or (None, failure line) if the scene failed."""
+    """(worker's result, None), or (None, failure line) if the scene's data
+    or files failed. Any other exception is a fault and propagates."""
     try:
         return worker(index, scene_id), None
-    except (DoatrackError, OSError, KeyError, ValueError) as exc:
+    except (DoatrackError, OSError) as exc:
         return None, f"{scene_id}: {type(exc).__name__}: {exc}"
 
 

@@ -56,8 +56,8 @@ def count_broken(ms: MatchSequence, gts: TrackSet) -> int:
     code = np.array([code_of.get(g, -1) for g in ms.gt_ids], dtype=np.int64)[ms.tp_gt]
     known = code >= 0
     # (frame, gt) pairs as frame * n_ids + gt code
-    matched = np.unique(ms.tp_frame[known].astype(np.int64) * n_ids + code[known])
-    active = gts.frame.astype(np.int64) * n_ids + gts.id_code
+    matched = np.unique(ms.tp_frame[known] * n_ids + code[known])
+    active = gts.frame * n_ids + gts.id_code
     following = matched + n_ids
     return int(np.count_nonzero(
         np.isin(following, active) & ~np.isin(following, matched)

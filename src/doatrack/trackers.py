@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, count
 
 import numpy as np
 
@@ -61,10 +62,12 @@ class TrackerConfig:
     """Particle-filter tracker policy and dynamics.
 
     k_max bounds the number of distinct ids ever issued (None means
-    unbounded); max_active caps simultaneously live tracks. A track
-    survives up to death_frames consecutive frames without support.
-    likelihood_sigma sets the observation kernel exp(kappa * cos(d))
-    via kappa = 1 / likelihood_sigma**2.
+    unbounded); max_active caps simultaneously live tracks. As k_max is
+    at least max_active, a confirmation under the live cap always gets
+    an id: a fresh one, or once k_max are issued the newest-dead one. A
+    track survives up to death_frames consecutive frames without
+    support. likelihood_sigma sets the observation kernel
+    exp(kappa * cos(d)) via kappa = 1 / likelihood_sigma**2.
     """
 
     max_active: int
@@ -231,10 +234,8 @@ def _cloud_means(P: np.ndarray) -> np.ndarray:
 
 
 def _greedy_pairs(dist: np.ndarray, gate: float) -> list[tuple[int, int]]:
-    """Globally greedy gated pairing on a distance matrix."""
+    """Globally greedy gated pairing on a non-empty distance matrix."""
     pairs: list[tuple[int, int]] = []
-    if dist.size == 0:
-        return pairs
     if dist.shape == (1, 1):
         return [(0, 0)] if dist[0, 0] <= gate else []
     d = dist.copy()
@@ -247,12 +248,10 @@ def _greedy_pairs(dist: np.ndarray, gate: float) -> list[tuple[int, int]]:
         d[:, c] = np.inf
 
 
-class _Candidate:
-    __slots__ = ("unit", "support")
-
-    def __init__(self, unit: np.ndarray):
-        self.unit = unit
-        self.support = 1
+def _gated_pairs(a: np.ndarray, b: np.ndarray, gate: float) -> list[tuple[int, int]]:
+    """_greedy_pairs on the angular distances between the rows of two
+    non-empty stacks of unit vectors."""
+    return _greedy_pairs(np.arccos(_clip(a @ b.T, -1.0, 1.0)), gate)
 
 
 def pf_tracker(obs: ObservationSet, cfg: TrackerConfig) -> TrackSet:
@@ -265,6 +264,11 @@ def pf_tracker(obs: ObservationSet, cfg: TrackerConfig) -> TrackSet:
     A track's estimate, the direction of its cloud mean, is never
     stored: after the predict step it only feeds the association, and
     after an update or a birth it is the emitted row.
+
+    A confirmation under the live cap always gets an id: every id issued
+    is either live or in the dead pool, so once k_max ids are issued
+    with fewer than max_active <= k_max live, the pool holds
+    k_max - len(live) >= 1 ids.
     """
     rng = np.random.default_rng(cfg.seed)
     kappa = 1.0 / cfg.likelihood_sigma**2
@@ -274,29 +278,28 @@ def pf_tracker(obs: ObservationSet, cfg: TrackerConfig) -> TrackSet:
     P = np.empty((0, n, 3))  # live[t]'s particles are P[t]
     live: list[str] = []
     unsupported: list[int] = []  # frames since live[t] was last associated
-    candidates: list[_Candidate] = []
-    dead_pool: list[tuple[int, str]] = []  # (death_frame, id)
-    issued = 0
+    candidates: list[tuple[np.ndarray, int]] = []  # (unit, support), oldest first
+    dead_pool: list[str] = []  # dead ids by (death frame, id), newest last
+    # the ids not yet issued: t0, t1, ... up to t{k_max - 1}
+    fresh_ids = map("t{}".format, count() if cfg.k_max is None else range(cfg.k_max))
     rows: list[tuple[int, str, float, float]] = []  # (frame, id, azimuth, elevation)
     units = unit_vectors_from_angles(obs.azimuth.tolist(), obs.elevation.tolist())
 
     for f in range(obs.grid.n_frames):
         obs_units = units[obs.offsets[f]:obs.offsets[f + 1]]
-        n_obs = len(obs_units)
+        leftover = list(range(len(obs_units)))  # the frame's unspent observations
+        unsupported = [k + 1 for k in unsupported]
 
         # 1. predict
         if live:
             P = _predict(P, sigma, rng)
 
         # 2. gated greedy association, nearest angular distance first
-        assigned_obs: set[int] = set()
-        associated: set[int] = set()
-        if live and n_obs:
+        if live and leftover:
             track_units = np.array([
                 unit_xyz(*_mean_angles(v, cloud)) for v, cloud in zip(_cloud_means(P), P)
             ])
-            dist = np.arccos(_clip(track_units @ obs_units.T, -1.0, 1.0))
-            for ti, oi in _greedy_pairs(dist, cfg.assoc_gate):
+            for ti, oi in _gated_pairs(track_units, obs_units, cfg.assoc_gate):
                 # 3. measurement update against the associated observation,
                 #    then systematic resampling
                 cloud = P[ti]
@@ -308,58 +311,31 @@ def pf_tracker(obs: ObservationSet, cfg: TrackerConfig) -> TrackSet:
                 cumulative[-1] = 1.0  # guard against rounding shortfall
                 P[ti] = cloud[np.searchsorted(cumulative, (rng.random() + ar) / n)]
                 rows.append((f, live[ti], az, el))
-                assigned_obs.add(oi)
-                associated.add(ti)
-        unsupported = [0 if ti in associated else k + 1 for ti, k in enumerate(unsupported)]
+                unsupported[ti] = 0
+                leftover.remove(oi)
 
-        # 4. candidate maintenance on leftover observations; support must
-        #    be consecutive, unsupported candidates drop out; age order is
-        #    preserved so older candidates confirm first under contention
-        leftover = [oi for oi in range(n_obs) if oi not in assigned_obs]
-        surviving: list[_Candidate] = []
+        # 4. a candidate survives only while consecutive frames support
+        #    it, taking the supporting direction; oldest first, so older
+        #    candidates confirm first under contention
+        pairs = []
         if candidates and leftover:
-            cand_units = np.array([c.unit for c in candidates])
-            left_units = obs_units[leftover]
-            dist = np.arccos(_clip(cand_units @ left_units.T, -1.0, 1.0))
-            supported = {
-                ci: leftover[li] for ci, li in _greedy_pairs(dist, cfg.assoc_gate)
-            }
-            for ci, cand in enumerate(candidates):
-                if ci in supported:
-                    cand.unit = obs_units[supported[ci]]
-                    cand.support += 1
-                    surviving.append(cand)
-            consumed = set(supported.values())
-            leftover = [oi for oi in leftover if oi not in consumed]
-        candidates = surviving
+            cand_units = np.array([unit for unit, _support in candidates])
+            pairs = sorted(_gated_pairs(cand_units, obs_units[leftover], cfg.assoc_gate))
+        spent = {leftover[li] for _ci, li in pairs}
+        candidates = [(obs_units[leftover[li]], candidates[ci][1] + 1) for ci, li in pairs]
 
-        # 5. births from the remaining observations (first support counts)
-        for oi in leftover:
-            candidates.append(_Candidate(obs_units[oi]))
+        # 5. each observation still unspent is a new candidate's first support
+        candidates += [(obs_units[oi], 1) for oi in leftover if oi not in spent]
 
-        # 6. confirmations, subject to the live cap and the id budget;
-        #    reaching the support threshold consumes the candidate either way
-        still_candidates: list[_Candidate] = []
-        born: list[np.ndarray] = []
-        for cand in candidates:
-            if cand.support < cfg.birth_frames:
-                still_candidates.append(cand)
-                continue
-            if len(live) >= cfg.max_active:
-                continue  # rejected
-            if cfg.k_max is None or issued < cfg.k_max:
-                tid = f"t{issued}"
-                issued += 1
-            elif dead_pool:
-                dead_pool.sort()  # (death_frame, id): deterministic tie-break
-                tid = dead_pool.pop()[1]  # newest-dead id
-            else:
-                continue  # id budget exhausted, nothing to reuse
-            live.append(tid)
-            unsupported.append(0)
-            born.append(cand.unit)
-        candidates = still_candidates
+        # 6. confirmations: reaching birth_frames consumes a candidate;
+        #    those beyond the live cap are rejected
+        born = [unit for unit, support in candidates if support >= cfg.birth_frames]
+        born = born[:cfg.max_active - len(live)]
+        candidates = [cand for cand in candidates if cand[1] < cfg.birth_frames]
         if born:
+            # a fresh id while fewer than k_max are issued, else the newest-dead id
+            live += [next(fresh_ids, None) or dead_pool.pop() for _unit in born]
+            unsupported += [0] * len(born)
             # each newborn cloud is n copies of its observation, walked once
             clouds = _predict(np.repeat(np.array(born)[:, None, :], n, axis=1), sigma, rng)
             for tid, v, cloud in zip(live[-len(born):], _cloud_means(clouds), clouds):
@@ -369,9 +345,9 @@ def pf_tracker(obs: ObservationSet, cfg: TrackerConfig) -> TrackSet:
         # 7. deaths
         alive = [k <= cfg.death_frames for k in unsupported]
         if not all(alive):
-            dead_pool.extend((f, tid) for tid, ok in zip(live, alive) if not ok)
+            dead_pool += sorted(tid for tid, ok in zip(live, alive) if not ok)
             P = P[alive]
-            live = [tid for tid, ok in zip(live, alive) if ok]
-            unsupported = [k for k, ok in zip(unsupported, alive) if ok]
+            live = list(compress(live, alive))
+            unsupported = list(compress(unsupported, alive))
 
     return TrackSet.from_rows(obs.grid, *columns_of(rows, 4))

@@ -31,6 +31,7 @@ import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, Sequence, TextIO
 
@@ -160,7 +161,7 @@ class TrackSet:
             azimuth, elevation = azimuth[order], elevation[order]
         ts = cls.__new__(cls)
         ts.grid, ts.ids, ts.offsets = grid, names, _offsets(frame, grid.n_frames)
-        ts.frame, ts.id_code = frame.astype(np.int32), code.astype(np.int32)
+        ts.frame, ts.id_code = frame, code
         ts.azimuth, ts.elevation = azimuth, elevation
         return ts
 
@@ -346,14 +347,17 @@ def _parse_rows(stream: TextIO, grid: FrameGrid, expect_source: bool) -> _Rows:
     checks run again on one row at a time, and the first bad row in file
     order raises its ParseError, naming its line.
     """
-    header = stream.readline().rstrip("\n")
+    try:
+        header = stream.readline().rstrip("\n")
+        texts = [raw.rstrip("\n") for raw in stream]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc}") from None
     allowed = {OBS_CSV_HEADER} if expect_source else {TRACK_CSV_HEADER}
     if expect_source:
         allowed.add(TRACK_CSV_HEADER)  # untagged observation files are fine
     if header not in allowed:
         raise ParseError(f"unexpected header {header!r}", line=1)
     n_fields = 6 if header == OBS_CSV_HEADER else 5
-    texts = [raw.rstrip("\n") for raw in stream]
     lines: Sequence[int] = range(2, len(texts) + 2)
     if not all(texts):  # blank lines are skipped
         lines = [n for n, text in zip(lines, texts) if text]
@@ -386,6 +390,10 @@ def _checked_columns(texts: list[str], n_fields: int, grid: FrameGrid, expect_so
     cols = list(zip(*parts)) or [()] * n_fields
     if not expect_source and "" in cols[2]:
         raise ParseError("empty track_id")
+    # int and float also take "1_0", " 3" and non-ASCII digits such as "\u0663"
+    numbers = "".join(chain(cols[0], cols[1], cols[3], cols[4]))
+    if not numbers.isascii() or any(c in numbers for c in "_ \t\v\f"):
+        raise ParseError("a number holds an underscore, a space or a non-ASCII character")
     try:
         frame = list(map(int, cols[0]))
         time_s, az_deg, el_deg = (np.fromiter(map(float, cols[j]), float, n) for j in (1, 3, 4))

@@ -119,7 +119,7 @@ def test_lint_flags_corrupted_scene(tmp_path, capsys):
     (out / "scene_0002.gt.csv").write_bytes(b"frame\xff\xfe\n")
     assert main(["lint", "--scenes", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "FAILED scene_0002: UnicodeDecodeError" in err and "Traceback" not in err
+    assert "FAILED scene_0002: ParseError: not UTF-8" in err and "Traceback" not in err
     # so is a manifest that is not UTF-8, for the whole corpus
     (out / "manifest.json").write_bytes(b"{\xff}")
     assert main(["lint", "--scenes", str(out)]) == 2
@@ -294,7 +294,7 @@ def test_evaluate_reports_nan_azimuth_per_scene(tmp_path, capsys):
     assert main(["evaluate", "--gt", str(corpus), "--pred", str(preds)]) == 2
     err = capsys.readouterr().err
     assert "FAILED scene_0001: ParseError" in err
-    assert "FAILED scene_0002: UnicodeDecodeError" in err and "Traceback" not in err
+    assert "FAILED scene_0002: ParseError: not UTF-8" in err and "Traceback" not in err
 
 
 def test_evaluate_rejects_mismatched_scene_sets(tmp_path):
@@ -626,6 +626,20 @@ def test_sweep_cell_with_a_failed_scene_is_a_data_error(stage, failed, tmp_path,
     assert f"data error: DoatrackError: sweep cell 1spk/kmax_2 {failed}" in err, err
     assert "scene_0000: DoatrackError: injected scene failure" in err, err
     assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
+def test_a_fault_in_a_scene_worker_propagates(tmp_path, monkeypatch):
+    # only data and file errors become FAILED lines; a bare ValueError is
+    # a fault of the program, not of the scene
+    cfg = write_config(tmp_path, "sim.json", SIM_DOC)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "corpus")]) == 0
+
+    def broken(*args):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(cli, "pf_tracker", broken)
+    with pytest.raises(ValueError, match="injected fault"):
+        cli.track_corpus(tmp_path / "corpus", {"type": "pf", "seed": 1}, tmp_path / "preds")
 
 
 def test_sweep_produces_rows_per_subset_and_k(tmp_path):

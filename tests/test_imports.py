@@ -1,16 +1,20 @@
-"""Every module-level import in the package is read by its module.
+"""Every module-level import in the package is read by its module, and
+every top-level definition in the package is read somewhere in the
+repository.
 
-The one exception is a name perfbench/tracer.py replaces on that module
-to observe the package: the tracer needs the attribute to exist even
-where the module itself no longer calls it.
+The one exception to the first is a name perfbench/tracer.py replaces
+on that module to observe the package: the tracer needs the attribute
+to exist even where the module itself no longer calls it.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 from test_benchmark_tracer import _tracer_module
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "doatrack"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "doatrack"
 
 
 def _unread_imports(source: str) -> set[str]:
@@ -39,3 +43,61 @@ def test_every_module_level_import_is_read():
         for name in _unread_imports(path.read_text(encoding="utf-8"))
     }
     assert unread - patched == set()
+
+
+
+def _definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Each name a def, class or assignment at the top of a module binds,
+    with the statement that binds it."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            defs.update(dict.fromkeys(names, node))
+    return defs
+
+
+def _reads(tree: ast.AST, local) -> tuple[Counter, Counter]:
+    """The reads in tree of the names in local, which its module binds
+    itself, and all its other reads: loaded names, loaded attributes and
+    names imported from the package."""
+    own: Counter = Counter()
+    other: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            (own if node.id in local else other)[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            other[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").startswith("doatrack")
+        ):
+            other.update(alias.name for alias in node.names)
+    return own, other
+
+
+def test_every_top_level_definition_is_read():
+    # a def, class or assignment at the top of a package module that
+    # nothing in the source, the tests, the scripts or the benchmark
+    # reads, other than its own statement, is dead code
+    other: Counter = Counter()
+    package = {}
+    for folder in ("src", "tests", "scripts", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            defs = _definitions(tree)
+            own, rest = _reads(tree, defs)
+            other += rest
+            if path.parent == PACKAGE:
+                package[path.stem] = defs, own
+    unread = {
+        (module, name)
+        for module, (defs, own) in package.items()
+        for name, node in defs.items()
+        if not name.startswith("__")
+        and not other[name]
+        and own[name] == _reads(node, {name})[0][name]
+    }
+    assert unread == set()

@@ -3,7 +3,7 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from _oracles import _greedy_pairs as naive_greedy_pairs
 from _oracles import (
@@ -380,6 +380,32 @@ def pf_configs(draw):
     )
 
 
+def blinking(*frames):
+    """An observation set whose frame f holds sources frames[f], indices
+    into four equator directions 90 degrees apart."""
+    azimuths = (0.0, 90.0, -90.0, 180.0)
+    return observation_set(
+        FrameGrid(0.1, len(frames)), [[(D(azimuths[s]), f"s{s}") for s in fr] for fr in frames]
+    )
+
+
+def spent_budget(k, seed):
+    """k_max == max_active == k, birth and death after one frame."""
+    return TrackerConfig(
+        max_active=k, k_max=k, birth_frames=1, death_frames=1, n_particles=16, seed=seed
+    )
+
+
+# Each example spends the whole id budget at frame 0, rejects the
+# source beyond the live cap at frame 1, and at frame 5 gives a source a
+# dead id in the frame where the last track dies. The second goes on to
+# reuse an id dead at frame 5 before one dead at frame 3, and at frame
+# 10 the larger of two ids that died together out of id order.
+@example(obs=blinking([0, 1], [0, 1, 2], [0], [0], [], [2]), cfg=spent_budget(2, 1))
+@example(
+    obs=blinking([0, 1, 2], [0, 1, 2, 3], [0], [0], [], [3], [1], [1, 3], [], [], [0]),
+    cfg=spent_budget(3, 2),
+)
 @given(pf_scenes(), pf_configs())
 @settings(max_examples=200)
 def test_pf_equals_the_per_track_filter_bit_for_bit(obs, cfg):

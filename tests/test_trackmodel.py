@@ -128,6 +128,15 @@ def test_malformed_row_raises_parse_error_with_line():
          "line 3: elevation_deg 90.0001 outside [-90, 90]"),
         (["0,0.000000,A,1.0,2.0", "1,0.100000,A,-inf,0.0"],
          "line 3: azimuth_deg -inf is not finite"),
+        # numbers int and float would take: each read as another value
+        (["0,0.000000,A,1.0,2.0", "1_0,1.0,A,1_0.5,+2"], "line 3: a number holds "),
+        (["0,0.000000,A,1_0,2.0", "1,0.100000,A,1.0,2.0,x"], "line 2: a number holds "),
+        ([" 3,0.300000,A,1.0,2.0"], "line 2: a number holds "),
+        (["3 ,0.300000,A,1.0,2.0"], "line 2: a number holds "),
+        (["\u0663,0.300000,A,1.0,2.0"], "line 2: a number holds "),
+        (["3,0.300000,A,\t1.0,2.0"], "line 2: a number holds "),
+        (["3,0.300000,A,1.0,2.0\x0b"], "line 2: a number holds "),
+        (["3,\x0c0.300000,A,1.0,2.0"], "line 2: a number holds "),
     ):
         with pytest.raises(ParseError) as exc:
             read_trackset(io.StringIO(TRACK_CSV_HEADER + "\n" + "\n".join(rows) + "\n"), grid)
@@ -430,7 +439,7 @@ BAD_HEADERS = ["", "frame,time_s,track_id,azimuth_deg", TRACK_CSV_HEADER + ",x",
                OBS_CSV_HEADER + "\r", TRACK_CSV_HEADER.upper(), "\ufeff" + TRACK_CSV_HEADER]
 MUTATIONS = st.lists(st.tuples(
     st.sampled_from(["value", "drop_field", "add_field", "blank", "cr", "duplicate", "swap",
-                     "delete", "header"]),
+                     "delete", "header", "underscore", "space"]),
     st.integers(0, 10**6), st.integers(0, 6), st.sampled_from(BAD_VALUES),
 ), max_size=4)
 
@@ -455,6 +464,12 @@ def _mutated(text: str, mutations) -> str:
             lines[i] += "," + value
         elif kind == "cr":
             lines[i] += "\r"
+        elif kind == "underscore":  # "0.300000" -> "0.30000_0", which float takes
+            fields[j] = fields[j][:-1] + "_" + fields[j][-1:]
+            lines[i] = ",".join(fields)
+        elif kind == "space":
+            fields[j] = " " + fields[j]
+            lines[i] = ",".join(fields)
         elif kind == "duplicate":
             lines.insert(i, lines[i])
         elif kind == "swap" and i + 1 < len(lines):
@@ -468,8 +483,9 @@ def _mutated(text: str, mutations) -> str:
 @settings(max_examples=300)
 def test_scene_csv_fuzz_gives_a_container_or_a_parse_error(which, mutations):
     # a scene CSV, mutated: a reader returns a container of finite,
-    # in-range values that its writer takes back, or raises a ParseError
-    # naming its line; nothing else
+    # in-range values that its writer takes back, read from numbers
+    # without underscores, spaces or non-ASCII characters, or raises a
+    # ParseError naming its line; nothing else
     text = _mutated(SCENE_TEXTS[which], mutations)
     for reader, writer in ((read_trackset, write_trackset),
                            (read_observations, write_observations)):
@@ -478,6 +494,9 @@ def test_scene_csv_fuzz_gives_a_container_or_a_parse_error(which, mutations):
         except ParseError as exc:
             assert exc.line is not None, exc
             continue
+        rows = [line.split(",") for line in text.split("\n")[1:] if line]
+        numbers = "".join(row[k] for row in rows for k in (0, 1, 3, 4))
+        assert numbers.isascii() and not any(c in numbers for c in "_ \t\v\f"), numbers
         assert np.all((back.frame >= 0) & (back.frame < SCENE_GRID.n_frames))
         assert np.all((back.azimuth >= -math.pi) & (back.azimuth < math.pi))
         assert np.all(np.abs(back.elevation) <= math.pi / 2)
