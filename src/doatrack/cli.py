@@ -101,9 +101,9 @@ _DEGREE_KEYS = {
 # Configs whose seed derives per scene from the master seed: not a JSON key.
 _SEEDED_PER_SCENE = (ScenarioConfig, ObservationModel)
 
-# The JSON keys of each adversary tracker type besides "type"; the PF
-# takes TrackerConfig's keys.
-_ADVERSARY_KEYS = {"oracle": (), "merger": (), "splitter": ("k",), "swapper": ("period_s",)}
+# The one JSON key, and its type, of each adversary that takes a
+# parameter; the value must be > 0. The PF takes TrackerConfig's keys.
+_ADVERSARY_PARAMS = {"splitter": ("k", int), "swapper": ("period_s", float)}
 
 _SIMULATE_KEYS = ("scenario", "observation", "n_scenes", "seed")
 _SWEEP_KEYS = (
@@ -171,11 +171,6 @@ def _load_json(path: str | Path) -> dict:
     return _json_object(doc, f"config {path}")
 
 
-def _clamp_jobs(jobs: int, cpus: int) -> int:
-    """Worker processes for --jobs: never more than the CPUs available."""
-    return min(jobs, cpus)
-
-
 def _available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -196,7 +191,7 @@ def _map_scenes(worker, scene_ids: list[str], jobs: int) -> tuple[list, list[str
 
     A scene whose data is bad gives a failure line and no result."""
     run = partial(_run_scene, worker)
-    jobs = _clamp_jobs(jobs, _available_cpus())
+    jobs = min(jobs, _available_cpus())  # never more workers than CPUs
     if jobs <= 1 or len(scene_ids) <= 1:
         outcomes = list(map(run, range(len(scene_ids)), scene_ids))
     else:
@@ -350,24 +345,19 @@ def _tracker_spec(doc: dict, default_max_active) -> tuple[str, object]:
         if default_max_active is not None:
             pf_doc.setdefault("max_active", default_max_active)
         return ttype, config_from_json(TrackerConfig, pf_doc, "tracker")
-    if ttype not in _ADVERSARY_KEYS:
-        raise InvalidConfig(f"unknown tracker type {ttype!r}")
-    _json_object(doc, f"{ttype} tracker", ("type", *_ADVERSARY_KEYS[ttype]))
     if ttype in ("oracle", "merger"):
+        _json_object(doc, f"{ttype} tracker", ("type",))
         return ttype, None
-    if ttype == "splitter":
-        if "k" not in doc:
-            raise InvalidConfig("splitter config requires k")
-        k = coerce(doc["k"], int, "k")
-        if k < 1:
-            raise InvalidConfig(f"k must be >= 1, got {k}")
-        return ttype, k
-    if "period_s" not in doc:  # the swapper
-        raise InvalidConfig("swapper config requires period_s")
-    period_s = coerce(doc["period_s"], float, "period_s")
-    if period_s <= 0:
-        raise InvalidConfig(f"period_s must be > 0, got {period_s}")
-    return ttype, period_s
+    if ttype not in _ADVERSARY_PARAMS:
+        raise InvalidConfig(f"unknown tracker type {ttype!r}")
+    key, hint = _ADVERSARY_PARAMS[ttype]
+    _json_object(doc, f"{ttype} tracker", ("type", key))
+    if key not in doc:
+        raise InvalidConfig(f"{ttype} config requires {key}")
+    value = coerce(doc[key], hint, key)
+    if not value > 0:
+        raise InvalidConfig(f"{key} must be > 0, got {value}")
+    return ttype, value
 
 
 def _run_tracker_scene(

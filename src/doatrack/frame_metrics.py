@@ -90,14 +90,19 @@ def mota(n_fn: int, n_fp: int, n_idsw: int, n_gt_detections: int) -> float | Non
     return float(1 - Fraction(n_fn + n_fp + n_idsw, n_gt_detections))
 
 
+# The largest OSPA order p. Up to it, cutoff**p and d**p stay normal
+# floats for a cutoff <= pi and d >= 1e-30 rad; OSPA is used with p 1 or 2.
+MAX_OSPA_ORDER = 10
+
+
 def check_ospa(cutoff: float, order: float) -> None:
-    """Raise InvalidConfig (a ValueError) unless cutoff lies in (0, pi] and order >= 1."""
+    """Raise InvalidConfig unless cutoff lies in (0, pi] and order in [1, MAX_OSPA_ORDER]."""
     if not 0.0 < cutoff <= math.pi:
         raise InvalidConfig(
             f"OSPA cutoff must lie in (0, 180] degrees, got {math.degrees(cutoff)!r}"
         )
-    if not order >= 1:
-        raise InvalidConfig(f"OSPA order must be >= 1, got {order!r}")
+    if not 1 <= order <= MAX_OSPA_ORDER:
+        raise InvalidConfig(f"OSPA order must lie in [1, {MAX_OSPA_ORDER}], got {order!r}")
 
 
 def _ospa_local(dist: np.ndarray, cutoff: float, order: float) -> np.ndarray:

@@ -102,10 +102,8 @@ def angular_distance(a: Direction, b: Direction) -> float:
     for identical inputs and stable near both 0 and pi, where arccos of
     a rounded dot product loses ~1e-8 of precision.
     """
-    cea, sea = math.cos(a.elevation), math.sin(a.elevation)
-    ceb, seb = math.cos(b.elevation), math.sin(b.elevation)
-    ax, ay, az = cea * math.cos(a.azimuth), cea * math.sin(a.azimuth), sea
-    bx, by, bz = ceb * math.cos(b.azimuth), ceb * math.sin(b.azimuth), seb
+    ax, ay, az = unit_xyz(a.azimuth, a.elevation)
+    bx, by, bz = unit_xyz(b.azimuth, b.elevation)
     cx = ay * bz - az * by
     cy = az * bx - ax * bz
     cz = ax * by - ay * bx

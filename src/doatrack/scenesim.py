@@ -33,13 +33,14 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .geometry import (
+    TWO_PI,
     move_along_great_circle,
     perturb_direction,
     sample_direction,
     sample_separated_set,
 )
 from .trackers import MAX_ACTIVE
-from .trackmodel import MAX_FRAMES, FrameGrid, ObservationSet, TrackSet, columns_of
+from .trackmodel import FrameGrid, ObservationSet, TrackSet, columns_of
 
 MODES = ("jump", "static", "moving", "moving_zeroed")
 _SEGMENTED_MODES = ("jump", "static", "moving_zeroed")
@@ -83,13 +84,13 @@ class ScenarioConfig:
             raise InvalidConfig(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.duration_s > 0 or not self.frame_period_s > 0:
             raise InvalidConfig("duration_s and frame_period_s must be > 0")
-        ratio = self.duration_s / self.frame_period_s
-        # the bound comes first: round() of an infinite ratio raises OverflowError
-        if not (ratio < MAX_FRAMES + 1 and 1 <= round(ratio) <= MAX_FRAMES):
+        try:  # round() of an infinite ratio raises OverflowError
+            self.grid
+        except (ValueError, OverflowError) as exc:
             raise InvalidConfig(
-                f"duration_s / frame_period_s must round to a frame count in "
-                f"[1, {MAX_FRAMES}], got {ratio!r}"
-            )
+                f"duration_s / frame_period_s = {self.duration_s / self.frame_period_s!r} "
+                f"must round to the frame count of a frame grid: {exc}"
+            ) from None
         if not 1 <= self.n_positions <= MAX_POSITIONS:
             raise InvalidConfig(f"n_positions must lie in [1, {MAX_POSITIONS}]")
         if self.mode == "jump" and self.n_positions < 2:
@@ -168,7 +169,7 @@ def _segment_frames(start: float, end: float, grid: FrameGrid) -> list[int]:
     first = max(0, math.ceil(start / grid.frame_period - 1e-9))
     frames = []
     f = first
-    while f < grid.n_frames and f * grid.frame_period < end:
+    while f < grid.n_frames and grid.time_of(f) < end:
         frames.append(f)
         f += 1
     return frames
@@ -200,7 +201,7 @@ def generate_scene(cfg: ScenarioConfig) -> TrackSet:
             # Trajectory parameters are drawn before the activity pattern
             # so moving and moving_zeroed share trajectories per seed.
             start_dir = sample_direction(rng)
-            heading = rng.uniform(0.0, 2.0 * math.pi)
+            heading = rng.uniform(0.0, TWO_PI)
             step = cfg.angular_speed * grid.frame_period
             if cfg.mode == "moving":
                 active = range(grid.n_frames)

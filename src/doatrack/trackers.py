@@ -47,14 +47,15 @@ from itertools import compress, count
 import numpy as np
 
 from .errors import InvalidConfig, InvalidK, MissingTags
-from .geometry import angles_of_unit_vector, unit_vectors_from_angles, unit_xyz
+from .geometry import TWO_PI, angles_of_unit_vector, unit_vectors_from_angles, unit_xyz
 from .trackmodel import ObservationSet, TrackSet, columns_of
-
-TWO_PI = 2.0 * math.pi
 
 # Bounds on the two values that size the PF's particle stack (240 MB).
 MAX_PARTICLES = 100_000
 MAX_ACTIVE = 100
+# The narrowest likelihood kernel, in radians: kappa = 1 / sigma**2
+# overflows below about 1e-154 rad, and divides by zero further down.
+MIN_LIKELIHOOD_SIGMA = 1e-6
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,9 @@ class TrackerConfig:
             raise InvalidConfig(f"n_particles must lie in [1, {MAX_PARTICLES}]")
         if not 0.0 < self.assoc_gate <= math.pi:
             raise InvalidConfig("assoc_gate must lie in (0, pi]")
-        if self.process_noise_sigma < 0 or not self.likelihood_sigma > 0:
-            raise InvalidConfig("bad noise parameters")
+        if self.process_noise_sigma < 0 or not self.likelihood_sigma >= MIN_LIKELIHOOD_SIGMA:
+            raise InvalidConfig("process_noise_sigma must be >= 0 and likelihood_sigma "
+                                f">= {MIN_LIKELIHOOD_SIGMA} rad")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be a non-negative integer, got {self.seed}")
 
@@ -161,7 +163,7 @@ def swapper_tracker(gt: TrackSet, period_s: float) -> TrackSet:
         raise InvalidConfig("swapper needs at least two tracks")
     swapped = np.arange(len(gt.ids))
     swapped[:2] = 1, 0
-    odd_period = (gt.frame * gt.grid.frame_period) // period_s % 2 == 1
+    odd_period = gt.grid.time_of(gt.frame) // period_s % 2 == 1
     code = np.where(odd_period, swapped[gt.id_code], gt.id_code)
     return _relabeled(gt, [f"p_{tid}" for tid in gt.ids], code)
 

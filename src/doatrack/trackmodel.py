@@ -52,6 +52,9 @@ _RADIANS_PER_DEGREE = math.pi / 180.0  # the factor of math.radians
 
 
 MAX_FRAMES = 1_000_000  # the most frames a FrameGrid holds
+# The shortest frame period: ten steps of the 6-decimal time_s column, so
+# that the reader's TIME_TOLERANCE_S check tells neighbouring frames apart.
+MIN_FRAME_PERIOD_S = 1e-5
 
 
 @dataclass(frozen=True)
@@ -62,16 +65,19 @@ class FrameGrid:
     n_frames: int
 
     def __post_init__(self):
-        if not self.frame_period > 0:
-            raise ValueError("frame_period must be > 0")
+        if not self.frame_period >= MIN_FRAME_PERIOD_S:
+            raise ValueError(f"frame_period must be >= {MIN_FRAME_PERIOD_S} s, "
+                             f"got {self.frame_period!r}")
         if not 1 <= self.n_frames <= MAX_FRAMES:
             raise ValueError(f"n_frames must be in [1, {MAX_FRAMES}], got {self.n_frames}")
+        if not math.isfinite(self.duration):
+            raise ValueError(f"duration must be finite, got {self.duration!r}")
 
     @property
     def duration(self) -> float:
         return self.frame_period * self.n_frames
 
-    def time_of(self, frame: int) -> float:
+    def time_of(self, frame):  # a frame index, or an array of them
         return frame * self.frame_period
 
 
@@ -174,9 +180,6 @@ class TrackSet:
 
     def __repr__(self) -> str:
         return f"TrackSet(grid={self.grid!r}, ids={self.ids!r}, n_entries={len(self.frame)})"
-
-    def track_ids(self) -> list[str]:
-        return list(self.ids)
 
     def n_entries(self) -> int:
         """Total number of active (track, frame) pairs."""
@@ -403,7 +406,7 @@ def _checked_columns(texts: list[str], n_fields: int, grid: FrameGrid, expect_so
         outside = next(f for f in frame if not 0 <= f < grid.n_frames)
         raise ParseError(f"frame {outside} outside [0, {grid.n_frames})")
     frame = np.array(frame, dtype=np.int64)
-    bad = ~(np.abs(time_s - frame * grid.frame_period) <= TIME_TOLERANCE_S)
+    bad = ~(np.abs(time_s - grid.time_of(frame)) <= TIME_TOLERANCE_S)
     if bad.any():
         i = int(np.argmax(bad))
         raise ParseError(

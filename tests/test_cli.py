@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from doatrack import cli
-from doatrack.cli import _available_cpus, _clamp_jobs, config_from_json, lint_corpus, main
+from doatrack.cli import _available_cpus, _map_scenes, config_from_json, lint_corpus, main
 from doatrack.errors import DoatrackError
 from doatrack.geometry import Direction
 from doatrack.trackers import TrackerConfig
@@ -74,7 +74,7 @@ def test_simulate_three_speaker_subset(tmp_path):
     grid, _ = read_manifest(out / "manifest.json")
     for i in range(2):
         gt = read_trackset(out / f"scene_{i:04d}.gt.csv", grid)
-        assert len(gt.track_ids()) == 3
+        assert len(gt.ids) == 3
 
 
 def test_simulate_rejects_bad_config(tmp_path):
@@ -196,7 +196,7 @@ def test_pf_with_k_max_two_on_three_speakers(tmp_path):
     grid, _ = read_manifest(preds_dir / "manifest.json")
     for i in range(2):
         preds = read_trackset(preds_dir / f"scene_{i:04d}.pred.csv", grid)
-        assert len(preds.track_ids()) <= 2
+        assert len(preds.ids) <= 2
 
 
 def test_track_reports_missing_observation_file(tmp_path, capsys):
@@ -320,8 +320,8 @@ def test_evaluate_rejects_gate_and_ospa_parameters_once(tmp_path, capsys):
     capsys.readouterr()
     report = tmp_path / "report"
     for flags in (["--gate-deg", "0"], ["--gate-deg", "nan"], ["--ospa-cutoff-deg", "500"],
-                  ["--ospa-order", "0.5"], ["--replicates", "-3"], ["--replicates", "1001"],
-                  ["--replicates", "1000000000000"], ["--seed", "-1"]):
+                  ["--ospa-order", "0.5"], ["--ospa-order", "11"], ["--replicates", "-3"],
+                  ["--replicates", "1001"], ["--replicates", "1000000000000"], ["--seed", "-1"]):
         # checked before any scene is read: a missing corpus is not reached
         for gt in (corpus, tmp_path / "missing"):
             args = ["evaluate", "--gt", str(gt), "--pred", str(preds), "--out", str(report)]
@@ -377,7 +377,10 @@ def test_config_that_is_not_a_json_object_is_a_config_error(tmp_path, capsys):
     frame_counts = ({"mode": "moving", "duration_s": 0.049, "frame_period_s": 0.1,
                      "gap_len_s": [0.01, 0.02]},
                     {"duration_s": 100000.1, "frame_period_s": 0.1},
-                    {"duration_s": 1e308, "frame_period_s": 1e-10})
+                    {"duration_s": 1e308, "frame_period_s": 1e-10},
+                    # a period the 6-decimal time_s column cannot carry
+                    {"mode": "static", "duration_s": 1e-318, "frame_period_s": 1e-321,
+                     "segment_len_s": [1e-320, 1e-319], "gap_len_s": [1e-321, 1e-320]})
     for scenario in frame_counts:
         scfg = write_config(tmp_path, "s.json", {"scenario": {"n_speakers": 1, **scenario}})
         assert main(["simulate", "--config", scfg, "--out", str(tmp_path / "x")]) == 1, scenario
@@ -698,6 +701,12 @@ def test_sweep_trend_assertion_pass_and_fail(tmp_path, capsys):
     }
     ok = write_config(tmp_path, "ok.json", {**base, "k_max_values": [2, None]})
     assert main(["sweep", "--config", ok, "--out", str(tmp_path / "ok"), "--assert-trends"]) == 0
+    # a series that is too short, or holds a metric no scene defined
+    by_k = json.loads((tmp_path / "ok" / "sweep.json").read_text())["subsets"]["2spk"]
+    too_short = [f"{m}: series undefined or too short" for m in cli.TREND_DIRECTIONS]
+    assert cli.check_trends(by_k, ["2"]) == too_short
+    by_k["inf"]["metrics"]["tsr"]["mean"] = None
+    assert cli.check_trends(by_k, ["2", "inf"]) == ["tsr: series undefined or too short"]
     # reversing the budget order inverts every trend: exit code 3
     bad = write_config(tmp_path, "bad.json", {**base, "k_max_values": [None, 2]})
     assert main(["sweep", "--config", bad, "--out", str(tmp_path / "bad"), "--assert-trends"]) == 3
@@ -773,18 +782,41 @@ def test_pf_jobs_flag_matches_serial_run_under_clutter_and_id_reuse(tmp_path):
 def test_pf_particle_stack_limits_are_config_errors(tmp_path, capsys):
     corpus = _simulated_corpus(tmp_path)
     capsys.readouterr()
-    for key, value in (("n_particles", 100_001), ("max_active", 101), ("seed", -1)):
+    for key, value in (("n_particles", 100_001), ("max_active", 101), ("seed", -1),
+                       ("likelihood_sigma_deg", 1e-170)):  # 1 / sigma**2 divides by zero
         tcfg = write_config(tmp_path, "pf.json", {"type": "pf", key: value})
         out = tmp_path / "preds"
         assert main(["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(out)]) == 1
-        assert key in _config_error(capsys)
+        err = _config_error(capsys)
+        assert key.removesuffix("_deg") in err and err.count("\n") == 1, err
         assert not out.exists()
 
 
-def test_jobs_clamped_to_available_cpus():
-    assert _clamp_jobs(64, 2) == 2
-    assert _clamp_jobs(2, 8) == 2
-    assert _clamp_jobs(1, 1) == 1
+def test_jobs_clamped_to_available_cpus(monkeypatch):
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    scenes = ["scene_0000", "scene_0001", "scene_0002"]
+    for cpus, jobs, pools in ((2, 64, [2]), (8, 2, [2]), (1, 64, []), (8, 1, [])):
+        started.clear()
+        monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
+        results, failures = _map_scenes(lambda i, sid: (i, sid), scenes, jobs)
+        assert results == list(enumerate(scenes)) and failures == [], (cpus, jobs)
+        assert started == pools, (cpus, jobs)
+    monkeypatch.undo()
     assert _available_cpus() >= 1
 
 
@@ -873,3 +905,15 @@ def test_manifest_n_frames_and_frame_period_are_never_reinterpreted(tmp_path, ca
         assert main(["lint", "--scenes", str(corpus)]) == 2, (key, value)
         err = capsys.readouterr().err
         assert f"data error: ParseError: bad manifest {corpus / 'manifest.json'}: {key} must be" in err, err
+    # a period the 6-decimal time_s column cannot carry: one data error, nothing written
+    (corpus / "manifest.json").write_text(json.dumps({**manifest, "frame_period_s": 1e-321}))
+    tcfg = write_config(tmp_path, "oracle.json", {"type": "oracle"})
+    out = tmp_path / "out"
+    for argv in (["lint", "--scenes", str(corpus)],
+                 ["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(out)],
+                 ["evaluate", "--gt", str(corpus), "--pred", str(corpus), "--out", str(out)]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "frame_period must be >= 1e-05 s" in err, err
+        assert not out.exists(), argv

@@ -129,6 +129,9 @@ def test_aggregate_single_defined_value_has_no_std():
     agg = aggregate_reports(reports, replicates=10, seed=0)
     assert agg["metrics"]["ass_re"]["mean"] == 1.0
     assert agg["metrics"]["ass_re"]["std"] is None
+    # a metric that no scene defines
+    undefined = aggregate_reports(reports[1:], replicates=10, seed=0)["metrics"]["ass_re"]
+    assert undefined == {"mean": None, "std": None, "n_defined": 0, "n_excluded": 1}
 
 
 def test_report_degrees_properties():
@@ -150,7 +153,7 @@ def oracle_report(gts, preds, gate, cutoff, order) -> dict:
     n_fp = sum(len(fa.fps) for fa in frames)
     n_fn = sum(len(fa.fns) for fa in frames)
     swaps, broken = naive_swaps(ms), naive_broken(ms, gts)
-    duration, n_tracks, n_det = gts.grid.duration, len(gts.track_ids()), gts.n_entries()
+    duration, n_tracks, n_det = gts.grid.duration, len(gts.ids), gts.n_entries()
     ospa = [
         lsa_ospa_frame([d for _i, d in pf], [d for _i, d in gf], cutoff, order)
         for pf, gf in zip(pred_frames, gt_frames)

@@ -45,7 +45,7 @@ def test_different_seeds_differ():
 
 def test_speaker_count_matches_config():
     gt = generate_scene(ScenarioConfig(n_speakers=3, seed=5))
-    assert gt.track_ids() == ["spk0", "spk1", "spk2"]
+    assert gt.ids == ("spk0", "spk1", "spk2")
 
 
 def test_static_mode_single_constant_direction():
@@ -58,7 +58,7 @@ def test_static_mode_single_constant_direction():
 
 def test_jump_mode_piecewise_constant_within_runs():
     gt = generate_scene(ScenarioConfig(n_speakers=2, seed=12))
-    for tid in gt.track_ids():
+    for tid in gt.ids:
         frames = entries(gt)[tid]
         ordered = sorted(frames)
         for a, b in zip(ordered, ordered[1:]):
@@ -82,7 +82,7 @@ def test_jump_mode_consecutive_segments_change_position():
 def test_jump_mode_positions_separated_and_bounded():
     cfg = ScenarioConfig(n_speakers=3, seed=33)
     gt = generate_scene(cfg)
-    for tid in gt.track_ids():
+    for tid in gt.ids:
         unique = []
         for d in entries(gt)[tid].values():
             if all(d != u for u in unique):
@@ -124,7 +124,7 @@ def test_segment_lengths_respect_bounds_except_truncated_tail():
 def test_activity_stays_within_duration():
     cfg = ScenarioConfig(n_speakers=2, seed=8)
     gt = generate_scene(cfg)
-    for tid in gt.track_ids():
+    for tid in gt.ids:
         assert max(entries(gt)[tid]) < cfg.grid.n_frames
 
 
@@ -164,6 +164,11 @@ def test_invalid_configs_rejected():
         ScenarioConfig(n_speakers=1, segment_len_s=(3.0, 2.0))
     with pytest.raises(InvalidConfig, match="frame count"):
         ScenarioConfig(n_speakers=1, duration_s=100000.1, frame_period_s=0.1)
+    with pytest.raises(InvalidConfig, match="frame count.*frame_period must be >="):
+        ScenarioConfig(n_speakers=1, duration_s=1.0, frame_period_s=1e-6)
+    for mode in ("moving", "moving_zeroed"):
+        with pytest.raises(InvalidConfig, match="angular_speed"):
+            ScenarioConfig(n_speakers=1, mode=mode, angular_speed=0.0)
     # the spherical-cap area bound: n (1 - cos(sep / 2)) <= 2
     for mode, n, sep_deg in (("jump", 100, 60.0), ("static", 3, 180.0), ("jump", 15, 60.0)):
         with pytest.raises(InvalidConfig, match="cannot lie"):
@@ -180,6 +185,8 @@ def test_observation_model_validation():
         ObservationModel(p_miss=-0.1)
     with pytest.raises(InvalidConfig):
         ObservationModel(clutter_rate=-1)
+    with pytest.raises(InvalidConfig, match="angular_noise_sigma"):
+        ObservationModel(angular_noise_sigma=-1e-9)
 
 
 def test_noise_free_observations_equal_ground_truth():

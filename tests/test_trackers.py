@@ -16,13 +16,13 @@ from _oracles import (
     per_frame_entries,
 )
 from doatrack.errors import InvalidConfig, InvalidK, MissingTags
-from doatrack.geometry import Direction
+from doatrack.geometry import TWO_PI, Direction
 from doatrack.reporting import evaluate_scene
 from doatrack.scenesim import ObservationModel, ScenarioConfig, generate_scene, simulate_observations
 from doatrack.trackers import (
     MAX_ACTIVE,
     MAX_PARTICLES,
-    TWO_PI,
+    MIN_LIKELIHOOD_SIGMA,
     TrackerConfig,
     _greedy_pairs,
     _mean_angles,
@@ -77,7 +77,7 @@ def test_oracle_discards_clutter():
     gt = generate_scene(ScenarioConfig(n_speakers=1, seed=4))
     obs = simulate_observations(gt, ObservationModel(p_miss=0.0, clutter_rate=1.0, seed=5))
     preds = oracle_tracker(obs)
-    assert preds.track_ids() == ["p_spk0"]
+    assert preds.ids == ("p_spk0",)
     assert preds.n_entries() == gt.n_entries()
 
 
@@ -117,6 +117,8 @@ def test_splitter_k2_worked_example():
 def test_splitter_rejects_excessive_k():
     with pytest.raises(InvalidK):
         splitter_tracker(single_track_scene(10), 11)
+    with pytest.raises(InvalidK, match="k must be >= 1"):
+        splitter_tracker(single_track_scene(10), 0)
 
 
 def two_disjoint_tracks(n=100):
@@ -182,6 +184,8 @@ def test_swapper_labels_follow_the_per_row_rule(period_s, frame_period, n_frames
 def test_swapper_needs_two_tracks():
     with pytest.raises(InvalidConfig):
         swapper_tracker(single_track_scene(), 1.0)
+    with pytest.raises(InvalidConfig, match="period_s must be > 0"):
+        swapper_tracker(two_disjoint_tracks(), 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -196,6 +200,13 @@ def test_config_validation():
         TrackerConfig(max_active=0)
     with pytest.raises(InvalidConfig):
         TrackerConfig(max_active=1, birth_frames=0)
+    with pytest.raises(InvalidConfig, match="assoc_gate"):
+        TrackerConfig(max_active=1, assoc_gate=0.0)
+    # 1 / sigma**2 underflows to a division by zero below about 1e-162 rad
+    TrackerConfig(max_active=1, likelihood_sigma=MIN_LIKELIHOOD_SIGMA)
+    for sigma in (math.nextafter(MIN_LIKELIHOOD_SIGMA, 0), math.radians(1e-170), 0.0):
+        with pytest.raises(InvalidConfig, match="likelihood_sigma"):
+            TrackerConfig(max_active=1, likelihood_sigma=sigma)
 
 
 def test_config_bounds_the_particle_stack():
@@ -223,7 +234,7 @@ def test_pf_respects_k_max_and_max_active():
     obs = simulate_observations(gt, ObservationModel(seed=10))
     cfg = TrackerConfig(max_active=2, k_max=2, birth_frames=2, death_frames=2, seed=11)
     preds = pf_tracker(obs, cfg)
-    assert len(preds.track_ids()) <= 2
+    assert len(preds.ids) <= 2
     for active in per_frame_entries(preds):
         assert len(active) <= 2
 
@@ -252,7 +263,7 @@ def test_pf_single_static_speaker_keeps_one_id():
     obs = clean_obs(gt, seed=15)
     preds = pf_tracker(obs, TrackerConfig(max_active=1, seed=16))
     rep = evaluate_scene("s", gt, preds, GATE)
-    assert len(preds.track_ids()) == 1
+    assert len(preds.ids) == 1
     assert rep.tsr == 0.0
     assert rep.ass_re > 0.97  # only birth latency shaves recall
 
@@ -281,7 +292,7 @@ def test_pf_jump_scene_splits_per_segment():
     n = len(frames)
     expected_re = sum(len(r) ** 2 for r in runs) / n**2
     rep = evaluate_scene("s", gt, preds, GATE)
-    assert len(preds.track_ids()) == len(runs)
+    assert len(preds.ids) == len(runs)
     assert rep.ass_re == pytest.approx(expected_re, abs=1e-12)
     assert rep.n_swaps == len(runs) - 1
 
@@ -294,7 +305,7 @@ def test_pf_never_reuses_live_id():
     )
     # structural: TrackSet.from_rows would have raised on a duplicated
     # (id, frame); also ids stay within budget
-    assert len(preds.track_ids()) <= 2
+    assert len(preds.ids) <= 2
 
 
 def test_pf_trend_endpoints_on_jump_scenes():

@@ -20,6 +20,7 @@ from doatrack.trackmodel import (
     OBS_CSV_HEADER,
     TRACK_CSV_HEADER,
     MAX_FRAMES,
+    MIN_FRAME_PERIOD_S,
     FrameGrid,
     ObservationSet,
     TrackSet,
@@ -44,6 +45,17 @@ def test_frame_grid_validation():
         FrameGrid(0.1, 0)
     with pytest.raises(ValueError, match="n_frames must be in"):
         FrameGrid(0.1, MAX_FRAMES + 1)
+    # at the shortest period the reader still refuses a neighbouring frame's time_s
+    short, header = FrameGrid(MIN_FRAME_PERIOD_S, 3), TRACK_CSV_HEADER + "\n"
+    assert read_trackset(io.StringIO(header + "1,0.000010,A,0,0\n"), short).frame.tolist() == [1]
+    with pytest.raises(ParseError, match="time_s 0.000020 is not frame 1"):
+        read_trackset(io.StringIO(header + "1,0.000020,A,0,0\n"), short)
+    for period in (math.nextafter(MIN_FRAME_PERIOD_S, 0), 1e-321):
+        with pytest.raises(ValueError, match="frame_period must be >="):
+            FrameGrid(period, 10)
+    for period, n_frames in ((math.inf, 1), (1e306, 1000)):
+        with pytest.raises(ValueError, match="duration must be finite"):
+            FrameGrid(period, n_frames)
     assert FrameGrid(0.1, MAX_FRAMES).n_frames == MAX_FRAMES
     grid = FrameGrid(0.1, 600)
     assert grid.duration == pytest.approx(60.0)
@@ -92,9 +104,14 @@ def test_single_row_reads_one_track():
         "0,0.000000,A,10.000000,5.000000\n"
     )
     ts = read_trackset(io.StringIO(body), grid)
-    assert ts.track_ids() == ["A"]
+    assert ts.ids == ("A",)
     assert list(entries(ts)["A"]) == [0]
     assert angular_distance(entries(ts)["A"][0], D(10, 5)) < 1e-9
+    # an azimuth outside [-180, 180) wraps as a Direction wraps it, bit for bit
+    for az_deg in (180.0, 190.0, -540.0):
+        row = body.replace("10.000000", f"{az_deg:.6f}")
+        wrapped = read_trackset(io.StringIO(row), grid).azimuth.tolist()
+        assert wrapped == [Direction.from_degrees(az_deg, 5.0).azimuth], az_deg
 
 
 def test_duplicate_rows_raise_with_line_number():
@@ -195,7 +212,7 @@ def test_write_read_round_trip_preserves_structure():
     buf = io.StringIO()
     write_trackset(ts, buf)
     back = read_trackset(io.StringIO(buf.getvalue()), grid)
-    assert back.track_ids() == ts.track_ids()
+    assert back.ids == ts.ids
     written, read = entries(ts), entries(back)
     for tid in written:
         assert sorted(read[tid]) == sorted(written[tid])
@@ -343,7 +360,7 @@ def test_round_trip_columns_equal_the_written_directions_bit_for_bit(ts):
     # what each written row means, one Direction per row
     written = [line.split(",") for line in text.split("\n")[1:-1]]
     expected = [Direction.from_degrees(float(az), float(el)) for _f, _t, _id, az, el in written]
-    assert back.track_ids() == ts.track_ids() == list(back.ids)
+    assert back.ids == ts.ids
     assert [back.ids[c] for c in back.id_code] == [tid for _f, _t, tid, _a, _e in written]
     assert back.frame.tolist() == [int(f) for f, _t, _id, _a, _e in written]
     assert _bits(back.azimuth) == _bits([d.azimuth for d in expected])
@@ -565,7 +582,7 @@ def test_out_of_range_frame_names_the_track(frame):
 
 def test_track_without_rows_keeps_its_id():
     grid = FrameGrid(0.1, 5)
-    assert TrackSet(grid, {"A": {}}).track_ids() == ["A"]
+    assert TrackSet(grid, {"A": {}}).ids == ("A",)
     gts = TrackSet(grid, {"A": {}, "B": {f: D(0, 0) for f in range(5)}})
     preds = TrackSet(grid, {"p": {0: D(0, 0), 1: D(0, 0)}, "q": {2: D(0, 0), 3: D(0, 0)}})
     report = evaluate_scene("s", gts, preds, math.radians(20.0))
