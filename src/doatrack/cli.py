@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import MISSING, fields, replace
 from functools import partial
 from itertools import combinations
@@ -177,13 +178,17 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _failure_line(scene_id: str, exc: Exception) -> str:
+    return f"{scene_id}: {type(exc).__name__}: {exc}"
+
+
 def _run_scene(worker, index: int, scene_id: str) -> tuple[object, str | None]:
     """(worker's result, None), or (None, failure line) if the scene's data
     or files failed. Any other exception is a fault and propagates."""
     try:
         return worker(index, scene_id), None
     except (DoatrackError, OSError) as exc:
-        return None, f"{scene_id}: {type(exc).__name__}: {exc}"
+        return None, _failure_line(scene_id, exc)
 
 
 def _map_scenes(worker, scene_ids: list[str], jobs: int) -> tuple[list, list[str]]:
@@ -360,6 +365,11 @@ def _tracker_spec(doc: dict, default_max_active) -> tuple[str, object]:
     return ttype, value
 
 
+def _scene_pf_config(cfg: TrackerConfig, index: int) -> TrackerConfig:
+    """The PF config of scene index: its seed derives from the corpus's."""
+    return replace(cfg, seed=derive_seed(cfg.seed, index, 2))
+
+
 def _run_tracker_scene(
     scenes_dir: Path, out_dir: Path, grid: FrameGrid, ttype: str, param, index: int, scene_id: str
 ) -> None:
@@ -369,8 +379,7 @@ def _run_tracker_scene(
         if ttype == "oracle":
             preds = oracle_tracker(obs)
         else:
-            cfg = replace(param, seed=derive_seed(param.seed, index, 2))
-            preds = pf_tracker(obs, cfg)
+            preds = pf_tracker(obs, _scene_pf_config(param, index))
     else:
         gt = read_trackset(scenes_dir / f"{scene_id}.gt.csv", grid)
         if ttype == "splitter":
@@ -393,6 +402,12 @@ def track_corpus(scenes_dir: Path, tracker_doc: dict, out_dir: Path, jobs: int =
     grid, scene_ids, scenario = _open_corpus(scenes_dir)
     # Parsed once; per-scene workers only derive their seeds from it.
     ttype, param = _tracker_spec(tracker_doc, scenario.get("n_speakers"))
+    # Below one frame the swap pattern only aliases, and far below it
+    # time // period_s is always even: the swapper would not swap.
+    if ttype == "swapper" and param < grid.frame_period:
+        raise InvalidConfig(
+            f"swapper period_s {param} is shorter than the frame period {grid.frame_period} s"
+        )
     out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(grid, out_dir / "manifest.json")
     worker = partial(_run_tracker_scene, scenes_dir, out_dir, grid, ttype, param)
@@ -456,12 +471,17 @@ def evaluate_corpus(
     reports, failures = _map_scenes(worker, gt_ids, jobs)
     aggregate = aggregate_reports(reports, fraction, replicates, seed) if reports else None
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open_text(out_dir / "per_scene.csv", "w") as stream:
-            stream.write(report_csv_rows(reports))
-        if aggregate is not None:
-            write_json({**aggregate, "gate_deg": math.degrees(gate)}, out_dir / "aggregate.json")
+        _write_reports(out_dir, reports, aggregate, gate)
     return reports, aggregate, failures
+
+
+def _write_reports(out_dir: Path, reports: list, aggregate: dict | None, gate: float) -> None:
+    """Write per_scene.csv, and aggregate.json when there is an aggregate."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open_text(out_dir / "per_scene.csv", "w") as stream:
+        stream.write(report_csv_rows(reports))
+    if aggregate is not None:
+        write_json({**aggregate, "gate_deg": math.degrees(gate)}, out_dir / "aggregate.json")
 
 
 def cmd_evaluate(args) -> int:
@@ -519,9 +539,10 @@ def _sweep_plan(doc: dict, master_seed) -> tuple:
     replicates, k_max labels, subsets).
 
     Each subset is (name, simulate_corpus's arguments before out_dir,
-    cells), and each cell is (k_max label, tracker doc with k_max and
-    seed, evaluation seed). Every corpus and cell is checked by the plan
-    functions simulate_corpus and track_corpus run on them.
+    cells), and each cell is (k_max label, checked TrackerConfig with
+    that k_max and the cell's PF seed, evaluation seed). Every corpus is
+    checked by the plan function simulate_corpus runs on it, and every
+    cell's tracker by the one track_corpus runs.
     """
     _json_object(doc, "sweep config", _SWEEP_KEYS)
     master_seed = _int_in(master_seed, "seed", 0)
@@ -559,51 +580,88 @@ def _sweep_plan(doc: dict, master_seed) -> tuple:
         cells = []
         for ki, (k, label) in enumerate(zip(k_values, labels)):
             tracker = {"seed": derive_seed(master_seed, si, ki, 11), **tracker_doc, "k_max": k}
-            _tracker_spec(tracker, n_speakers)
-            cells.append((label, tracker, derive_seed(master_seed, si, ki, 12)))
+            cfg = _tracker_spec(tracker, n_speakers)[1]
+            cells.append((label, cfg, derive_seed(master_seed, si, ki, 12)))
         planned[name] = (scenario, observation_doc, corpus[2], corpus_seed), cells
     return master_seed, gate, fraction, replicates, labels, planned
+
+
+def _sweep_scene(scenes_dir: Path, subset_dir: Path, grid: FrameGrid, cells: list, gate: float,
+                 index: int, scene_id: str) -> tuple[list, tuple[int, str] | None]:
+    """Worker: track and score one scene in every cell of a sweep subset,
+    in k_max order, parsing its observations and ground truth once.
+
+    Each cell runs the PF on the seed track_corpus gives the scene and
+    scores the predictions as read back from their CSV, exactly as
+    evaluate_corpus scores them: the file's 6 decimals are what a cell
+    reports. Returns (reports, failure): the report of each cell before
+    the first failed step, and (step, failure line) of that step, or
+    None. Step 2c is cell c's tracking, 2c + 1 its scoring.
+    """
+    reports, gts, step = [], None, 0
+    try:
+        obs = read_observations(scenes_dir / f"{scene_id}.obs.csv", grid)
+        for label, cfg, _eval_seed in cells:
+            pred_path = subset_dir / f"kmax_{label}" / "preds" / f"{scene_id}.pred.csv"
+            write_trackset(pf_tracker(obs, _scene_pf_config(cfg, index)), pred_path)
+            step += 1
+            if gts is None:
+                gts = read_trackset(scenes_dir / f"{scene_id}.gt.csv", grid)
+            reports.append(evaluate_scene(scene_id, gts, read_trackset(pred_path, grid), gate))
+            step += 1
+    except (DoatrackError, OSError) as exc:
+        return reports, (step, _failure_line(scene_id, exc))
+    return reports, None
 
 
 def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict:
     """Simulate per-subset corpora, run the PF tracker per k_max value,
     evaluate, and aggregate into plot-ready tables: exactly the corpora
-    and cells of the sweep's plan, all checked before the first write."""
+    and cells of the sweep's plan, all checked before the first write.
+
+    Each cell writes what track_corpus and evaluate_corpus would write
+    for it, byte for byte. The work runs as one pass per subset, each
+    scene tracked and scored in every cell by one task, on at most one
+    process pool for the whole sweep. A failed scene is a DoatrackError
+    naming the first failing cell in k_max order and its stage.
+    """
     master_seed, gate, fraction, replicates, labels, planned = _sweep_plan(doc, master_seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     results: dict[str, dict] = {}
     long_rows = ["subset,k_max,metric,mean,std"]
-    for name, (corpus, cells) in planned.items():
-        scenes_dir = out_dir / name / "scenes"
-        simulate_corpus(*corpus, scenes_dir)
-        results[name] = {}
-        for label, tracker, eval_seed in cells:
-            cell_dir = out_dir / name / f"kmax_{label}"
-            failures = track_corpus(scenes_dir, tracker, cell_dir / "preds", jobs)
-            if failures:
-                raise DoatrackError(
-                    f"sweep cell {name}/kmax_{label} had failures: {failures[:3]}"
-                )
-            _reports, aggregate, eval_failures = evaluate_corpus(
-                scenes_dir,
-                cell_dir / "preds",
-                gate,
-                cell_dir / "eval",
-                fraction=fraction,
-                replicates=replicates,
-                seed=eval_seed,
-                jobs=jobs,
-            )
-            if eval_failures:
-                raise DoatrackError(
-                    f"sweep cell {name}/kmax_{label} evaluation failed: {eval_failures[:3]}"
-                )
-            results[name][label] = aggregate
-            for metric in AGGREGATE_METRICS:
-                entry = aggregate["metrics"][metric]
-                mean = "" if entry["mean"] is None else repr(entry["mean"])
-                std = "" if entry["std"] is None else repr(entry["std"])
-                long_rows.append(f"{name},{label},{metric},{mean},{std}")
+    jobs = min(jobs, _available_cpus())  # never more workers than CPUs
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for name, (corpus, cells) in planned.items():
+            scenes_dir = out_dir / name / "scenes"
+            grid = simulate_corpus(*corpus, scenes_dir)
+            for label, _cfg, _eval_seed in cells:
+                pred_dir = out_dir / name / f"kmax_{label}" / "preds"
+                pred_dir.mkdir(parents=True, exist_ok=True)
+                write_manifest(grid, pred_dir / "manifest.json")
+            worker = partial(_sweep_scene, scenes_dir, out_dir / name, grid, cells, gate)
+            scene_ids = [_scene_name(i) for i in range(corpus[2])]
+            outcomes = list((map if pool is None else pool.map)(
+                worker, range(len(scene_ids)), scene_ids))
+            failed: dict[int, list[str]] = {}
+            for _reports, failure in outcomes:
+                if failure is not None:
+                    failed.setdefault(failure[0], []).append(failure[1])
+            results[name] = {}
+            for c, (label, _cfg, eval_seed) in enumerate(cells):
+                cell = f"sweep cell {name}/kmax_{label}"
+                if 2 * c in failed:
+                    raise DoatrackError(f"{cell} had failures: {failed[2 * c][:3]}")
+                if 2 * c + 1 in failed:
+                    raise DoatrackError(f"{cell} evaluation failed: {failed[2 * c + 1][:3]}")
+                reports = [scene_reports[c] for scene_reports, _failure in outcomes]
+                aggregate = aggregate_reports(reports, fraction, replicates, eval_seed)
+                _write_reports(out_dir / name / f"kmax_{label}" / "eval", reports, aggregate, gate)
+                results[name][label] = aggregate
+                for metric in AGGREGATE_METRICS:
+                    entry = aggregate["metrics"][metric]
+                    mean = "" if entry["mean"] is None else repr(entry["mean"])
+                    std = "" if entry["std"] is None else repr(entry["std"])
+                    long_rows.append(f"{name},{label},{metric},{mean},{std}")
     with open_text(out_dir / "sweep_long.csv", "w") as stream:
         stream.write("\n".join(long_rows) + "\n")
     summary = {

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -431,6 +432,10 @@ def test_adversary_parameters_checked_once_per_corpus(tmp_path, capsys):
         {"type": "merger", "k": 2},
         {"type": "splitter", "k": 2, "period_s": 1.0},
         {"type": "swapper", "period_s": 1.0, "k": 2},
+        # shorter than the corpus's 0.1 s frame period: the swap pattern
+        # aliases, and at 1e-20 s the swapper would swap no row at all
+        {"type": "swapper", "period_s": 1e-20},
+        {"type": "swapper", "period_s": 0.05},
     ]
     for doc in bad_docs:
         tcfg = write_config(tmp_path, "adv.json", doc)
@@ -438,6 +443,10 @@ def test_adversary_parameters_checked_once_per_corpus(tmp_path, capsys):
         assert main(["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(out)]) == 1, doc
         assert _config_error(capsys).count("\n") == 1, doc
         assert not out.exists()
+    # a period of one frame is accepted (the swapper needs two speakers)
+    corpus = _simulated_corpus(tmp_path, {**SIM_DOC, "scenario": {"n_speakers": 2}})
+    tcfg = write_config(tmp_path, "adv.json", {"type": "swapper", "period_s": 0.1})
+    assert main(["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(out)]) == 0
 
 
 def test_failed_simulate_leaves_no_manifest_over_another_corpus(tmp_path, capsys):
@@ -629,6 +638,93 @@ def test_sweep_cell_with_a_failed_scene_is_a_data_error(stage, failed, tmp_path,
     assert f"data error: DoatrackError: sweep cell 1spk/kmax_2 {failed}" in err, err
     assert "scene_0000: DoatrackError: injected scene failure" in err, err
     assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("stage, failed", [("pf_tracker", "had failures"),
+                                           ("evaluate_scene", "evaluation failed")])
+@pytest.mark.parametrize("failing, cell, scene", [({2}, "kmax_inf", "scene_0000"),
+                                                  ({2, 3}, "kmax_2", "scene_0001")])
+def test_sweep_failure_names_the_first_failing_cell_in_k_max_order(
+    stage, failed, failing, cell, scene, tmp_path, monkeypatch
+):
+    # At jobs 1 each scene runs through both cells before the next scene:
+    # call 2 is scene_0000 in kmax_inf, call 3 is scene_0001 in kmax_2.
+    real, calls = getattr(cli, stage), []
+
+    def fail(*args):
+        calls.append(None)
+        if len(calls) in failing:
+            raise DoatrackError("injected scene failure")
+        return real(*args)
+
+    monkeypatch.setattr(cli, stage, fail)
+    doc = {"subsets": [{"n_speakers": 1, "n_scenes": 2}], "k_max_values": [2, None],
+           "scenario": {"duration_s": 5.0}, "bootstrap": {"replicates": 0}}
+    with pytest.raises(DoatrackError) as info:
+        cli.run_sweep(doc, tmp_path / "sweep", 0)
+    assert str(info.value) == (
+        f"sweep cell 1spk/{cell} {failed}: ['{scene}: DoatrackError: injected scene failure']"
+    )
+
+
+def test_sweep_starts_one_pool_and_parses_each_scene_once(tmp_path, monkeypatch):
+    started, parsed = [], Counter()
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    def counting(read):
+        def counted(path, grid):
+            parsed[path.relative_to(tmp_path).as_posix()] += 1
+            return read(path, grid)
+        return counted
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+    doc = {"subsets": [{"n_speakers": 1, "n_scenes": 2}, {"n_speakers": 2, "n_scenes": 2}],
+           "k_max_values": [2, 3, None], "scenario": {"duration_s": 5.0},
+           "bootstrap": {"replicates": 0}}
+    cli.run_sweep(doc, tmp_path / "jobs2", 0, jobs=2)
+    assert started == [2]
+    started.clear()
+    for name in ("read_observations", "read_trackset"):
+        monkeypatch.setattr(cli, name, counting(getattr(cli, name)))
+    cli.run_sweep(doc, tmp_path / "jobs1", 0, jobs=1)
+    assert started == []
+    scenes = [f"jobs1/{sub}/scenes/scene_000{i}" for sub in ("1spk", "2spk") for i in range(2)]
+    inputs = {f"{s}.{kind}.csv": 1 for s in scenes for kind in ("obs", "gt")}
+    assert {path: n for path, n in parsed.items() if "/scenes/" in path} == inputs
+    assert sum(parsed.values()) == len(inputs) + 3 * len(scenes)  # each prediction read back once
+
+
+def test_sweep_jobs_matches_serial_run_under_clutter_and_id_reuse(tmp_path):
+    doc = {
+        "subsets": [{"n_speakers": 2, "n_scenes": 3}, {"n_speakers": 3, "n_scenes": 3}],
+        "k_max_values": [2, None],
+        "scenario": {"duration_s": 20.0},
+        "observation": {"clutter_rate": 0.3},
+        "tracker": {"max_active": 2, "birth_frames": 2, "death_frames": 2},
+        "bootstrap": {"replicates": 20},
+        "seed": 5,
+    }
+    cfg = write_config(tmp_path, "sweep.json", doc)
+    runs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
+        runs[jobs] = dir_digest(out)
+    assert runs["1"] == runs["2"]
+    assert sum(name.endswith(".pred.csv") for name in runs["1"]) == 12
 
 
 def test_a_fault_in_a_scene_worker_propagates(tmp_path, monkeypatch):
