@@ -408,6 +408,9 @@ def track_corpus(scenes_dir: Path, tracker_doc: dict, out_dir: Path, jobs: int =
         raise InvalidConfig(
             f"swapper period_s {param} is shorter than the frame period {grid.frame_period} s"
         )
+    # Without a scenario echo a one-track scene fails on its own, as a data error.
+    if ttype == "swapper" and scenario.get("n_speakers") == 1:
+        raise InvalidConfig("swapper needs at least two tracks, but the corpus has 1 speaker")
     out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(grid, out_dir / "manifest.json")
     worker = partial(_run_tracker_scene, scenes_dir, out_dir, grid, ttype, param)

@@ -49,7 +49,9 @@ class InvalidK(DoatrackError, ValueError):
 
 
 class InsufficientData(DoatrackError):
-    """Bootstrap aggregation needs at least two defined values."""
+    """The data holds too little for the computation asked of it: a
+    bootstrap aggregation needs at least two defined values, a swapper
+    at least two tracks in the scene."""
 
 
 _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}

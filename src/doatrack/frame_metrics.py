@@ -34,7 +34,7 @@ from .geometry import Direction
 # Unused here since OSPA reads matching's distance tables; kept as the
 # attribute perfbench/tracer.py wraps to count distance calls in this module.
 from .geometry import pairwise_angular_distance
-from .matching import FrameTable, MatchSequence, _frame_table, _one_frame
+from .matching import FrameTable, MatchSequence, _disjoint, _frame_table, _one_frame
 from .trackmodel import TrackSet
 
 
@@ -105,18 +105,48 @@ def check_ospa(cutoff: float, order: float) -> None:
         raise InvalidConfig(f"OSPA order must lie in [1, {MAX_OSPA_ORDER}], got {order!r}")
 
 
+# The relative margin below cutoff**order under which an in-cutoff
+# pair's cost is taken as decided without the solver. It lies ~1e6
+# times above the solver's rounding error on costs of this size.
+_OSPA_MARGIN = 1e-9
+
+
 def _ospa_local(dist: np.ndarray, cutoff: float, order: float) -> np.ndarray:
     """Optimal assignment cost of each frame of a stack of same-shape frames.
 
-    The assignment solver runs once per frame, and only when some side
-    has more than one entry: a 1x1 frame's only injection is its pair.
+    The value of a frame is the sum, in row order, of the costs of the
+    rows the solver assigns, as linear_sum_assignment's optimum gives it.
+    Two kinds of frames reach that value without the solver:
+    - A frame with one entry on some side takes its minimum cost, which
+      is the single term of the solver's 1 x k or k x 1 optimum.
+    - A frame whose in-cutoff pairs share no row or column, and whose
+      in-cutoff costs all lie below (1 - _OSPA_MARGIN) * cutoff**order,
+      has every such pair in its optimum; any other pair costs exactly
+      the cutoff term. Each row's term is then its minimum cost. The
+      terms are fixed when every row is assigned (n_pred <= n_gt) or
+      when every ground-truth column has its pair, which makes the
+      assigned rows exactly the paired ones.
+    The assignment solver runs once per other frame.
     """
     cost = np.minimum(dist, cutoff) ** order
     k, n_pred, n_gt = cost.shape
-    if n_pred == n_gt == 1:
-        return cost[:, 0, 0]
-    solved = np.array([linear_sum_assignment(c) for c in cost])  # (k, 2, min side)
-    return cost[np.arange(k)[:, None], solved[:, 0], solved[:, 1]].sum(axis=1)
+    if min(n_pred, n_gt) == 1:
+        return cost.min(axis=(1, 2))
+    near = dist < cutoff
+    decided = (cost < (1.0 - _OSPA_MARGIN) * cutoff**order) == near
+    forced = _disjoint(near) & decided.all(axis=(1, 2))
+    if n_pred > n_gt:
+        forced &= near.any(axis=1).all(axis=1)  # every ground-truth column has its pair
+    local = np.empty(k)
+    terms = cost[forced].min(axis=2)
+    if n_pred > n_gt:
+        terms = terms[near[forced].any(axis=2)].reshape(-1, n_gt)
+    local[forced] = terms.sum(axis=1)
+    unforced = np.flatnonzero(~forced)
+    if len(unforced):
+        solved = np.array([linear_sum_assignment(cost[i]) for i in unforced])  # (u, 2, min side)
+        local[unforced] = cost[unforced[:, None], solved[:, 0], solved[:, 1]].sum(axis=1)
+    return local
 
 
 def _ospa_values(table: FrameTable, cutoff: float, order: float) -> list[float]:

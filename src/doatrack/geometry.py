@@ -119,10 +119,18 @@ def pairwise_angular_distance(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
     dimensions. Same stable atan2 form as angular_distance. A stack of
     matrices gives, bit for bit, the matrices of separate calls: the
     dot products go through one stacked matmul, never a reordered sum.
+    The cross product's three components are formed elementwise from
+    the products np.cross takes, and its norm sums their squares in
+    np.linalg.norm's order, so the result equals
+    arctan2(norm(cross(ua, ub)), dots) bit for bit.
     """
     dots = ua @ np.swapaxes(ub, -1, -2)
-    cross = np.cross(ua[..., :, None, :], ub[..., None, :, :])
-    return np.arctan2(np.linalg.norm(cross, axis=-1), dots)
+    a0, a1, a2 = (ua[..., :, None, i] for i in range(3))
+    b0, b1, b2 = (ub[..., None, :, i] for i in range(3))
+    cx = a1 * b2 - a2 * b1
+    cy = a2 * b0 - a0 * b2
+    cz = a0 * b1 - a1 * b0
+    return np.arctan2(np.sqrt(cx * cx + cy * cy + cz * cz), dots)
 
 
 def sample_direction(rng: np.random.Generator) -> Direction:

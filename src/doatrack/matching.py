@@ -5,7 +5,9 @@ Among all admissible matchings the result has maximum cardinality and,
 among those, minimum total angular error; this is solved as a linear
 assignment over a cost matrix where out-of-gate pairs carry a
 prohibitive cost. FP/FN counts are therefore gate-driven, not
-cost-driven.
+cost-driven. A frame whose in-gate pairs share no row or column has
+those pairs as its only optimum, so it skips the solver; only frames
+where in-gate pairs compete for a row or column are solved.
 
 Matching works on the angle columns of two TrackSets. The unit vectors
 it measures distances between are derived from them once per scene,
@@ -132,25 +134,31 @@ def _frame_table(preds: TrackSet, gts: TrackSet) -> FrameTable:
     return FrameTable(n_pred, n_gt, tuple(groups))
 
 
+def _disjoint(pairs: np.ndarray) -> np.ndarray:
+    """Per frame of a (k, n, m) stack of pair masks: no two of its pairs
+    share a row or a column."""
+    return (pairs.sum(axis=2) <= 1).all(axis=1) & (pairs.sum(axis=1) <= 1).all(axis=1)
+
+
 def _match_stack(dist: np.ndarray, gate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gated max-cardinality, min-cost matching of a stack of same-shape frames.
 
     Returns the (stack index, row, column) of every TP, by stack index
-    and then row. The assignment solver runs once per frame, and only on
-    frames with more than one entry on some side: a 1x1 frame is a TP
-    exactly when its pair is in gate.
+    and then row. A frame whose in-gate pairs share no row or column
+    takes them all as its TPs without the solver: an assignment that
+    drops one of them costs at least _PROHIBITIVE - pi more, so the
+    solver's optimum holds exactly those pairs. This covers every 1x1
+    frame. The assignment solver runs once per other frame.
     """
-    k, n_pred, n_gt = dist.shape
-    if n_pred == n_gt == 1:
-        index = np.flatnonzero(dist[:, 0, 0] <= gate)
-        zeros = np.zeros(len(index), dtype=np.intp)
-        return index, zeros, zeros
-    cost = np.where(dist <= gate, dist, _PROHIBITIVE)
-    solved = np.array([linear_sum_assignment(c) for c in cost])  # (k, 2, min side)
-    index = np.repeat(np.arange(k), solved.shape[2])
-    rows, cols = solved[:, 0].ravel(), solved[:, 1].ravel()
-    keep = dist[index, rows, cols] <= gate
-    return index[keep], rows[keep], cols[keep]
+    in_gate = dist <= gate
+    forced = _disjoint(in_gate)
+    tp = in_gate & forced[:, None, None]
+    unforced = np.flatnonzero(~forced)
+    cost = np.where(in_gate[unforced], dist[unforced], _PROHIBITIVE)
+    for i, c in zip(unforced, cost):
+        rows, cols = linear_sum_assignment(c)
+        tp[i, rows, cols] = in_gate[i, rows, cols]
+    return np.nonzero(tp)
 
 
 _ONE_FRAME = FrameGrid(1.0, 1)

@@ -46,7 +46,7 @@ from itertools import compress, count
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidK, MissingTags
+from .errors import InsufficientData, InvalidConfig, InvalidK, MissingTags
 from .geometry import TWO_PI, angles_of_unit_vector, unit_vectors_from_angles, unit_xyz
 from .trackmodel import ObservationSet, TrackSet, columns_of
 
@@ -156,11 +156,15 @@ def merger_tracker(gt: TrackSet) -> TrackSet:
 
 
 def swapper_tracker(gt: TrackSet, period_s: float) -> TrackSet:
-    """Exchange the id labels of the two first tracks every period_s."""
+    """Exchange the id labels of the two first tracks every period_s.
+
+    Raises InvalidConfig unless period_s > 0, and InsufficientData when
+    the scene holds fewer than two tracks.
+    """
     if period_s <= 0:
         raise InvalidConfig("period_s must be > 0")
     if len(gt.ids) < 2:
-        raise InvalidConfig("swapper needs at least two tracks")
+        raise InsufficientData(f"swapper needs at least two tracks, the scene has {len(gt.ids)}")
     swapped = np.arange(len(gt.ids))
     swapped[:2] = 1, 0
     odd_period = gt.grid.time_of(gt.frame) // period_s % 2 == 1

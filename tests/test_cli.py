@@ -436,6 +436,8 @@ def test_adversary_parameters_checked_once_per_corpus(tmp_path, capsys):
         # aliases, and at 1e-20 s the swapper would swap no row at all
         {"type": "swapper", "period_s": 1e-20},
         {"type": "swapper", "period_s": 0.05},
+        # the manifest's scenario echo says 1 speaker: no scene can be swapped
+        {"type": "swapper", "period_s": 1.0},
     ]
     for doc in bad_docs:
         tcfg = write_config(tmp_path, "adv.json", doc)
@@ -443,6 +445,16 @@ def test_adversary_parameters_checked_once_per_corpus(tmp_path, capsys):
         assert main(["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(out)]) == 1, doc
         assert _config_error(capsys).count("\n") == 1, doc
         assert not out.exists()
+    # Without the scenario echo, each one-track scene fails on its own as a data error.
+    manifest = corpus / "manifest.json"
+    manifest.write_text(json.dumps({
+        k: v for k, v in json.loads(manifest.read_text()).items() if k != "scenario"
+    }))
+    tcfg = write_config(tmp_path, "adv.json", {"type": "swapper", "period_s": 1.0})
+    assert main(["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"track: FAILED scene_000{i}: InsufficientData: swapper needs at least two "
+                   "tracks, the scene has 1" for i in range(3)]
     # a period of one frame is accepted (the swapper needs two speakers)
     corpus = _simulated_corpus(tmp_path, {**SIM_DOC, "scenario": {"n_speakers": 2}})
     tcfg = write_config(tmp_path, "adv.json", {"type": "swapper", "period_s": 0.1})

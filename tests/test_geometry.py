@@ -122,6 +122,10 @@ def test_stacked_pairwise_distance_equals_separate_calls_bit_for_bit():
                 for i in range(k):
                     single = pairwise_angular_distance(ua[i], ub[i])
                     assert stacked[i].tobytes() == single.tobytes()
+                    # the np.cross / np.linalg.norm form of _oracles._frame_distances
+                    cross = np.cross(ua[i][:, None, :], ub[i][None, :, :])
+                    plain = np.arctan2(np.linalg.norm(cross, axis=2), ua[i] @ ub[i].T)
+                    assert single.tobytes() == plain.tobytes()
 
 
 def test_sample_direction_deterministic_per_seed():

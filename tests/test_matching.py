@@ -6,12 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from _oracles import brute_force_match, entries, lsa_match_frame, lsa_ospa_frame, per_frame_entries
+from _oracles import (
+    _frame_distances, brute_force_match, entries, lsa_match_frame, lsa_ospa_frame,
+    per_frame_entries,
+)
 from conftest import directions
+from doatrack import frame_metrics, matching
 from doatrack.errors import GridMismatch
-from doatrack.frame_metrics import ospa_frame, ospa_sequence
+from doatrack.frame_metrics import _OSPA_MARGIN, ospa_frame, ospa_sequence
 from doatrack.geometry import Direction, angular_distance, sample_direction
 from doatrack.matching import match_frame, match_sequence
+from doatrack.reporting import evaluate_scene
+from doatrack.scenesim import (
+    ObservationModel, ScenarioConfig, generate_scene, simulate_observations,
+)
+from doatrack.trackers import TrackerConfig, pf_tracker
 from doatrack.trackmodel import FrameGrid, TrackSet
 
 
@@ -244,3 +253,94 @@ def test_ospa_sequence_needs_a_matched_sequence():
     assert ospa_sequence(ms, math.radians(30.0)) == math.radians(30.0)
     with pytest.raises(ValueError):
         ospa_sequence(replace(ms, distances=None), math.radians(30.0))
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Counts of calls to the matching and OSPA assignment solvers."""
+    calls = {"matching": 0, "ospa": 0}
+    for key, module in (("matching", matching), ("ospa", frame_metrics)):
+        def counted(cost, key=key, solve=module.linear_sum_assignment):
+            calls[key] += 1
+            return solve(cost)
+        monkeypatch.setattr(module, "linear_sum_assignment", counted)
+    return calls
+
+
+_A, _B, _C = D(10, 5), D(40, -20), D(-120, 60)
+_AB = angular_distance(_A, _B)
+
+
+# (preds, gts, gate, OSPA cutoff, OSPA order, solver calls of matching, of OSPA).
+# A call count of 0 is the forced path, 1 the solver.
+PATH_CASES = {
+    "disjoint pairs, square": (
+        [D(0), D(90)], [D(5), D(100)], GATE20, math.radians(30.0), 1.0, 0, 0),
+    "a row with two in-gate pairs": (
+        [D(0), D(90)], [D(5), D(-8)], GATE20, math.radians(30.0), 1.0, 1, 1),
+    "a column with two in-gate pairs, one-entry OSPA": (
+        [D(0), D(-12)], [D(5)], GATE20, math.radians(30.0), 2.0, 1, 0),
+    "a pair exactly at the gate": (
+        [_A, _C], [_B, D(-60, -30)], _AB, math.radians(30.0), 1.0, 0, 0),
+    "duplicate directions tie": (
+        [D(0), D(0)], [D(3), D(3)], GATE20, math.radians(30.0), 1.5, 1, 1),
+    "an in-cutoff cost inside the margin": (
+        [_A, _C], [_B, D(-60, -30)], GATE20, float(np.nextafter(_AB, math.inf)), 2.0, 0, 1),
+    "more preds than gts, a gt without a pair": (
+        [D(0), D(90), D(180)], [D(2), D(45, 60)], GATE20, math.radians(30.0), 1.0, 0, 1),
+    "more preds than gts, every gt paired": (
+        [D(0), D(90), D(180)], [D(2), D(178)], GATE20, math.radians(30.0), 2.0, 0, 0),
+    "more gts than preds, rows without a pair": (
+        [D(0), D(-150)], [D(2), D(178), D(90)], GATE20, math.radians(30.0), 1.0, 0, 0),
+    "gate above the cutoff": (
+        [D(0), D(90)], [D(15), D(120)], math.radians(60.0), GATE20, 1.0, 0, 0),
+    "gate above the cutoff, pairs compete in gate only": (
+        [D(0), D(50)], [D(25), D(120)], math.radians(60.0), GATE20, 1.0, 1, 0),
+}
+
+
+@pytest.mark.parametrize("case", PATH_CASES.values(), ids=PATH_CASES.keys())
+def test_each_path_equals_the_solver_on_every_frame(case, solver_calls):
+    p_dirs, g_dirs, gate, cutoff, order, match_calls, ospa_calls = case
+    preds = [(f"p{i}", d) for i, d in enumerate(p_dirs)]
+    gts = [(f"g{i}", d) for i, d in enumerate(g_dirs)]
+    assert match_frame(preds, gts, gate) == lsa_match_frame(preds, gts, gate)
+    value = ospa_frame(p_dirs, g_dirs, cutoff, order)
+    assert value == lsa_ospa_frame(p_dirs, g_dirs, cutoff, order)
+    assert solver_calls == {"matching": match_calls, "ospa": ospa_calls}
+
+
+def _needs_solver(dist, gate, cutoff, order):
+    """Whether matching and OSPA must solve a frame, by each rule stated on
+    its own: in-gate (in-cutoff) pairs that share a row or column; for
+    OSPA also an in-cutoff cost within the margin of cutoff**order, or
+    more preds than gts with a gt column that has no in-cutoff pair."""
+    def competing(mask):
+        return bool((mask.sum(axis=0) > 1).any() or (mask.sum(axis=1) > 1).any())
+
+    near = dist < cutoff
+    n_pred, n_gt = dist.shape
+    ospa = min(n_pred, n_gt) > 1 and (
+        competing(near)
+        or bool((dist[near] ** order >= (1 - _OSPA_MARGIN) * cutoff**order).any())
+        or (n_pred > n_gt and not near.any(axis=0).all())
+    )
+    return competing(dist <= gate), ospa
+
+
+def test_only_frames_whose_optimum_is_open_call_the_solver(solver_calls):
+    gt = generate_scene(ScenarioConfig(n_speakers=3, duration_s=20.0, seed=5))
+    obs = simulate_observations(gt, ObservationModel(p_miss=0.05, clutter_rate=0.3, seed=6))
+    preds = pf_tracker(obs, TrackerConfig(max_active=3, birth_frames=2, death_frames=2, seed=7))
+    gate, cutoff = GATE20, math.radians(30.0)
+    assert evaluate_scene("s", gt, preds, gate, cutoff).n_tp > 0
+    nxm_frames = [
+        _frame_distances([d for _i, d in pf], [d for _i, d in gf])
+        for pf, gf in zip(per_frame_entries(preds), per_frame_entries(gt))
+        if pf and gf and len(pf) * len(gf) > 1
+    ]
+    flags = [_needs_solver(d, gate, cutoff, 1.0) for d in nxm_frames]
+    open_match, open_ospa = np.sum(flags, axis=0)
+    # Forced frames call neither solver, and most N x M frames are forced.
+    assert solver_calls == {"matching": open_match, "ospa": open_ospa}
+    assert 0 < open_match and 0 < open_ospa and 2 * max(open_match, open_ospa) < len(nxm_frames)

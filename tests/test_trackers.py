@@ -15,7 +15,7 @@ from _oracles import (
     observation_set,
     per_frame_entries,
 )
-from doatrack.errors import InvalidConfig, InvalidK, MissingTags
+from doatrack.errors import InsufficientData, InvalidConfig, InvalidK, MissingTags
 from doatrack.geometry import TWO_PI, Direction
 from doatrack.reporting import evaluate_scene
 from doatrack.scenesim import ObservationModel, ScenarioConfig, generate_scene, simulate_observations
@@ -182,7 +182,7 @@ def test_swapper_labels_follow_the_per_row_rule(period_s, frame_period, n_frames
 
 
 def test_swapper_needs_two_tracks():
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(InsufficientData, match="at least two tracks"):
         swapper_tracker(single_track_scene(), 1.0)
     with pytest.raises(InvalidConfig, match="period_s must be > 0"):
         swapper_tracker(two_disjoint_tracks(), 0.0)
