@@ -9,6 +9,7 @@ coerced to 0, which would silently bias subset means.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,13 +99,23 @@ def report_csv_rows(reports: list[MetricsReport]) -> str:
 
 # Bounds the (replicates, ceil(fraction * n)) index array of a bootstrap.
 MAX_REPLICATES = 1000
+# Subsamples of at most this many values are drawn for all replicates in
+# one generator call; larger ones take one Generator.choice per replicate,
+# which costs less once the per-step work of the one-call draw outgrows
+# choice's fixed cost per call.
+MAX_ONE_CALL_SUBSAMPLE = 32
 
 
 def check_bootstrap(fraction: float, replicates: int) -> None:
-    """Raise InvalidConfig (a ValueError) unless fraction lies in (0, 1]
-    and replicates in [0, MAX_REPLICATES]."""
+    """Raise InvalidConfig (a ValueError) unless fraction is a real
+    number in (0, 1] and replicates an integer in [0, MAX_REPLICATES];
+    bools are neither."""
+    if isinstance(fraction, bool) or not isinstance(fraction, numbers.Real):
+        raise InvalidConfig(f"bootstrap fraction must be a number, got {fraction!r}")
     if not 0.0 < fraction <= 1.0:
         raise InvalidConfig(f"bootstrap fraction must lie in (0, 1], got {fraction!r}")
+    if isinstance(replicates, bool) or not isinstance(replicates, numbers.Integral):
+        raise InvalidConfig(f"bootstrap replicates must be an integer, got {replicates!r}")
     if not 0 <= replicates <= MAX_REPLICATES:
         raise InvalidConfig(
             f"bootstrap replicates must lie in [0, {MAX_REPLICATES}], got {replicates!r}"
@@ -119,9 +130,26 @@ def bootstrap_aggregate(
 ) -> tuple[float, float | None]:
     """Mean and std of subsample means.
 
-    Each replicate draws ceil(fraction * n) values without replacement;
-    the return is (mean of replicate means, std of replicate means).
-    With replicates == 0 the plain mean is returned with std None.
+    Each replicate draws m = ceil(fraction * n) values without
+    replacement; the return is (mean of replicate means, std of replicate
+    means). With replicates == 0 the plain mean is returned with std None.
+
+    The indices drawn, and the state rng is left in, are those of one
+    rng.choice(n, m, replace=False) per replicate. For m above
+    MAX_ONE_CALL_SUBSAMPLE that is the loop taken; otherwise one
+    rng.integers call makes every replicate's draws, mirroring numpy
+    2.4's choice step by step:
+    - Floyd's sample (Bentley & Floyd, CACM 1987): for j = n-m .. n-1,
+      draw v in [0, j] and take v, or j if the replicate holds v already;
+    - a Fisher-Yates shuffle of the m picks: for i = m-1 .. 1, draw k in
+      [0, i] and swap picks i and k.
+    Both make each draw with random_bounded_uint64 (Lemire's method; a
+    range of 0 takes no generator output), which integers with an int64
+    array of bounds calls element by element. choice takes another route,
+    a partial shuffle of arange(n), only when n > 10000 and m > n // 50,
+    which m <= MAX_ONE_CALL_SUBSAMPLE rules out (any bound up to 200
+    would). A numpy whose choice changes these steps fails the tests
+    against naive_bootstrap_aggregate.
 
     Raises InsufficientData with fewer than two values, and
     InvalidConfig unless check_bootstrap accepts fraction and replicates.
@@ -136,10 +164,25 @@ def bootstrap_aggregate(
         rng = np.random.default_rng(0)
     n = len(vals)
     m = math.ceil(fraction * n)
-    # one index draw per replicate consumes rng as drawing the values would
-    idx = np.empty((replicates, m), dtype=np.intp)
-    for i in range(replicates):
-        idx[i] = rng.choice(n, size=m, replace=False)
+    if m > MAX_ONE_CALL_SUBSAMPLE:
+        # one index draw per replicate consumes rng as drawing the values would
+        idx = np.empty((replicates, m), dtype=np.intp)
+        for i in range(replicates):
+            idx[i] = rng.choice(n, size=m, replace=False)
+    else:
+        # exclusive bounds of one replicate's draws: Floyd's, then the shuffle's
+        bounds = np.concatenate((np.arange(n - m + 1, n + 1), np.arange(m, 1, -1)))
+        draws = rng.integers(0, np.tile(bounds, replicates)).reshape(replicates, -1).T
+        picks = draws[:m].copy()  # row p: every replicate's p-th Floyd pick
+        for p in range(1, m):
+            picks[p, (picks[:p] == picks[p]).any(axis=0)] = n - m + p
+        cols = np.arange(replicates)
+        for i, k in zip(range(m - 1, 0, -1), draws[m:]):
+            held = picks[k, cols]
+            picks[k, cols] = picks[i]
+            picks[i] = held
+        # C order, so each row's mean sums as choice's 1-d subsample would
+        idx = np.ascontiguousarray(picks.T)
     means = vals[idx].mean(axis=1)
     return float(means.mean()), float(means.std())
 

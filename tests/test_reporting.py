@@ -5,7 +5,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from _oracles import (
     lsa_match_frame,
@@ -20,7 +20,10 @@ from _oracles import (
 from doatrack.errors import InsufficientData, InvalidConfig
 from doatrack.geometry import Direction
 from doatrack.reporting import (
+    AGGREGATE_METRICS,
+    MAX_ONE_CALL_SUBSAMPLE,
     REPORT_COLUMNS,
+    MetricsReport,
     aggregate_reports,
     bootstrap_aggregate,
     evaluate_scene,
@@ -54,7 +57,8 @@ def test_bootstrap_single_value_raises():
 
 
 def test_bootstrap_rejects_fraction_and_replicates_out_of_bounds():
-    for fraction, replicates in ((0.0, 10), (1.5, 10), (math.nan, 10), (0.8, -1)):
+    for fraction, replicates in ((0.0, 10), (1.5, 10), (math.nan, 10), (0.8, -1), (0.8, 2.5),
+                                 (0.8, 2.0), (0.8, True), (0.8, "3"), (True, 10), ("0.8", 10)):
         with pytest.raises(InvalidConfig):
             bootstrap_aggregate([1.0, 2.0], fraction, replicates)
 
@@ -83,6 +87,63 @@ def test_bootstrap_equals_one_value_draw_per_replicate(values, fraction, replica
     fast = bootstrap_aggregate(values, fraction, replicates, np.random.default_rng(seed))
     naive = naive_bootstrap_aggregate(values, fraction, replicates, np.random.default_rng(seed))
     assert fast == naive
+
+
+# m = ceil(fraction * n) on each side of MAX_ONE_CALL_SUBSAMPLE (32):
+# fraction 1.0 makes Floyd's first range 0, which takes no word; n above
+# 10000 with a small m is still Floyd's sample in numpy's choice.
+@given(
+    st.integers(2, 3 * MAX_ONE_CALL_SUBSAMPLE),
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.integers(1, 60),
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+)
+@example(n=32, fraction=1.0, replicates=7, words_before=1, seed=0)  # m = 32
+@example(n=33, fraction=1.0, replicates=7, words_before=3, seed=1)  # m = 33
+@example(n=40, fraction=0.8, replicates=9, words_before=1, seed=2)  # m = 32
+@example(n=41, fraction=0.8, replicates=9, words_before=0, seed=3)  # m = 33
+@example(n=2, fraction=1.0, replicates=5, words_before=1, seed=4)  # m = 2
+@example(n=20_000, fraction=0.0015, replicates=11, words_before=1, seed=5)  # m = 30
+@example(n=10_001, fraction=0.003, replicates=4, words_before=3, seed=6)  # m = 31
+def test_bootstrap_leaves_the_generator_where_choice_leaves_it(
+    n, fraction, replicates, words_before, seed
+):
+    values = np.sqrt(np.arange(n, dtype=float))  # distinct subsets, distinct means
+    fast_rng, naive_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (fast_rng, naive_rng):
+        rng.integers(0, 2**32, size=words_before, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == words_before % 2
+    fast = bootstrap_aggregate(values, fraction, replicates, fast_rng)
+    naive = naive_bootstrap_aggregate(values, fraction, replicates, naive_rng)
+    assert fast == naive
+    assert fast_rng.bit_generator.state == naive_rng.bit_generator.state
+    assert fast_rng.random() == naive_rng.random()
+
+
+def test_aggregate_reports_keeps_one_stream_across_draw_paths():
+    # 41 scenes put every frame-level subsample (m = 33) above
+    # MAX_ONE_CALL_SUBSAMPLE; the ass_* metrics, defined on 3 scenes
+    # (m = 3), fall below it, between them in AGGREGATE_METRICS order.
+    value_rng = np.random.default_rng(11)
+    n_scenes, assoc_scenes = 41, (4, 17, 30)
+    assert math.ceil(0.8 * n_scenes) == MAX_ONE_CALL_SUBSAMPLE + 1
+    reports = []
+    for i in range(n_scenes):
+        u = value_rng.uniform(size=10)
+        ass = (u[7], u[8], u[9]) if i in assoc_scenes else (None, None, None)
+        reports.append(MetricsReport(
+            n_tp=i, n_fp=0, n_fn=0, n_swaps=int(u[0] * 9), n_broken=0, tsr=u[1], tfr=u[2],
+            tsr_per_track=u[3], tfr_per_track=u[4], mota=u[5], ospa_mean=u[6],
+            mean_loc_error=u[6] / 2, scene_id=f"s{i}", ass_a=ass[0], ass_pr=ass[1], ass_re=ass[2],
+        ))
+    agg = aggregate_reports(reports, replicates=50, seed=9)["metrics"]
+    rng = np.random.default_rng(9)
+    for metric, attr in AGGREGATE_METRICS.items():
+        defined = [float(v) for v in (getattr(r, attr) for r in reports) if v is not None]
+        assert len(defined) == (3 if metric.startswith("ass_") else n_scenes)
+        mean, std = naive_bootstrap_aggregate(defined, 0.8, 50, rng)
+        assert (agg[metric]["mean"], agg[metric]["std"]) == (mean, std), metric
 
 
 def _tiny_report(scene_id, ass_re=None):
