@@ -47,8 +47,10 @@ from .scenesim import MODES, ObservationModel, ScenarioConfig, generate_scene, s
 from .trackers import (
     MAX_ACTIVE,
     TrackerConfig,
+    cells_per_pass,
     merger_tracker,
     oracle_tracker,
+    pf_track_cells,
     pf_tracker,
     splitter_tracker,
     swapper_tracker,
@@ -559,6 +561,8 @@ def _sweep_plan(doc: dict, master_seed) -> tuple:
     tracker_doc = {"type": "pf", **_json_object(doc.get("tracker", {}), "sweep tracker")}
     if tracker_doc["type"] != "pf":
         raise InvalidConfig("sweep supports only the pf tracker")
+    if "k_max" in tracker_doc:
+        raise InvalidConfig("a sweep's k_max comes from k_max_values, not its tracker config")
     gate = math.radians(coerce(doc.get("gate_deg", DEFAULT_GATE_DEG), float, "gate_deg"))
     check_gate(gate)
     boot = _json_object(doc.get("bootstrap", {}), "sweep bootstrap", _BOOTSTRAP_KEYS)
@@ -592,26 +596,35 @@ def _sweep_plan(doc: dict, master_seed) -> tuple:
 def _sweep_scene(scenes_dir: Path, subset_dir: Path, grid: FrameGrid, cells: list, gate: float,
                  index: int, scene_id: str) -> tuple[list, tuple[int, str] | None]:
     """Worker: track and score one scene in every cell of a sweep subset,
-    in k_max order, parsing its observations and ground truth once.
+    parsing its observations and ground truth once.
 
-    Each cell runs the PF on the seed track_corpus gives the scene and
-    scores the predictions as read back from their CSV, exactly as
-    evaluate_corpus scores them: the file's 6 decimals are what a cell
-    reports. Returns (reports, failure): the report of each cell before
-    the first failed step, and (step, failure line) of that step, or
-    None. Step 2c is cell c's tracking, 2c + 1 its scoring.
+    Each cell's PF runs on the seed track_corpus gives the scene, and
+    the cells' filters step through the frames together: one
+    pf_track_cells pass per cells_per_pass cells, in k_max order. Each
+    cell's predictions are then written and scored as read back from
+    their CSV, exactly as evaluate_corpus scores them: the file's 6
+    decimals are what a cell reports. Returns (reports, failure): the
+    report of each cell before the first failed step, and (step, failure
+    line) of that step, or None. Step 2c is cell c's tracking, 2c + 1
+    its scoring; a failed pass fails its first cell's tracking, a failed
+    write the tracking of its own cell.
     """
     reports, gts, step = [], None, 0
     try:
         obs = read_observations(scenes_dir / f"{scene_id}.obs.csv", grid)
-        for label, cfg, _eval_seed in cells:
-            pred_path = subset_dir / f"kmax_{label}" / "preds" / f"{scene_id}.pred.csv"
-            write_trackset(pf_tracker(obs, _scene_pf_config(cfg, index)), pred_path)
-            step += 1
-            if gts is None:
-                gts = read_trackset(scenes_dir / f"{scene_id}.gt.csv", grid)
-            reports.append(evaluate_scene(scene_id, gts, read_trackset(pred_path, grid), gate))
-            step += 1
+        per_pass = cells_per_pass(cells[0][1])
+        for first in range(0, len(cells), per_pass):
+            step = 2 * first
+            group = cells[first:first + per_pass]
+            tracked = pf_track_cells(obs, [_scene_pf_config(cfg, index) for _k, cfg, _s in group])
+            for c, ((label, _cfg, _eval_seed), preds) in enumerate(zip(group, tracked), first):
+                step = 2 * c
+                pred_path = subset_dir / f"kmax_{label}" / "preds" / f"{scene_id}.pred.csv"
+                write_trackset(preds, pred_path)
+                step += 1
+                if gts is None:
+                    gts = read_trackset(scenes_dir / f"{scene_id}.gt.csv", grid)
+                reports.append(evaluate_scene(scene_id, gts, read_trackset(pred_path, grid), gate))
     except (DoatrackError, OSError) as exc:
         return reports, (step, _failure_line(scene_id, exc))
     return reports, None
@@ -625,8 +638,11 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
     Each cell writes what track_corpus and evaluate_corpus would write
     for it, byte for byte. The work runs as one pass per subset, each
     scene tracked and scored in every cell by one task, on at most one
-    process pool for the whole sweep. A failed scene is a DoatrackError
-    naming the first failing cell in k_max order and its stage.
+    process pool for the whole sweep; within the task one PF pass steps
+    the filters of all the cells (see _sweep_scene). A failed scene is a
+    DoatrackError naming the first failing cell in k_max order and its
+    stage: a failed PF pass is the tracking failure of the first cell it
+    steps.
     """
     master_seed, gate, fraction, replicates, labels, planned = _sweep_plan(doc, master_seed)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -23,15 +23,23 @@ id) for up to death_frames frames without emitting.
 
 The particles of a scene's live tracks form one (T, n_particles, 3)
 stack that lives across frames: each frame predicts and averages the
-whole stack with a few numpy calls, while the weight update and the
-resample run per associated track on its row. The generator is drawn
-from in a fixed order: per frame, each live track in live order draws
-its walk (uniform headings, then normal arcs, drawn even when
-process_noise_sigma is 0); each associated track, in pairing order,
-draws its resampling offset; each newborn track, in confirmation
-order, draws its first walk. tests/test_trackers.py pins the stacked
-filter bit for bit to the one-track-at-a-time filter in
-tests/_oracles.py.
+whole stack with a few numpy calls, and updates and resamples every
+associated track's cloud with a few more. pf_track_cells steps several
+filters whose configs differ only in seed and k_max, such as the cells
+of a k_max sweep, through one scene in one such pass. Each filter owns
+a block of the stack, its generator, its ids, candidates and dead pool,
+and the rows it emits; pf_tracker is that pass with one filter.
+
+Each filter's generator is drawn from in the order of that filter run
+alone: per frame, each of its live tracks in live order draws its walk
+(n uniform doubles for the headings, then n standard normals for the
+arcs, drawn even when process_noise_sigma is 0); each of its associated
+tracks, in its pairing order, draws one resampling offset; each of its
+newborn tracks, in confirmation order, draws its first walk. How the
+draws of different filters interleave does not matter.
+tests/test_trackers.py pins every filter of a pass bit for bit to the
+one-track-at-a-time filter in tests/_oracles.py run on that filter's
+config alone.
 
 The white-box adversaries (splitter/merger/swapper) read the ground
 truth directly and exist to calibrate the metrics: they realize pure
@@ -41,7 +49,8 @@ splitting, pure merging and pure label-swapping failure modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
 from itertools import compress, count
 
 import numpy as np
@@ -182,42 +191,48 @@ def swapper_tracker(gt: TrackSet, period_s: float) -> TrackSet:
 _clip = (np._core if hasattr(np, "_core") else np.core).umath.clip
 
 
-def _predict(P: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+def _predict(P: np.ndarray, sigma: float, rngs: list[np.random.Generator]) -> np.ndarray:
     """Rotate each particle of the (T, n, 3) stack P by |N(0, sigma)|
     toward a uniform tangent heading; returns the new stack.
 
-    Each cloud draws uniform(0, 2 pi, n) and then normal(0, sigma, n),
-    in stack order and even at sigma = 0. The walk is one pass over the
-    stack through elementwise expressions only, so each cloud moves bit
-    for bit as it would alone.
+    Cloud t draws n uniform doubles and then n standard normals from
+    rngs[t], in stack order and even at sigma = 0: the draws of
+    uniform(0, 2 pi, n) and normal(0, sigma, n), which scale them. The
+    walk is one pass over the stack through elementwise expressions
+    only, so each cloud moves bit for bit as it would alone.
     """
     T, n, _ = P.shape
     # angles holds, per particle, its azimuth and elevation and then its
     # heading and arc draws, so that one sin and one cos call cover all
     angles = np.empty((4, T, n))
-    for t in range(T):
-        angles[2, t] = rng.uniform(0.0, TWO_PI, n)
-        angles[3, t] = rng.normal(0.0, sigma, n)
+    for t, rng in enumerate(rngs):
+        rng.random(out=angles[2, t])
+        rng.standard_normal(out=angles[3, t])
     if sigma == 0:
         return P
+    angles[2] *= TWO_PI
     np.abs(angles[3], out=angles[3])
+    angles[3] *= sigma
     np.arctan2(P[..., 1], P[..., 0], out=angles[0])
     np.arcsin(_clip(P[..., 2], -1.0, 1.0), out=angles[1])
-    (ca, ce, ch, cm), (sa, se, sh, sm) = np.cos(angles), np.sin(angles)
-    # the local east (-sa, ca, 0) and north (-se * ca, -se * sa, ce)
-    east = np.empty_like(P)
-    east[..., 0] = -sa
-    east[..., 1] = ca
-    east[..., 2] = 0.0
-    north = np.empty_like(P)
-    north[..., 0] = -se * ca
-    north[..., 1] = -se * sa
-    north[..., 2] = ce
-    tangent = ch[..., None] * east + sh[..., None] * north
-    moved = cm[..., None] * P + sm[..., None] * tangent
-    # np.linalg.norm(moved, axis=-1) is this sum of squares
-    moved /= np.sqrt(np.add.reduce(moved * moved, axis=-1))[..., None]
-    return moved
+    trig = np.empty((2, 4, T, n))
+    np.cos(angles, out=trig[0])
+    np.sin(angles, out=trig[1])
+    (ca, ce, ch, cm), (sa, se, sh, sm) = trig
+    # the local east (-sa, ca, 0) and north (-se * ca, -se * sa, ce), by
+    # component along the first axis
+    east = np.empty((3, T, n))
+    np.negative(sa, out=east[0])
+    east[1] = ca
+    east[2] = 0.0
+    north = np.empty((3, T, n))
+    np.multiply(-se, trig[:, 0], out=north[:2])
+    north[2] = ce
+    moved = cm * P.transpose(2, 0, 1) + sm * (ch * east + sh * north)
+    # np.linalg.norm(moved, axis=0): the squares summed in axis order
+    square = moved * moved
+    moved /= np.sqrt(square[0] + square[1] + square[2])
+    return moved.transpose(1, 2, 0).copy()
 
 
 def _mean_angles(v: np.ndarray, cloud: np.ndarray) -> tuple[float, float]:
@@ -260,100 +275,168 @@ def _gated_pairs(a: np.ndarray, b: np.ndarray, gate: float) -> list[tuple[int, i
     return _greedy_pairs(np.arccos(_clip(a @ b.T, -1.0, 1.0)), gate)
 
 
+def cells_per_pass(cfg: TrackerConfig) -> int:
+    """The most cells one pf_track_cells pass over configs like cfg may
+    step: as many as keep its stack of at most max_active clouds per cell
+    within MAX_ACTIVE * MAX_PARTICLES particles, and at least one."""
+    return max(1, MAX_ACTIVE * MAX_PARTICLES // (cfg.max_active * cfg.n_particles))
+
+
+@dataclass(slots=True)
+class _Cell:
+    """One filter of a pf_track_cells pass: its generator, its tracks,
+    whose clouds form one block of the shared stack, its ids and
+    candidates, and the rows it emits."""
+
+    rng: np.random.Generator
+    fresh_ids: Iterator[str]  # the ids not yet issued: t0, t1, ... up to t{k_max - 1}
+    live: list[str] = field(default_factory=list)  # the ids of the block's clouds, in order
+    supported: list[int] = field(default_factory=list)  # the frame live[t] was born or paired
+    dead_pool: list[str] = field(default_factory=list)  # by (death frame, id), newest last
+    candidates: list[tuple[np.ndarray, int]] = field(default_factory=list)  # (unit, support)
+    rows: list[tuple[int, str, float, float]] = field(default_factory=list)  # (frame, id, az, el)
+
+
 def pf_tracker(obs: ObservationSet, cfg: TrackerConfig) -> TrackSet:
     """Run the particle-filter tracker over an observation set.
 
     Online contract: the output at frame t depends only on observations
-    up to t. Deterministic per cfg.seed. The observations' unit vectors
-    are derived from their angles once per scene.
+    up to t. Deterministic per cfg.seed.
+    """
+    return pf_track_cells(obs, [cfg])[0]
+
+
+def pf_track_cells(obs: ObservationSet, cfgs: list[TrackerConfig]) -> list[TrackSet]:
+    """pf_tracker(obs, cfg) for each cfg of cfgs, bit for bit, in one pass
+    over the frames: the filters' live clouds share one particle stack.
+
+    The configs may differ only in seed and k_max, and there may be at
+    most cells_per_pass of them. The observations' unit vectors are
+    derived from their angles once per scene.
 
     A track's estimate, the direction of its cloud mean, is never
     stored: after the predict step it only feeds the association, and
     after an update or a birth it is the emitted row.
 
-    A confirmation under the live cap always gets an id: every id issued
-    is either live or in the dead pool, so once k_max ids are issued
-    with fewer than max_active <= k_max live, the pool holds
-    k_max - len(live) >= 1 ids.
+    A confirmation under the live cap always gets an id: every id a
+    filter issued is either live or in its dead pool, so once k_max ids
+    are issued with fewer than max_active <= k_max live, the pool holds
+    k_max - live >= 1 ids.
     """
-    rng = np.random.default_rng(cfg.seed)
+    cfg = cfgs[0]
+    if any(replace(other, seed=cfg.seed, k_max=cfg.k_max) != cfg for other in cfgs):
+        raise InvalidConfig("the configs of one PF pass may differ only in seed and k_max")
+    if len(cfgs) > cells_per_pass(cfg):
+        raise InvalidConfig(f"one PF pass steps at most {cells_per_pass(cfg)} cells of this size")
+    cells = [
+        _Cell(np.random.default_rng(c.seed),
+              map("t{}".format, count() if c.k_max is None else range(c.k_max)))
+        for c in cfgs
+    ]
     kappa = 1.0 / cfg.likelihood_sigma**2
     n = cfg.n_particles
     ar = np.arange(n)
-    sigma = cfg.process_noise_sigma
-    P = np.empty((0, n, 3))  # live[t]'s particles are P[t]
-    live: list[str] = []
-    unsupported: list[int] = []  # frames since live[t] was last associated
-    candidates: list[tuple[np.ndarray, int]] = []  # (unit, support), oldest first
-    dead_pool: list[str] = []  # dead ids by (death frame, id), newest last
-    # the ids not yet issued: t0, t1, ... up to t{k_max - 1}
-    fresh_ids = map("t{}".format, count() if cfg.k_max is None else range(cfg.k_max))
-    rows: list[tuple[int, str, float, float]] = []  # (frame, id, azimuth, elevation)
+    sigma, gate = cfg.process_noise_sigma, cfg.assoc_gate
+    birth_frames, death_frames = cfg.birth_frames, cfg.death_frames
+    P = np.empty((0, n, 3))  # the cells' blocks in cell order, row t of a block for live[t]
+    walkers: list[np.random.Generator] = []  # the generator of each row of P
     units = unit_vectors_from_angles(obs.azimuth.tolist(), obs.elevation.tolist())
+    offsets = obs.offsets.tolist()
 
     for f in range(obs.grid.n_frames):
-        obs_units = units[obs.offsets[f]:obs.offsets[f + 1]]
-        leftover = list(range(len(obs_units)))  # the frame's unspent observations
-        unsupported = [k + 1 for k in unsupported]
+        obs_units = units[offsets[f]:offsets[f + 1]]
 
         # 1. predict
-        if live:
-            P = _predict(P, sigma, rng)
+        if len(P):
+            P = _predict(P, sigma, walkers)
+            if len(obs_units):
+                estimates = [
+                    unit_xyz(*_mean_angles(v, cloud)) for v, cloud in zip(_cloud_means(P), P)
+                ]
 
-        # 2. gated greedy association, nearest angular distance first
-        if live and leftover:
-            track_units = np.array([
-                unit_xyz(*_mean_angles(v, cloud)) for v, cloud in zip(_cloud_means(P), P)
-            ])
-            for ti, oi in _gated_pairs(track_units, obs_units, cfg.assoc_gate):
-                # 3. measurement update against the associated observation,
-                #    then systematic resampling
-                cloud = P[ti]
-                logw = kappa * (cloud @ obs_units[oi] - 1.0)
-                w = np.exp(logw - np.maximum.reduce(logw))
-                w /= np.add.reduce(w)
-                az, el = _mean_angles(w @ cloud, cloud)
-                cumulative = np.cumsum(w)
-                cumulative[-1] = 1.0  # guard against rounding shortfall
-                P[ti] = cloud[np.searchsorted(cumulative, (rng.random() + ar) / n)]
-                rows.append((f, live[ti], az, el))
-                unsupported[ti] = 0
-                leftover.remove(oi)
+        # 2.-5. per cell, on its own block of the stack; none of these steps draws
+        pair_cells, pair_rows, ts, ois = [], [], [], []  # per pair: cell, its row, stack row, obs
+        newborn, born_units, born_at = [], [], []  # per confirmation: (cell, id), unit, block end
+        lo = 0
+        for cell in cells:
+            leftover = list(range(len(obs_units)))  # the frame's unspent observations
+            hi = lo + len(cell.live)
 
-        # 4. a candidate survives only while consecutive frames support
-        #    it, taking the supporting direction; oldest first, so older
-        #    candidates confirm first under contention
-        pairs = []
-        if candidates and leftover:
-            cand_units = np.array([unit for unit, _support in candidates])
-            pairs = sorted(_gated_pairs(cand_units, obs_units[leftover], cfg.assoc_gate))
-        spent = {leftover[li] for _ci, li in pairs}
-        candidates = [(obs_units[leftover[li]], candidates[ci][1] + 1) for ci, li in pairs]
+            # 2. gated greedy association, nearest angular distance first
+            if lo < hi and leftover:
+                for ti, oi in _gated_pairs(np.array(estimates[lo:hi]), obs_units, gate):
+                    pair_cells.append(cell)
+                    pair_rows.append(ti)
+                    ts.append(lo + ti)
+                    ois.append(oi)
+                    leftover.remove(oi)
 
-        # 5. each observation still unspent is a new candidate's first support
-        candidates += [(obs_units[oi], 1) for oi in leftover if oi not in spent]
+            # 3. a candidate survives only while consecutive frames support
+            #    it, taking the supporting direction; oldest first, so older
+            #    candidates confirm first under contention
+            pairs = []
+            if cell.candidates and leftover:
+                cand_units = np.array([unit for unit, _support in cell.candidates])
+                pairs = sorted(_gated_pairs(cand_units, obs_units[leftover], gate))
+            spent = {leftover[li] for _ci, li in pairs}
+            candidates = [(obs_units[leftover[li]], cell.candidates[ci][1] + 1) for ci, li in pairs]
 
-        # 6. confirmations: reaching birth_frames consumes a candidate;
-        #    those beyond the live cap are rejected
-        born = [unit for unit, support in candidates if support >= cfg.birth_frames]
-        born = born[:cfg.max_active - len(live)]
-        candidates = [cand for cand in candidates if cand[1] < cfg.birth_frames]
-        if born:
-            # a fresh id while fewer than k_max are issued, else the newest-dead id
-            live += [next(fresh_ids, None) or dead_pool.pop() for _unit in born]
-            unsupported += [0] * len(born)
-            # each newborn cloud is n copies of its observation, walked once
-            clouds = _predict(np.repeat(np.array(born)[:, None, :], n, axis=1), sigma, rng)
-            for tid, v, cloud in zip(live[-len(born):], _cloud_means(clouds), clouds):
-                rows.append((f, tid, *_mean_angles(v, cloud)))
-            P = np.concatenate([P, clouds])
+            # 4. each observation still unspent is a new candidate's first support
+            candidates += [(obs_units[oi], 1) for oi in leftover if oi not in spent]
 
-        # 7. deaths
-        alive = [k <= cfg.death_frames for k in unsupported]
+            # 5. confirmations: reaching birth_frames consumes a candidate;
+            #    those beyond the live cap are rejected
+            born = [unit for unit, support in candidates if support >= birth_frames]
+            born = born[:cfg.max_active - len(cell.live)]
+            cell.candidates = [cand for cand in candidates if cand[1] < birth_frames]
+            if born:
+                # a fresh id while fewer than k_max are issued, else the newest-dead id
+                newborn += [(cell, next(cell.fresh_ids, None) or cell.dead_pool.pop()) for _u in born]
+                born_units += born
+                born_at += [hi] * len(born)
+            lo = hi
+
+        # 6. measurement update of every paired cloud against its
+        #    observation, then systematic resampling
+        if ts:
+            clouds = P.take(ts, 0)
+            logw = (clouds @ obs_units.take(ois, 0)[..., None])[..., 0]
+            logw -= 1.0
+            logw *= kappa
+            logw -= np.maximum.reduce(logw, axis=1, keepdims=True)
+            w = np.exp(logw, out=logw)
+            w /= np.add.reduce(w, axis=1, keepdims=True)
+            means = (w[:, None, :] @ clouds)[:, 0]
+            cumulative = np.add.accumulate(w, axis=1)
+            cumulative[:, -1] = 1.0  # guard against rounding shortfall
+            for j, (cell, ti, t) in enumerate(zip(pair_cells, pair_rows, ts)):
+                cloud = clouds[j]
+                cell.rows.append((f, cell.live[ti], *_mean_angles(means[j], cloud)))
+                P[t] = cloud[cumulative[j].searchsorted((cell.rng.random() + ar) / n)]
+                cell.supported[ti] = f
+
+        # 7. births: each newborn cloud is n copies of its observation,
+        #    walked once, and joins the end of its cell's block
+        if newborn:
+            clouds = np.repeat(np.array(born_units)[:, None, :], n, axis=1)
+            clouds = _predict(clouds, sigma, [cell.rng for cell, _tid in newborn])
+            for (cell, tid), v, cloud in zip(newborn, _cloud_means(clouds), clouds):
+                cell.rows.append((f, tid, *_mean_angles(v, cloud)))
+                cell.live.append(tid)
+                cell.supported.append(f)
+            P = np.insert(P, born_at, clouds, axis=0)
+            walkers = [cell.rng for cell in cells for _tid in cell.live]
+
+        # 8. deaths: a track dies after death_frames frames without support
+        oldest = f - death_frames
+        alive = [last >= oldest for cell in cells for last in cell.supported]
         if not all(alive):
-            dead_pool += sorted(tid for tid, ok in zip(live, alive) if not ok)
+            for cell in cells:
+                kept = [last >= oldest for last in cell.supported]
+                cell.dead_pool += sorted(tid for tid, ok in zip(cell.live, kept) if not ok)
+                cell.live = list(compress(cell.live, kept))
+                cell.supported = list(compress(cell.supported, kept))
             P = P[alive]
-            live = list(compress(live, alive))
-            unsupported = list(compress(unsupported, alive))
+            walkers = list(compress(walkers, alive))
 
-    return TrackSet.from_rows(obs.grid, *columns_of(rows, 4))
+    return [TrackSet.from_rows(obs.grid, *columns_of(cell.rows, 4)) for cell in cells]

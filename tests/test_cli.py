@@ -619,25 +619,46 @@ def test_sweep_checks_every_cell_tracker_before_any_work(tmp_path, capsys):
     for bad, word in (({"tracker": {"typo": 1}}, "typo"), ({"k_max_values": [1, 2.5]}, "k_max"),
                       ({"subsets": [{"n_speakers": 1, "n_scenes": 1}, {"n_speakers": 0.5}]},
                        "n_speakers"),
-                      ({"tracker": {"type": "oracle"}}, "sweep supports only the pf tracker")):
+                      ({"tracker": {"type": "oracle"}}, "sweep supports only the pf tracker"),
+                      # each cell's k_max comes from its k_max_values entry
+                      ({"tracker": {"k_max": 7}}, "comes from k_max_values"),
+                      ({"tracker": {"k_max": "x"}}, "comes from k_max_values")):
         cfg = write_config(tmp_path, "sweep.json", {**base, **bad})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 1, bad
         assert word in _config_error(capsys), bad
         assert not (tmp_path / "sweep").exists(), bad
 
 
-@pytest.mark.parametrize("stage, failed", [("pf_tracker", "had failures"),
+def _failing(real, failing, counted=None):
+    """real, raising instead on the calls numbered in failing (from 1)
+    among the calls counted selects (all of them when it is None)."""
+    calls = []
+
+    def fail(*args):
+        if counted is None or counted(*args):
+            calls.append(None)
+            if len(calls) in failing:
+                raise DoatrackError("injected scene failure")
+        return real(*args)
+
+    return fail, calls
+
+
+def _prediction_write(_tracks, path):
+    return path.name.endswith(".pred.csv")
+
+
+# The stages a failure is injected into: the PF pass that tracks a scene
+# in every cell, a cell's prediction write, and a cell's scoring.
+COUNTED = {"write_trackset": _prediction_write}
+
+
+@pytest.mark.parametrize("stage, failed", [("pf_track_cells", "had failures"),
+                                           ("write_trackset", "had failures"),
                                            ("evaluate_scene", "evaluation failed")])
 def test_sweep_cell_with_a_failed_scene_is_a_data_error(stage, failed, tmp_path, capsys,
                                                         monkeypatch):
-    real, calls = getattr(cli, stage), []
-
-    def fail_once(*args):
-        calls.append(None)
-        if len(calls) == 1:
-            raise DoatrackError("injected scene failure")
-        return real(*args)
-
+    fail_once, calls = _failing(getattr(cli, stage), {1}, COUNTED.get(stage))
     monkeypatch.setattr(cli, stage, fail_once)
     doc = {"subsets": [{"n_speakers": 1, "n_scenes": 2}], "k_max_values": [2],
            "scenario": {"duration_s": 5.0}, "bootstrap": {"replicates": 0}}
@@ -652,7 +673,7 @@ def test_sweep_cell_with_a_failed_scene_is_a_data_error(stage, failed, tmp_path,
     assert err.count("\n") == 1 and "Traceback" not in err, err
 
 
-@pytest.mark.parametrize("stage, failed", [("pf_tracker", "had failures"),
+@pytest.mark.parametrize("stage, failed", [("write_trackset", "had failures"),
                                            ("evaluate_scene", "evaluation failed")])
 @pytest.mark.parametrize("failing, cell, scene", [({2}, "kmax_inf", "scene_0000"),
                                                   ({2, 3}, "kmax_2", "scene_0001")])
@@ -661,15 +682,7 @@ def test_sweep_failure_names_the_first_failing_cell_in_k_max_order(
 ):
     # At jobs 1 each scene runs through both cells before the next scene:
     # call 2 is scene_0000 in kmax_inf, call 3 is scene_0001 in kmax_2.
-    real, calls = getattr(cli, stage), []
-
-    def fail(*args):
-        calls.append(None)
-        if len(calls) in failing:
-            raise DoatrackError("injected scene failure")
-        return real(*args)
-
-    monkeypatch.setattr(cli, stage, fail)
+    monkeypatch.setattr(cli, stage, _failing(getattr(cli, stage), failing, COUNTED.get(stage))[0])
     doc = {"subsets": [{"n_speakers": 1, "n_scenes": 2}], "k_max_values": [2, None],
            "scenario": {"duration_s": 5.0}, "bootstrap": {"replicates": 0}}
     with pytest.raises(DoatrackError) as info:
@@ -677,6 +690,36 @@ def test_sweep_failure_names_the_first_failing_cell_in_k_max_order(
     assert str(info.value) == (
         f"sweep cell 1spk/{cell} {failed}: ['{scene}: DoatrackError: injected scene failure']"
     )
+
+
+THREE_CELLS = {"subsets": [{"n_speakers": 1, "n_scenes": 2}], "k_max_values": [2, 3, None],
+               "scenario": {"duration_s": 5.0}, "bootstrap": {"replicates": 0}}
+
+
+@pytest.mark.parametrize("per_pass, failing, cell, scene", [
+    (3, {2}, "kmax_2", "scene_0001"),
+    # two passes per scene: call 2 steps scene_0000's kmax_inf cell, call 3
+    # scene_0001's kmax_2 and kmax_3 cells
+    (2, {2}, "kmax_inf", "scene_0000"),
+    (2, {2, 3}, "kmax_2", "scene_0001"),
+])
+def test_a_failed_pf_pass_fails_the_first_cell_it_steps(per_pass, failing, cell, scene, tmp_path,
+                                                        monkeypatch):
+    monkeypatch.setattr(cli, "cells_per_pass", lambda cfg: per_pass)
+    monkeypatch.setattr(cli, "pf_track_cells", _failing(cli.pf_track_cells, failing)[0])
+    with pytest.raises(DoatrackError) as info:
+        cli.run_sweep(THREE_CELLS, tmp_path / "sweep", 0)
+    assert str(info.value) == (
+        f"sweep cell 1spk/{cell} had failures: ['{scene}: DoatrackError: injected scene failure']"
+    )
+
+
+@pytest.mark.parametrize("per_pass", [1, 2])
+def test_sweep_tree_does_not_depend_on_the_cells_per_pass(per_pass, tmp_path, monkeypatch):
+    cli.run_sweep(THREE_CELLS, tmp_path / "one_pass", 0)
+    monkeypatch.setattr(cli, "cells_per_pass", lambda cfg: per_pass)
+    cli.run_sweep(THREE_CELLS, tmp_path / "passes", 0)
+    assert dir_digest(tmp_path / "passes") == dir_digest(tmp_path / "one_pass")
 
 
 def test_sweep_starts_one_pool_and_parses_each_scene_once(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -27,8 +28,10 @@ from doatrack.trackers import (
     _greedy_pairs,
     _mean_angles,
     _predict,
+    cells_per_pass,
     merger_tracker,
     oracle_tracker,
+    pf_track_cells,
     pf_tracker,
     splitter_tracker,
     swapper_tracker,
@@ -428,6 +431,58 @@ def test_pf_equals_the_per_track_filter_bit_for_bit(obs, cfg):
         assert np.array_equal(getattr(fast, name), getattr(naive, name)), name
 
 
+@st.composite
+def pf_cell_configs(draw):
+    """1-4 configs of one PF pass: one drawn policy, each cell with its own
+    k_max and a seed that often repeats another cell's."""
+    cfg = draw(pf_configs())
+    seeds = st.sampled_from([cfg.seed, 0]) | st.integers(0, 2**32 - 1)
+    k_maxes = st.none() | st.integers(cfg.max_active, cfg.max_active + 3)
+    return [replace(cfg, seed=draw(seeds), k_max=draw(k_maxes))
+            for _cell in range(draw(st.integers(1, 4)))]
+
+
+def wandering(seeds_and_budgets):
+    """One-particle filters whose walk of 20 degrees per frame often
+    leaves the gate, so that their tracks die and are born apart."""
+    cfg = TrackerConfig(max_active=1, birth_frames=1, death_frames=1, n_particles=1,
+                        process_noise_sigma=math.radians(20.0))
+    return [replace(cfg, seed=seed, k_max=k) for seed, k in seeds_and_budgets]
+
+
+# At frame 3 the second cell starts with no live track and confirms one
+# while the tracks of the other two, which share seed 0, die; at frame 4
+# those two confirm tracks while the second cell's lives on.
+@example(obs=blinking([0], [0], [0], [0], [0, 1], [0, 1], [0], [0], [1], [0, 1]),
+         cfgs=wandering([(0, None), (1, 1), (0, 2)]))
+@given(pf_scenes(), pf_cell_configs())
+@settings(max_examples=200)
+def test_one_pass_equals_each_cells_own_filter_bit_for_bit(obs, cfgs):
+    # every cell of the shared stack against the one-track-at-a-time
+    # filter run on that cell's config alone; no tolerance anywhere
+    for fast, cfg in zip(pf_track_cells(obs, cfgs), cfgs, strict=True):
+        naive = naive_pf_tracker(obs, cfg)
+        assert fast.ids == naive.ids
+        for name in ("frame", "id_code", "azimuth", "elevation"):
+            assert np.array_equal(getattr(fast, name), getattr(naive, name)), name
+
+
+def test_a_pass_holds_every_cell_at_the_defaults_and_one_at_the_bounds():
+    # pure arithmetic on the configs: the stack of a pass never exceeds
+    # MAX_ACTIVE * MAX_PARTICLES particles, and no particle array exists
+    # before a pass refuses more cells than that
+    largest = TrackerConfig(max_active=MAX_ACTIVE, n_particles=MAX_PARTICLES)
+    assert cells_per_pass(largest) == 1
+    assert cells_per_pass(TrackerConfig(max_active=MAX_ACTIVE)) == 1000
+    assert cells_per_pass(TrackerConfig(max_active=3)) == 33_333
+    obs = blinking([0])
+    with pytest.raises(InvalidConfig, match="at most 1 cells"):
+        pf_track_cells(obs, [largest, replace(largest, seed=1)])
+    with pytest.raises(InvalidConfig, match="differ only in seed and k_max"):
+        pf_track_cells(obs, [TrackerConfig(max_active=1),
+                             TrackerConfig(max_active=1, n_particles=5)])
+
+
 def test_mean_of_an_antipodal_cloud_falls_back_to_its_first_particle():
     u = np.array([0.6, 0.0, 0.8])
     cloud = np.array([u, -u])
@@ -438,15 +493,17 @@ def test_mean_of_an_antipodal_cloud_falls_back_to_its_first_particle():
 
 
 def test_predict_draws_even_without_process_noise():
-    # sigma = 0 moves no particle, so no output shows these draws; the
-    # generator must still advance as if each cloud had walked
-    stack = np.zeros((2, 5, 3))
-    rng, reference = np.random.default_rng(3), np.random.default_rng(3)
-    assert _predict(stack, 0.0, rng) is stack
-    for _ in range(2):
-        reference.uniform(0.0, TWO_PI, 5)
-        reference.normal(0.0, 0.0, 5)
-    assert rng.random() == reference.random()
+    # sigma = 0 moves no particle, so no output shows these draws; each
+    # generator must still advance as if each of its clouds had walked
+    stack = np.zeros((3, 5, 3))
+    rngs = [np.random.default_rng(s) for s in (3, 4)]
+    references = [np.random.default_rng(s) for s in (3, 4)]
+    assert _predict(stack, 0.0, [rngs[0], rngs[1], rngs[0]]) is stack
+    for reference, clouds in zip(references, (2, 1)):
+        for _ in range(clouds):
+            reference.uniform(0.0, TWO_PI, 5)
+            reference.normal(0.0, 0.0, 5)
+    assert [rng.random() for rng in rngs] == [reference.random() for reference in references]
 
 
 @pytest.mark.parametrize("d", [0.0, 0.5, np.nextafter(0.5, 1.0), math.inf, math.nan])
