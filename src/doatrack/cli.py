@@ -47,7 +47,6 @@ from .scenesim import MODES, ObservationModel, ScenarioConfig, generate_scene, s
 from .trackers import (
     MAX_ACTIVE,
     TrackerConfig,
-    cells_per_pass,
     merger_tracker,
     oracle_tracker,
     pf_track_cells,
@@ -167,8 +166,8 @@ def _json_object(value, what: str, keys=None) -> dict:
 def _load_json(path: str | Path) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise InvalidConfig(f"config file not found: {path}") from exc
+    except OSError as exc:  # missing, a directory, or not readable
+        raise InvalidConfig(f"cannot read config file {path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # bad JSON or UTF-8, or an integer too long to convert
         raise InvalidConfig(f"malformed JSON in {path}: {exc}") from exc
     return _json_object(doc, f"config {path}")
@@ -193,17 +192,19 @@ def _run_scene(worker, index: int, scene_id: str) -> tuple[object, str | None]:
         return None, _failure_line(scene_id, exc)
 
 
-def _map_scenes(worker, scene_ids: list[str], jobs: int) -> tuple[list, list[str]]:
-    """Call worker(index, scene_id) per scene; return (results, failure lines).
+def _pool(jobs: int, n_scenes: int):
+    """A pool of jobs worker processes, never more than the CPUs; a null
+    context, giving None, where fewer than two workers or scenes use it."""
+    jobs = min(jobs, _available_cpus())
+    return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and n_scenes > 1 else nullcontext()
+
+
+def _map_scenes(worker, scene_ids: list[str], pool) -> tuple[list, list[str]]:
+    """Call worker(index, scene_id) per scene on pool, if any; return (results, failure lines).
 
     A scene whose data is bad gives a failure line and no result."""
     run = partial(_run_scene, worker)
-    jobs = min(jobs, _available_cpus())  # never more workers than CPUs
-    if jobs <= 1 or len(scene_ids) <= 1:
-        outcomes = list(map(run, range(len(scene_ids)), scene_ids))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run, range(len(scene_ids)), scene_ids))
+    outcomes = list((map if pool is None else pool.map)(run, range(len(scene_ids)), scene_ids))
     results = [result for result, err in outcomes if err is None]
     return results, [err for _result, err in outcomes if err is not None]
 
@@ -416,7 +417,8 @@ def track_corpus(scenes_dir: Path, tracker_doc: dict, out_dir: Path, jobs: int =
     out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(grid, out_dir / "manifest.json")
     worker = partial(_run_tracker_scene, scenes_dir, out_dir, grid, ttype, param)
-    return _map_scenes(worker, scene_ids, jobs)[1]
+    with _pool(jobs, len(scene_ids)) as pool:
+        return _map_scenes(worker, scene_ids, pool)[1]
 
 
 def cmd_track(args) -> int:
@@ -473,7 +475,8 @@ def evaluate_corpus(
         missing = sorted(set(gt_ids) ^ set(pred_ids))
         raise DoatrackError(f"scene sets differ between {gt_dir} and {pred_dir}: {missing}")
     worker = partial(_score_scene, gt_dir, pred_dir, grid, gate, ospa_cutoff, ospa_order)
-    reports, failures = _map_scenes(worker, gt_ids, jobs)
+    with _pool(jobs, len(gt_ids)) as pool:
+        reports, failures = _map_scenes(worker, gt_ids, pool)
     aggregate = aggregate_reports(reports, fraction, replicates, seed) if reports else None
     if out_dir is not None:
         _write_reports(out_dir, reports, aggregate, gate)
@@ -598,33 +601,28 @@ def _sweep_scene(scenes_dir: Path, subset_dir: Path, grid: FrameGrid, cells: lis
     """Worker: track and score one scene in every cell of a sweep subset,
     parsing its observations and ground truth once.
 
-    Each cell's PF runs on the seed track_corpus gives the scene, and
-    the cells' filters step through the frames together: one
-    pf_track_cells pass per cells_per_pass cells, in k_max order. Each
-    cell's predictions are then written and scored as read back from
-    their CSV, exactly as evaluate_corpus scores them: the file's 6
-    decimals are what a cell reports. Returns (reports, failure): the
-    report of each cell before the first failed step, and (step, failure
-    line) of that step, or None. Step 2c is cell c's tracking, 2c + 1
-    its scoring; a failed pass fails its first cell's tracking, a failed
-    write the tracking of its own cell.
+    Each cell's PF runs on the seed track_corpus gives the scene, all
+    cells in one pf_track_cells call. Each cell's predictions are then
+    written and scored as read back from their CSV, exactly as
+    evaluate_corpus scores them: the file's 6 decimals are what a cell
+    reports. Returns (reports, failure): the report of each cell before
+    the first failed step, and (step, failure line) of that step, or
+    None. Step 2c is cell c's tracking, 2c + 1 its scoring; a failed PF
+    run is the tracking failure of the scene's first cell, a failed
+    write the tracking failure of its own cell.
     """
     reports, gts, step = [], None, 0
     try:
         obs = read_observations(scenes_dir / f"{scene_id}.obs.csv", grid)
-        per_pass = cells_per_pass(cells[0][1])
-        for first in range(0, len(cells), per_pass):
-            step = 2 * first
-            group = cells[first:first + per_pass]
-            tracked = pf_track_cells(obs, [_scene_pf_config(cfg, index) for _k, cfg, _s in group])
-            for c, ((label, _cfg, _eval_seed), preds) in enumerate(zip(group, tracked), first):
-                step = 2 * c
-                pred_path = subset_dir / f"kmax_{label}" / "preds" / f"{scene_id}.pred.csv"
-                write_trackset(preds, pred_path)
-                step += 1
-                if gts is None:
-                    gts = read_trackset(scenes_dir / f"{scene_id}.gt.csv", grid)
-                reports.append(evaluate_scene(scene_id, gts, read_trackset(pred_path, grid), gate))
+        tracked = pf_track_cells(obs, [_scene_pf_config(cfg, index) for _k, cfg, _s in cells])
+        for c, ((label, _cfg, _eval_seed), preds) in enumerate(zip(cells, tracked)):
+            step = 2 * c
+            pred_path = subset_dir / f"kmax_{label}" / "preds" / f"{scene_id}.pred.csv"
+            write_trackset(preds, pred_path)
+            step += 1
+            if gts is None:
+                gts = read_trackset(scenes_dir / f"{scene_id}.gt.csv", grid)
+            reports.append(evaluate_scene(scene_id, gts, read_trackset(pred_path, grid), gate))
     except (DoatrackError, OSError) as exc:
         return reports, (step, _failure_line(scene_id, exc))
     return reports, None
@@ -637,19 +635,17 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
 
     Each cell writes what track_corpus and evaluate_corpus would write
     for it, byte for byte. The work runs as one pass per subset, each
-    scene tracked and scored in every cell by one task, on at most one
-    process pool for the whole sweep; within the task one PF pass steps
-    the filters of all the cells (see _sweep_scene). A failed scene is a
-    DoatrackError naming the first failing cell in k_max order and its
-    stage: a failed PF pass is the tracking failure of the first cell it
-    steps.
+    scene tracked and scored in every cell by one task (see
+    _sweep_scene), on at most one process pool for the whole sweep. A
+    failed scene is a DoatrackError naming the first failing cell in
+    k_max order and its stage: a failed PF run is the tracking failure
+    of the scene's first cell.
     """
     master_seed, gate, fraction, replicates, labels, planned = _sweep_plan(doc, master_seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     results: dict[str, dict] = {}
     long_rows = ["subset,k_max,metric,mean,std"]
-    jobs = min(jobs, _available_cpus())  # never more workers than CPUs
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    with _pool(jobs, max(corpus[2] for corpus, _cells in planned.values())) as pool:
         for name, (corpus, cells) in planned.items():
             scenes_dir = out_dir / name / "scenes"
             grid = simulate_corpus(*corpus, scenes_dir)
@@ -659,8 +655,7 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
                 write_manifest(grid, pred_dir / "manifest.json")
             worker = partial(_sweep_scene, scenes_dir, out_dir / name, grid, cells, gate)
             scene_ids = [_scene_name(i) for i in range(corpus[2])]
-            outcomes = list((map if pool is None else pool.map)(
-                worker, range(len(scene_ids)), scene_ids))
+            outcomes = _map_scenes(worker, scene_ids, pool)[0]
             failed: dict[int, list[str]] = {}
             for _reports, failure in outcomes:
                 if failure is not None:
@@ -754,7 +749,7 @@ def lint_corpus(scenes_dir: Path) -> list[str]:
         raise ParseError(f"bad manifest in {scenes_dir}: mode {mode!r} is not one of {MODES}")
     min_sep = math.radians(scenario.get("min_separation_deg", 0.0))
     worker = partial(_lint_scene, scenes_dir, grid, mode, min_sep)
-    results, failures = _map_scenes(worker, scene_ids, 1)
+    results, failures = _map_scenes(worker, scene_ids, None)
     return failures + [problem for problems in results for problem in problems]
 
 

@@ -26,9 +26,9 @@ stack that lives across frames: each frame predicts and averages the
 whole stack with a few numpy calls, and updates and resamples every
 associated track's cloud with a few more. pf_track_cells steps several
 filters whose configs differ only in seed and k_max, such as the cells
-of a k_max sweep, through one scene in one such pass. Each filter owns
-a block of the stack, its generator, its ids, candidates and dead pool,
-and the rows it emits; pf_tracker is that pass with one filter.
+of a k_max sweep, through one scene together in such passes. Each
+filter owns a block of a stack, its generator, its ids, candidates and
+dead pool, and the rows it emits; pf_tracker is a pass of one filter.
 
 Each filter's generator is drawn from in the order of that filter run
 alone: per frame, each of its live tracks in live order draws its walk
@@ -307,12 +307,12 @@ def pf_tracker(obs: ObservationSet, cfg: TrackerConfig) -> TrackSet:
 
 
 def pf_track_cells(obs: ObservationSet, cfgs: list[TrackerConfig]) -> list[TrackSet]:
-    """pf_tracker(obs, cfg) for each cfg of cfgs, bit for bit, in one pass
-    over the frames: the filters' live clouds share one particle stack.
+    """pf_tracker(obs, cfg) for each cfg of cfgs, bit for bit, in passes
+    over the frames of cells_per_pass cells each: the filters' live
+    clouds of a pass share one particle stack.
 
-    The configs may differ only in seed and k_max, and there may be at
-    most cells_per_pass of them. The observations' unit vectors are
-    derived from their angles once per scene.
+    The configs may differ only in seed and k_max. The observations'
+    unit vectors are derived from their angles once per pass.
 
     A track's estimate, the direction of its cloud mean, is never
     stored: after the predict step it only feeds the association, and
@@ -326,8 +326,10 @@ def pf_track_cells(obs: ObservationSet, cfgs: list[TrackerConfig]) -> list[Track
     cfg = cfgs[0]
     if any(replace(other, seed=cfg.seed, k_max=cfg.k_max) != cfg for other in cfgs):
         raise InvalidConfig("the configs of one PF pass may differ only in seed and k_max")
-    if len(cfgs) > cells_per_pass(cfg):
-        raise InvalidConfig(f"one PF pass steps at most {cells_per_pass(cfg)} cells of this size")
+    per_pass = cells_per_pass(cfg)
+    if len(cfgs) > per_pass:
+        passes = [cfgs[i:i + per_pass] for i in range(0, len(cfgs), per_pass)]
+        return [ts for group in passes for ts in pf_track_cells(obs, group)]
     cells = [
         _Cell(np.random.default_rng(c.seed),
               map("t{}".format, count() if c.k_max is None else range(c.k_max)))

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from doatrack import cli
-from doatrack.cli import _available_cpus, _map_scenes, config_from_json, lint_corpus, main
+from doatrack import cli, trackers
+from doatrack.cli import _available_cpus, _map_scenes, _pool, config_from_json, lint_corpus, main
 from doatrack.errors import DoatrackError
 from doatrack.geometry import Direction
 from doatrack.trackers import TrackerConfig
@@ -339,6 +339,18 @@ def test_evaluate_rejects_gate_and_ospa_parameters_once(tmp_path, capsys):
         err = _config_error(capsys)
         assert word in err and err.count("\n") == 1, bad
         assert not (tmp_path / "sweep").exists(), bad
+
+
+def test_config_path_that_cannot_be_read_is_a_config_error(tmp_path, capsys):
+    # a directory, like a missing file, is no config: exit 1 before any write
+    corpus = _simulated_corpus(tmp_path)
+    capsys.readouterr()
+    for path in (tmp_path, tmp_path / "missing.json"):
+        out = tmp_path / "out"
+        for argv in (["simulate"], ["track", "--scenes", str(corpus)], ["sweep"]):
+            assert main([*argv, "--config", str(path), "--out", str(out)]) == 1, (argv, path)
+            assert "cannot read config file" in _config_error(capsys), (argv, path)
+            assert not out.exists(), (argv, path)
 
 
 def test_config_that_is_not_a_json_object_is_a_config_error(tmp_path, capsys):
@@ -696,16 +708,16 @@ THREE_CELLS = {"subsets": [{"n_speakers": 1, "n_scenes": 2}], "k_max_values": [2
                "scenario": {"duration_s": 5.0}, "bootstrap": {"replicates": 0}}
 
 
+# One PF call per scene, however many passes it runs: call 2 tracks
+# scene_0001 in every cell, and its failure is that of the first cell.
 @pytest.mark.parametrize("per_pass, failing, cell, scene", [
     (3, {2}, "kmax_2", "scene_0001"),
-    # two passes per scene: call 2 steps scene_0000's kmax_inf cell, call 3
-    # scene_0001's kmax_2 and kmax_3 cells
-    (2, {2}, "kmax_inf", "scene_0000"),
-    (2, {2, 3}, "kmax_2", "scene_0001"),
+    (2, {1}, "kmax_2", "scene_0000"),
+    (1, {2}, "kmax_2", "scene_0001"),
 ])
 def test_a_failed_pf_pass_fails_the_first_cell_it_steps(per_pass, failing, cell, scene, tmp_path,
                                                         monkeypatch):
-    monkeypatch.setattr(cli, "cells_per_pass", lambda cfg: per_pass)
+    monkeypatch.setattr(trackers, "cells_per_pass", lambda cfg: per_pass)
     monkeypatch.setattr(cli, "pf_track_cells", _failing(cli.pf_track_cells, failing)[0])
     with pytest.raises(DoatrackError) as info:
         cli.run_sweep(THREE_CELLS, tmp_path / "sweep", 0)
@@ -717,7 +729,7 @@ def test_a_failed_pf_pass_fails_the_first_cell_it_steps(per_pass, failing, cell,
 @pytest.mark.parametrize("per_pass", [1, 2])
 def test_sweep_tree_does_not_depend_on_the_cells_per_pass(per_pass, tmp_path, monkeypatch):
     cli.run_sweep(THREE_CELLS, tmp_path / "one_pass", 0)
-    monkeypatch.setattr(cli, "cells_per_pass", lambda cfg: per_pass)
+    monkeypatch.setattr(trackers, "cells_per_pass", lambda cfg: per_pass)
     cli.run_sweep(THREE_CELLS, tmp_path / "passes", 0)
     assert dir_digest(tmp_path / "passes") == dir_digest(tmp_path / "one_pass")
 
@@ -960,13 +972,16 @@ def test_jobs_clamped_to_available_cpus(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-    scenes = ["scene_0000", "scene_0001", "scene_0002"]
-    for cpus, jobs, pools in ((2, 64, [2]), (8, 2, [2]), (1, 64, []), (8, 1, [])):
+    # a one-scene corpus starts no pool, whatever the jobs and CPUs
+    for cpus, jobs, n_scenes, pools in ((2, 64, 3, [2]), (8, 2, 3, [2]), (1, 64, 3, []),
+                                        (8, 1, 3, []), (8, 64, 1, [])):
         started.clear()
         monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
-        results, failures = _map_scenes(lambda i, sid: (i, sid), scenes, jobs)
+        scenes = [f"scene_{i:04d}" for i in range(n_scenes)]
+        with _pool(jobs, n_scenes) as pool:
+            results, failures = _map_scenes(lambda i, sid: (i, sid), scenes, pool)
         assert results == list(enumerate(scenes)) and failures == [], (cpus, jobs)
-        assert started == pools, (cpus, jobs)
+        assert started == pools, (cpus, jobs, n_scenes)
     monkeypatch.undo()
     assert _available_cpus() >= 1
 

@@ -45,6 +45,27 @@ def test_every_module_level_import_is_read():
     assert unread - patched == set()
 
 
+def _names(tree: ast.AST) -> set[str]:
+    """Every name, attribute and imported name tree mentions."""
+    return {
+        getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+
+
+def test_cli_starts_pools_in_one_place_and_leaves_passes_to_the_pf():
+    # every command maps its scenes on the pool one helper starts, and
+    # pf_track_cells alone splits its cells into passes
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    starts = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and "ProcessPoolExecutor" in _names(node)
+    ]
+    assert len(starts) == 1, starts
+    assert "cells_per_pass" not in _names(tree)
+
 
 def _definitions(tree: ast.Module) -> dict[str, ast.stmt]:
     """Each name a def, class or assignment at the top of a module binds,

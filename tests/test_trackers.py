@@ -16,6 +16,7 @@ from _oracles import (
     observation_set,
     per_frame_entries,
 )
+from doatrack import trackers
 from doatrack.errors import InsufficientData, InvalidConfig, InvalidK, MissingTags
 from doatrack.geometry import TWO_PI, Direction
 from doatrack.reporting import evaluate_scene
@@ -467,17 +468,24 @@ def test_one_pass_equals_each_cells_own_filter_bit_for_bit(obs, cfgs):
             assert np.array_equal(getattr(fast, name), getattr(naive, name)), name
 
 
-def test_a_pass_holds_every_cell_at_the_defaults_and_one_at_the_bounds():
+def test_a_pass_holds_every_cell_at_the_defaults_and_one_at_the_bounds(monkeypatch):
     # pure arithmetic on the configs: the stack of a pass never exceeds
-    # MAX_ACTIVE * MAX_PARTICLES particles, and no particle array exists
-    # before a pass refuses more cells than that
+    # MAX_ACTIVE * MAX_PARTICLES particles
     largest = TrackerConfig(max_active=MAX_ACTIVE, n_particles=MAX_PARTICLES)
     assert cells_per_pass(largest) == 1
     assert cells_per_pass(TrackerConfig(max_active=MAX_ACTIVE)) == 1000
     assert cells_per_pass(TrackerConfig(max_active=3)) == 33_333
-    obs = blinking([0])
-    with pytest.raises(InvalidConfig, match="at most 1 cells"):
-        pf_track_cells(obs, [largest, replace(largest, seed=1)])
+    # more cells than a pass holds run in several passes, each cell still
+    # bit for bit its own filter
+    obs = blinking([0], [0], [0], [0], [0, 1], [0, 1], [0], [0], [1], [0, 1])
+    cfgs = wandering([(0, None), (1, 1), (0, 2)])
+    for per_pass in (1, 2):
+        monkeypatch.setattr(trackers, "cells_per_pass", lambda cfg: per_pass)
+        for fast, cfg in zip(pf_track_cells(obs, cfgs), cfgs, strict=True):
+            naive = naive_pf_tracker(obs, cfg)
+            assert fast.ids == naive.ids, per_pass
+            for name in ("frame", "id_code", "azimuth", "elevation"):
+                assert np.array_equal(getattr(fast, name), getattr(naive, name)), (per_pass, name)
     with pytest.raises(InvalidConfig, match="differ only in seed and k_max"):
         pf_track_cells(obs, [TrackerConfig(max_active=1),
                              TrackerConfig(max_active=1, n_particles=5)])
