@@ -37,9 +37,12 @@ from .frame_metrics import check_ospa
 from .geometry import Direction, angular_distance
 from .matching import check_gate
 from .reporting import (
-    AGGREGATE_METRICS,
+    DEFAULT_BOOTSTRAP_FRACTION,
+    DEFAULT_OSPA_CUTOFF_DEG,
+    DEFAULT_REPLICATES,
     aggregate_reports,
     check_bootstrap,
+    csv_cell,
     evaluate_scene,
     report_csv_rows,
 )
@@ -72,7 +75,6 @@ EXIT_DATA = 2
 EXIT_TREND = 3
 
 DEFAULT_GATE_DEG = 20.0
-DEFAULT_OSPA_CUTOFF_DEG = 30.0
 
 MAX_SCENES = 10_000  # scene names hold four digits
 
@@ -445,8 +447,8 @@ def evaluate_corpus(
     out_dir: Path | None,
     ospa_cutoff: float = math.radians(DEFAULT_OSPA_CUTOFF_DEG),
     ospa_order: float = 1.0,
-    fraction: float = 0.8,
-    replicates: int = 100,
+    fraction: float = DEFAULT_BOOTSTRAP_FRACTION,
+    replicates: int = DEFAULT_REPLICATES,
     seed: int = 0,
     jobs: int = 1,
 ):
@@ -548,9 +550,10 @@ def _sweep_plan(doc: dict, master_seed) -> tuple:
 
     Each subset is (name, simulate_corpus's arguments before out_dir,
     cells), and each cell is (k_max label, checked TrackerConfig with
-    that k_max and the cell's PF seed, evaluation seed). Every corpus is
-    checked by the plan function simulate_corpus runs on it, and every
-    cell's tracker by the one track_corpus runs.
+    that k_max and the cell's PF seed, evaluation seed). A tracker.seed
+    replaces every cell's PF seed: a subset's cells then differ only in ids.
+    Every corpus is checked by the plan function simulate_corpus runs on
+    it, and every cell's tracker by the one track_corpus runs.
     """
     _json_object(doc, "sweep config", _SWEEP_KEYS)
     master_seed = _int_in(master_seed, "seed", 0)
@@ -569,8 +572,8 @@ def _sweep_plan(doc: dict, master_seed) -> tuple:
     gate = math.radians(coerce(doc.get("gate_deg", DEFAULT_GATE_DEG), float, "gate_deg"))
     check_gate(gate)
     boot = _json_object(doc.get("bootstrap", {}), "sweep bootstrap", _BOOTSTRAP_KEYS)
-    fraction = coerce(boot.get("fraction", 0.8), float, "fraction")
-    replicates = coerce(boot.get("replicates", 100), int, "replicates")
+    fraction = coerce(boot.get("fraction", DEFAULT_BOOTSTRAP_FRACTION), float, "fraction")
+    replicates = coerce(boot.get("replicates", DEFAULT_REPLICATES), int, "replicates")
     check_bootstrap(fraction, replicates)
     labels = ["inf" if k is None else str(coerce(k, int, "k_max")) for k in k_values]
     if len(set(labels)) < len(labels):
@@ -671,10 +674,8 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
                 aggregate = aggregate_reports(reports, fraction, replicates, eval_seed)
                 _write_reports(out_dir / name / f"kmax_{label}" / "eval", reports, aggregate, gate)
                 results[name][label] = aggregate
-                for metric in AGGREGATE_METRICS:
-                    entry = aggregate["metrics"][metric]
-                    mean = "" if entry["mean"] is None else repr(entry["mean"])
-                    std = "" if entry["std"] is None else repr(entry["std"])
+                for metric, entry in aggregate["metrics"].items():
+                    mean, std = csv_cell(entry["mean"]), csv_cell(entry["std"])
                     long_rows.append(f"{name},{label},{metric},{mean},{std}")
     with open_text(out_dir / "sweep_long.csv", "w") as stream:
         stream.write("\n".join(long_rows) + "\n")
@@ -790,7 +791,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--gate-deg", type=float, default=DEFAULT_GATE_DEG)
     p_eval.add_argument("--ospa-cutoff-deg", type=float, default=DEFAULT_OSPA_CUTOFF_DEG)
     p_eval.add_argument("--ospa-order", type=float, default=1.0)
-    p_eval.add_argument("--replicates", type=int, default=100, help="bootstrap replicates")
+    p_eval.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES,
+                        help="bootstrap replicates")
     p_eval.add_argument("--seed", type=int, default=None, help="bootstrap seed")
     p_eval.add_argument("--jobs", type=int, default=1)
     p_eval.set_defaults(func=cmd_evaluate)

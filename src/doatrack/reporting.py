@@ -45,6 +45,11 @@ REPORT_COLUMNS = [column for column, _attr, in_csv, _agg in METRICS if in_csv]
 AGGREGATE_METRICS = {column: attr for column, attr, _csv, agg in METRICS if agg}
 _CSV_ATTRS = [attr for _column, attr, in_csv, _agg in METRICS if in_csv]
 
+# The evaluation defaults of evaluate and of every sweep cell.
+DEFAULT_OSPA_CUTOFF_DEG = 30.0
+DEFAULT_BOOTSTRAP_FRACTION = 0.8
+DEFAULT_REPLICATES = 100
+
 
 @dataclass(frozen=True)
 class MetricsReport(FrameMetricsReport):
@@ -70,7 +75,7 @@ def evaluate_scene(
     gts: TrackSet,
     preds: TrackSet,
     gate: float,
-    ospa_cutoff: float = math.radians(30.0),
+    ospa_cutoff: float = math.radians(DEFAULT_OSPA_CUTOFF_DEG),
     ospa_order: float = 1.0,
 ) -> MetricsReport:
     """Match one scene and compute every frame-level and association metric."""
@@ -81,7 +86,8 @@ def evaluate_scene(
     return MetricsReport(**vars(fm), **ass, scene_id=scene_id)
 
 
-def _cell(value) -> str:
+def csv_cell(value) -> str:
+    """One CSV cell: empty for None, repr for floats (exact round trip)."""
     if value is None:
         return ""
     if isinstance(value, (int, str)):
@@ -93,7 +99,7 @@ def report_csv_rows(reports: list[MetricsReport]) -> str:
     """Per-scene table, sorted by scene id; repr floats round-trip exactly."""
     lines = [",".join(REPORT_COLUMNS)]
     for r in sorted(reports, key=lambda r: r.scene_id):
-        lines.append(",".join(_cell(getattr(r, attr)) for attr in _CSV_ATTRS))
+        lines.append(",".join(csv_cell(getattr(r, attr)) for attr in _CSV_ATTRS))
     return "\n".join(lines) + "\n"
 
 
@@ -124,8 +130,8 @@ def check_bootstrap(fraction: float, replicates: int) -> None:
 
 def bootstrap_aggregate(
     values,
-    fraction: float = 0.8,
-    replicates: int = 100,
+    fraction: float = DEFAULT_BOOTSTRAP_FRACTION,
+    replicates: int = DEFAULT_REPLICATES,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float | None]:
     """Mean and std of subsample means.
@@ -189,8 +195,8 @@ def bootstrap_aggregate(
 
 def aggregate_reports(
     reports: list[MetricsReport],
-    fraction: float = 0.8,
-    replicates: int = 100,
+    fraction: float = DEFAULT_BOOTSTRAP_FRACTION,
+    replicates: int = DEFAULT_REPLICATES,
     seed: int = 0,
 ) -> dict:
     """Aggregate a corpus of per-scene reports into mean/std per metric.

@@ -17,9 +17,9 @@ recycles stale ids round-robin once the budget saturates, which
 depresses association precision at intermediate budgets below its
 k_max = J value.)
 
-A track emits a direction on the frames where an observation supported
-it; between supports it stays alive (and can re-associate, keeping its
-id) for up to death_frames frames without emitting.
+A track emits a direction on the frames where it pairs with an
+observation; between pairings it stays alive (and can re-associate,
+keeping its id) for up to death_frames frames without emitting.
 
 The particles of a scene's live tracks form one (T, n_particles, 3)
 stack that lives across frames: each frame predicts and averages the
@@ -27,8 +27,10 @@ whole stack with a few numpy calls, and updates and resamples every
 associated track's cloud with a few more. pf_track_cells steps several
 filters whose configs differ only in seed and k_max, such as the cells
 of a k_max sweep, through one scene together in such passes. Each
-filter owns a block of a stack, its generator, its ids, candidates and
-dead pool, and the rows it emits; pf_tracker is a pass of one filter.
+filter owns a block of a stack, its generator, its live map (id to the
+frame the track was born or last paired, in block order), candidates
+and dead pool, and the rows it emits; pf_tracker is a pass of one
+filter. Each walk reads the stack rows' generators off the blocks.
 
 Each filter's generator is drawn from in the order of that filter run
 alone: per frame, each of its live tracks in live order draws its walk
@@ -51,7 +53,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from itertools import compress, count
+from itertools import count
 
 import numpy as np
 
@@ -284,14 +286,13 @@ def cells_per_pass(cfg: TrackerConfig) -> int:
 
 @dataclass(slots=True)
 class _Cell:
-    """One filter of a pf_track_cells pass: its generator, its tracks,
-    whose clouds form one block of the shared stack, its ids and
-    candidates, and the rows it emits."""
+    """One filter of a pf_track_cells pass: its generator, its live
+    tracks, whose clouds form one block of the shared stack in the order
+    of live, its ids and candidates, and the rows it emits."""
 
     rng: np.random.Generator
     fresh_ids: Iterator[str]  # the ids not yet issued: t0, t1, ... up to t{k_max - 1}
-    live: list[str] = field(default_factory=list)  # the ids of the block's clouds, in order
-    supported: list[int] = field(default_factory=list)  # the frame live[t] was born or paired
+    live: dict[str, int] = field(default_factory=dict)  # id -> frame born or last paired
     dead_pool: list[str] = field(default_factory=list)  # by (death frame, id), newest last
     candidates: list[tuple[np.ndarray, int]] = field(default_factory=list)  # (unit, support)
     rows: list[tuple[int, str, float, float]] = field(default_factory=list)  # (frame, id, az, el)
@@ -309,7 +310,8 @@ def pf_tracker(obs: ObservationSet, cfg: TrackerConfig) -> TrackSet:
 def pf_track_cells(obs: ObservationSet, cfgs: list[TrackerConfig]) -> list[TrackSet]:
     """pf_tracker(obs, cfg) for each cfg of cfgs, bit for bit, in passes
     over the frames of cells_per_pass cells each: the filters' live
-    clouds of a pass share one particle stack.
+    clouds of a pass share one particle stack, one block per filter in
+    the order of its live map, the pass's only record of its tracks.
 
     The configs may differ only in seed and k_max. The observations'
     unit vectors are derived from their angles once per pass.
@@ -340,8 +342,7 @@ def pf_track_cells(obs: ObservationSet, cfgs: list[TrackerConfig]) -> list[Track
     ar = np.arange(n)
     sigma, gate = cfg.process_noise_sigma, cfg.assoc_gate
     birth_frames, death_frames = cfg.birth_frames, cfg.death_frames
-    P = np.empty((0, n, 3))  # the cells' blocks in cell order, row t of a block for live[t]
-    walkers: list[np.random.Generator] = []  # the generator of each row of P
+    P = np.empty((0, n, 3))  # the cells' blocks in cell order, one row per live id in order
     units = unit_vectors_from_angles(obs.azimuth.tolist(), obs.elevation.tolist())
     offsets = obs.offsets.tolist()
 
@@ -350,15 +351,15 @@ def pf_track_cells(obs: ObservationSet, cfgs: list[TrackerConfig]) -> list[Track
 
         # 1. predict
         if len(P):
-            P = _predict(P, sigma, walkers)
+            P = _predict(P, sigma, [cell.rng for cell in cells for _tid in cell.live])
             if len(obs_units):
                 estimates = [
                     unit_xyz(*_mean_angles(v, cloud)) for v, cloud in zip(_cloud_means(P), P)
                 ]
 
         # 2.-5. per cell, on its own block of the stack; none of these steps draws
-        pair_cells, pair_rows, ts, ois = [], [], [], []  # per pair: cell, its row, stack row, obs
-        newborn, born_units, born_at = [], [], []  # per confirmation: (cell, id), unit, block end
+        paired = []  # per pair: (cell, id, stack row, observation)
+        newborn = []  # per confirmation: (cell, id, unit, end of the cell's block)
         lo = 0
         for cell in cells:
             leftover = list(range(len(obs_units)))  # the frame's unspent observations
@@ -366,11 +367,9 @@ def pf_track_cells(obs: ObservationSet, cfgs: list[TrackerConfig]) -> list[Track
 
             # 2. gated greedy association, nearest angular distance first
             if lo < hi and leftover:
+                ids = list(cell.live)
                 for ti, oi in _gated_pairs(np.array(estimates[lo:hi]), obs_units, gate):
-                    pair_cells.append(cell)
-                    pair_rows.append(ti)
-                    ts.append(lo + ti)
-                    ois.append(oi)
+                    paired.append((cell, ids[ti], lo + ti, oi))
                     leftover.remove(oi)
 
             # 3. a candidate survives only while consecutive frames support
@@ -389,20 +388,17 @@ def pf_track_cells(obs: ObservationSet, cfgs: list[TrackerConfig]) -> list[Track
             # 5. confirmations: reaching birth_frames consumes a candidate;
             #    those beyond the live cap are rejected
             born = [unit for unit, support in candidates if support >= birth_frames]
-            born = born[:cfg.max_active - len(cell.live)]
             cell.candidates = [cand for cand in candidates if cand[1] < birth_frames]
-            if born:
+            for unit in born[:cfg.max_active - len(cell.live)]:
                 # a fresh id while fewer than k_max are issued, else the newest-dead id
-                newborn += [(cell, next(cell.fresh_ids, None) or cell.dead_pool.pop()) for _u in born]
-                born_units += born
-                born_at += [hi] * len(born)
+                newborn.append((cell, next(cell.fresh_ids, None) or cell.dead_pool.pop(), unit, hi))
             lo = hi
 
         # 6. measurement update of every paired cloud against its
         #    observation, then systematic resampling
-        if ts:
-            clouds = P.take(ts, 0)
-            logw = (clouds @ obs_units.take(ois, 0)[..., None])[..., 0]
+        if paired:
+            clouds = P.take([t for _cell, _tid, t, _oi in paired], 0)
+            logw = (clouds @ obs_units.take([oi for *_, oi in paired], 0)[..., None])[..., 0]
             logw -= 1.0
             logw *= kappa
             logw -= np.maximum.reduce(logw, axis=1, keepdims=True)
@@ -411,34 +407,29 @@ def pf_track_cells(obs: ObservationSet, cfgs: list[TrackerConfig]) -> list[Track
             means = (w[:, None, :] @ clouds)[:, 0]
             cumulative = np.add.accumulate(w, axis=1)
             cumulative[:, -1] = 1.0  # guard against rounding shortfall
-            for j, (cell, ti, t) in enumerate(zip(pair_cells, pair_rows, ts)):
+            for j, (cell, tid, t, _oi) in enumerate(paired):
                 cloud = clouds[j]
-                cell.rows.append((f, cell.live[ti], *_mean_angles(means[j], cloud)))
+                cell.rows.append((f, tid, *_mean_angles(means[j], cloud)))
                 P[t] = cloud[cumulative[j].searchsorted((cell.rng.random() + ar) / n)]
-                cell.supported[ti] = f
+                cell.live[tid] = f
 
         # 7. births: each newborn cloud is n copies of its observation,
         #    walked once, and joins the end of its cell's block
         if newborn:
-            clouds = np.repeat(np.array(born_units)[:, None, :], n, axis=1)
-            clouds = _predict(clouds, sigma, [cell.rng for cell, _tid in newborn])
-            for (cell, tid), v, cloud in zip(newborn, _cloud_means(clouds), clouds):
+            clouds = np.repeat(np.array([unit for *_, unit, _at in newborn])[:, None, :], n, axis=1)
+            clouds = _predict(clouds, sigma, [cell.rng for cell, *_ in newborn])
+            for (cell, tid, _unit, _at), v, cloud in zip(newborn, _cloud_means(clouds), clouds):
                 cell.rows.append((f, tid, *_mean_angles(v, cloud)))
-                cell.live.append(tid)
-                cell.supported.append(f)
-            P = np.insert(P, born_at, clouds, axis=0)
-            walkers = [cell.rng for cell in cells for _tid in cell.live]
+                cell.live[tid] = f
+            P = np.insert(P, [at for *_, at in newborn], clouds, axis=0)
 
         # 8. deaths: a track dies after death_frames frames without support
         oldest = f - death_frames
-        alive = [last >= oldest for cell in cells for last in cell.supported]
+        alive = [last >= oldest for cell in cells for last in cell.live.values()]
         if not all(alive):
             for cell in cells:
-                kept = [last >= oldest for last in cell.supported]
-                cell.dead_pool += sorted(tid for tid, ok in zip(cell.live, kept) if not ok)
-                cell.live = list(compress(cell.live, kept))
-                cell.supported = list(compress(cell.supported, kept))
+                cell.dead_pool += sorted(tid for tid, last in cell.live.items() if last < oldest)
+                cell.live = {tid: last for tid, last in cell.live.items() if last >= oldest}
             P = P[alive]
-            walkers = list(compress(walkers, alive))
 
     return [TrackSet.from_rows(obs.grid, *columns_of(cell.rows, 4)) for cell in cells]

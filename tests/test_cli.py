@@ -808,6 +808,58 @@ def test_a_fault_in_a_scene_worker_propagates(tmp_path, monkeypatch):
         cli.track_corpus(tmp_path / "corpus", {"type": "pf", "seed": 1}, tmp_path / "preds")
 
 
+CLUTTER_SWEEP = {
+    "subsets": [{"n_speakers": 2, "n_scenes": 3}],
+    "k_max_values": [2, None],
+    "scenario": {"duration_s": 20.0},
+    "observation": {"clutter_rate": 0.3},
+    "tracker": {"birth_frames": 2, "death_frames": 2},
+    "bootstrap": {"replicates": 20},
+    "seed": 9,
+}
+
+
+def test_sweep_cell_writes_what_track_then_evaluate_write(tmp_path):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_config(tmp_path, "sweep.json", CLUTTER_SWEEP),
+                 "--out", str(out)]) == 0
+    scenes = out / "2spk" / "scenes"
+    for ki, k in enumerate(CLUTTER_SWEEP["k_max_values"]):
+        cell = out / "2spk" / f"kmax_{'inf' if k is None else k}"
+        tracker = {"type": "pf", **CLUTTER_SWEEP["tracker"], "k_max": k,
+                   "seed": cli.derive_seed(9, 0, ki, 11)}
+        preds, report = tmp_path / f"preds_{ki}", tmp_path / f"eval_{ki}"
+        assert main(["track", "--config", write_config(tmp_path, f"pf_{ki}.json", tracker),
+                     "--scenes", str(scenes), "--out", str(preds)]) == 0
+        assert main(["evaluate", "--gt", str(scenes), "--pred", str(preds), "--out", str(report),
+                     "--seed", str(cli.derive_seed(9, 0, ki, 12)), "--replicates", "20"]) == 0
+        assert dir_digest(preds) == dir_digest(cell / "preds")
+        assert dir_digest(report) == dir_digest(cell / "eval")
+
+
+def _cell_rows(out: Path, label: str) -> tuple[list[Counter], set[str]]:
+    """A 2spk sweep cell's prediction rows per scene, without their id
+    column, and the ids those rows carry."""
+    rows = [[line.split(",") for line in path.read_text().splitlines()[1:]]
+            for path in sorted((out / "2spk" / label / "preds").glob("*.pred.csv"))]
+    return ([Counter((f, t, az, el) for f, t, _id, az, el in scene) for scene in rows],
+            {row[2] for scene in rows for row in scene})
+
+
+def test_sweep_tracker_seed_gives_every_cell_the_same_draws(tmp_path):
+    # a tracker.seed replaces each cell's derived PF seed: the k_max
+    # cells then hold the same rows per frame, under different ids
+    cli.run_sweep(CLUTTER_SWEEP, tmp_path / "derived", 9)
+    cli.run_sweep({**CLUTTER_SWEEP, "tracker": {**CLUTTER_SWEEP["tracker"], "seed": 5}},
+                  tmp_path / "shared", 9)
+    labels = ("kmax_2", "kmax_inf")
+    derived = [_cell_rows(tmp_path / "derived", label)[0] for label in labels]
+    (rows_2, ids_2), (rows_inf, ids_inf) = [_cell_rows(tmp_path / "shared", label) for label in labels]
+    assert derived[0] != derived[1]
+    assert rows_2 == rows_inf
+    assert len(ids_2) == 2 < len(ids_inf)
+
+
 def test_sweep_produces_rows_per_subset_and_k(tmp_path):
     doc = {
         "subsets": [{"n_speakers": 1, "n_scenes": 3}],
