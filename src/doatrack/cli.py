@@ -58,6 +58,7 @@ from .trackers import (
     swapper_tracker,
 )
 from .trackmodel import (
+    PARTIAL_SUFFIX,
     FrameGrid,
     open_text,
     read_manifest,
@@ -116,6 +117,9 @@ _SWEEP_KEYS = (
 )
 _SUBSET_KEYS = ("name", "n_speakers", "n_scenes")
 _BOOTSTRAP_KEYS = ("fraction", "replicates")
+
+# A sweep's own files, written beside its subset directories.
+_SWEEP_FILES = ("sweep.json", "sweep_long.csv")
 
 
 def _json_fields(cls) -> list:
@@ -585,6 +589,8 @@ def _sweep_plan(doc: dict, master_seed) -> tuple:
         name = coerce(sub.get("name", f"{n_speakers}spk"), str, "name")
         if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
             raise InvalidConfig(f"subset name {name!r} is not one plain path component")
+        if name.removesuffix(PARTIAL_SUFFIX) in _SWEEP_FILES:
+            raise InvalidConfig(f"subset name {name!r} is a path the sweep writes itself")
         if name in planned:
             raise InvalidConfig(f"two subsets are named {name!r}")
         scenario = {**scenario_doc, "n_speakers": n_speakers}
@@ -599,35 +605,33 @@ def _sweep_plan(doc: dict, master_seed) -> tuple:
     return master_seed, gate, fraction, replicates, labels, planned
 
 
-def _sweep_scene(scenes_dir: Path, subset_dir: Path, grid: FrameGrid, cells: list, gate: float,
-                 index: int, scene_id: str) -> tuple[list, tuple[int, str] | None]:
+def _sweep_scene(scenes_dir: Path, grid: FrameGrid, gate: float, cells: list, pred_dirs: list,
+                 index: int, scene_id: str) -> tuple[list | None, tuple | None]:
     """Worker: track and score one scene in every cell of a sweep subset,
     parsing its observations and ground truth once.
 
     Each cell's PF runs on the seed track_corpus gives the scene, all
     cells in one pf_track_cells call. Each cell's predictions are then
-    written and scored as read back from their CSV, exactly as
-    evaluate_corpus scores them: the file's 6 decimals are what a cell
-    reports. Returns (reports, failure): the report of each cell before
-    the first failed step, and (step, failure line) of that step, or
-    None. Step 2c is cell c's tracking, 2c + 1 its scoring; a failed PF
-    run is the tracking failure of the scene's first cell, a failed
-    write the tracking failure of its own cell.
+    written to its prediction directory and scored as read back, exactly
+    as evaluate_corpus scores them: the file's 6 decimals are what a cell
+    reports. Returns (a report per cell, None), or (None, (step, failure
+    line)) of the first failed step: step (c, False) is cell c's tracking
+    and (c, True) its scoring; a failed PF run is step (0, False).
     """
-    reports, gts, step = [], None, 0
+    reports, gts, step = [], None, (0, False)
     try:
         obs = read_observations(scenes_dir / f"{scene_id}.obs.csv", grid)
         tracked = pf_track_cells(obs, [_scene_pf_config(cfg, index) for _k, cfg, _s in cells])
-        for c, ((label, _cfg, _eval_seed), preds) in enumerate(zip(cells, tracked)):
-            step = 2 * c
-            pred_path = subset_dir / f"kmax_{label}" / "preds" / f"{scene_id}.pred.csv"
+        for cell, (pred_dir, preds) in enumerate(zip(pred_dirs, tracked)):
+            step = (cell, False)
+            pred_path = pred_dir / f"{scene_id}.pred.csv"
             write_trackset(preds, pred_path)
-            step += 1
+            step = (cell, True)
             if gts is None:
                 gts = read_trackset(scenes_dir / f"{scene_id}.gt.csv", grid)
             reports.append(evaluate_scene(scene_id, gts, read_trackset(pred_path, grid), gate))
     except (DoatrackError, OSError) as exc:
-        return reports, (step, _failure_line(scene_id, exc))
+        return None, (step, _failure_line(scene_id, exc))
     return reports, None
 
 
@@ -637,55 +641,49 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
     and cells of the sweep's plan, all checked before the first write.
 
     Each cell writes what track_corpus and evaluate_corpus would write
-    for it, byte for byte. The work runs as one pass per subset, each
-    scene tracked and scored in every cell by one task (see
-    _sweep_scene), on at most one process pool for the whole sweep. A
-    failed scene is a DoatrackError naming the first failing cell in
-    k_max order and its stage: a failed PF run is the tracking failure
-    of the scene's first cell.
+    for it, byte for byte (what the evaluate command, lacking --fraction,
+    writes only at the default bootstrap fraction). One task per scene
+    tracks and scores it in every cell (see _sweep_scene), on at most one
+    process pool for the whole sweep. A failed scene raises, before any
+    cell of its subset is aggregated, a DoatrackError naming the first
+    failing cell in k_max order and stage, tracking before scoring, with
+    that step's first three failure lines in scene order.
     """
     master_seed, gate, fraction, replicates, labels, planned = _sweep_plan(doc, master_seed)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results: dict[str, dict] = {}
+    summary = {"seed": master_seed, "gate_deg": math.degrees(gate), "k_max_values": labels,
+               "subsets": {name: {} for name in planned}}
     long_rows = ["subset,k_max,metric,mean,std"]
     with _pool(jobs, max(corpus[2] for corpus, _cells in planned.values())) as pool:
         for name, (corpus, cells) in planned.items():
             scenes_dir = out_dir / name / "scenes"
             grid = simulate_corpus(*corpus, scenes_dir)
-            for label, _cfg, _eval_seed in cells:
-                pred_dir = out_dir / name / f"kmax_{label}" / "preds"
+            cell_names = [f"{name}/kmax_{label}" for label, _cfg, _eval_seed in cells]
+            pred_dirs = [out_dir / cell_name / "preds" for cell_name in cell_names]
+            for pred_dir in pred_dirs:
                 pred_dir.mkdir(parents=True, exist_ok=True)
                 write_manifest(grid, pred_dir / "manifest.json")
-            worker = partial(_sweep_scene, scenes_dir, out_dir / name, grid, cells, gate)
+            worker = partial(_sweep_scene, scenes_dir, grid, gate, cells, pred_dirs)
             scene_ids = [_scene_name(i) for i in range(corpus[2])]
             outcomes = _map_scenes(worker, scene_ids, pool)[0]
-            failed: dict[int, list[str]] = {}
-            for _reports, failure in outcomes:
-                if failure is not None:
-                    failed.setdefault(failure[0], []).append(failure[1])
-            results[name] = {}
-            for c, (label, _cfg, eval_seed) in enumerate(cells):
-                cell = f"sweep cell {name}/kmax_{label}"
-                if 2 * c in failed:
-                    raise DoatrackError(f"{cell} had failures: {failed[2 * c][:3]}")
-                if 2 * c + 1 in failed:
-                    raise DoatrackError(f"{cell} evaluation failed: {failed[2 * c + 1][:3]}")
-                reports = [scene_reports[c] for scene_reports, _failure in outcomes]
+            failures = [failure for _reports, failure in outcomes if failure is not None]
+            if failures:
+                cell, scoring = min(step for step, _line in failures)
+                lines = [line for step, line in failures if step == (cell, scoring)][:3]
+                stage = "evaluation failed" if scoring else "had failures"
+                raise DoatrackError(f"sweep cell {cell_names[cell]} {stage}: {lines}")
+            by_cell = zip(*(reports for reports, _failure in outcomes))
+            for (label, _cfg, eval_seed), cell_name, reports in zip(cells, cell_names, by_cell):
                 aggregate = aggregate_reports(reports, fraction, replicates, eval_seed)
-                _write_reports(out_dir / name / f"kmax_{label}" / "eval", reports, aggregate, gate)
-                results[name][label] = aggregate
+                _write_reports(out_dir / cell_name / "eval", reports, aggregate, gate)
+                summary["subsets"][name][label] = aggregate
                 for metric, entry in aggregate["metrics"].items():
                     mean, std = csv_cell(entry["mean"]), csv_cell(entry["std"])
                     long_rows.append(f"{name},{label},{metric},{mean},{std}")
-    with open_text(out_dir / "sweep_long.csv", "w") as stream:
+    summary_path, long_path = (out_dir / file_name for file_name in _SWEEP_FILES)
+    with open_text(long_path, "w") as stream:
         stream.write("\n".join(long_rows) + "\n")
-    summary = {
-        "seed": master_seed,
-        "gate_deg": math.degrees(gate),
-        "k_max_values": labels,
-        "subsets": results,
-    }
-    write_json(summary, out_dir / "sweep.json")
+    write_json(summary, summary_path)
     return summary
 
 

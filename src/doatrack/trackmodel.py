@@ -42,6 +42,8 @@ from .geometry import Direction, wrap_azimuth
 
 TRACK_CSV_HEADER = "frame,time_s,track_id,azimuth_deg,elevation_deg"
 OBS_CSV_HEADER = TRACK_CSV_HEADER + ",source_id"
+# open_text writes a path's new content to <path>.partial, then renames it.
+PARTIAL_SUFFIX = ".partial"
 
 # Largest accepted |time_s - frame * frame_period|: the 6-decimal column
 # is off by at most 5e-7 s.
@@ -260,7 +262,7 @@ def open_text(target: str | Path | TextIO, mode: str):
         with open(target, "r", encoding="utf-8", newline="") as stream:
             yield stream
     else:
-        partial = f"{os.fspath(target)}.partial"
+        partial = f"{os.fspath(target)}{PARTIAL_SUFFIX}"
         try:
             with open(partial, "w", encoding="utf-8", newline="\n") as stream:
                 yield stream

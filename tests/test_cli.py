@@ -313,6 +313,18 @@ def _config_error(capsys) -> str:
     return err
 
 
+@pytest.mark.parametrize("scenario", [{"frame_period_s": 0}, {"duration_s": 0},
+                                      {"duration_s": -5},
+                                      {"mode": "jump", "min_separation_deg": 0},
+                                      {"mode": "static", "min_separation_deg": 181}])
+def test_simulate_refuses_a_degenerate_scenario(scenario, tmp_path, capsys):
+    # without its check, a zero frame period divides by zero in the frame count
+    cfg = write_config(tmp_path, "s.json", {"scenario": {"n_speakers": 1, **scenario}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    assert _config_error(capsys).count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
 def test_evaluate_rejects_gate_and_ospa_parameters_once(tmp_path, capsys):
     corpus = _simulated_corpus(tmp_path)
     tcfg = write_config(tmp_path, "oracle.json", {"type": "oracle"})
@@ -412,6 +424,9 @@ def test_config_that_is_not_a_json_object_is_a_config_error(tmp_path, capsys):
                 {"subsets": [{**one, "name": "../escaped"}]}, {"subsets": [{**one, "name": "a/b"}]},
                 {"subsets": [{**one, "name": ".."}]}, {"subsets": [{**one, "name": ""}]},
                 {"subsets": [{**one, "name": 7}]},
+                # names of the sweep's own files, and of what open_text writes them to first
+                *({"subsets": [{**one, "name": name}]} for name in
+                  ("sweep.json", "sweep_long.csv", "sweep.json.partial", "sweep_long.csv.partial")),
                 # two k_max values that name one cell; a later subset without scenes
                 {"k_max_values": [1, 1.0]},
                 {"subsets": [{"n_speakers": 1, "n_scenes": 2}, {"n_speakers": 2, "n_scenes": 0}],
@@ -702,6 +717,20 @@ def test_sweep_failure_names_the_first_failing_cell_in_k_max_order(
     assert str(info.value) == (
         f"sweep cell 1spk/{cell} {failed}: ['{scene}: DoatrackError: injected scene failure']"
     )
+
+
+@pytest.mark.parametrize("stage, failed", [("write_trackset", "had failures"),
+                                           ("evaluate_scene", "evaluation failed")])
+def test_a_failed_sweep_writes_no_cell_report(stage, failed, tmp_path, monkeypatch):
+    # Call 2 fails scene_0000 in kmax_inf, after it passed kmax_2.
+    monkeypatch.setattr(cli, stage, _failing(getattr(cli, stage), {2}, COUNTED.get(stage))[0])
+    doc = {"subsets": [{"n_speakers": 1, "n_scenes": 2}], "k_max_values": [2, None],
+           "scenario": {"duration_s": 5.0}, "bootstrap": {"replicates": 0}}
+    with pytest.raises(DoatrackError, match=rf"^sweep cell 1spk/kmax_inf {failed}: \['scene_0000"):
+        cli.run_sweep(doc, tmp_path / "sweep", 0)
+    # every scene was tracked, and no cell was scored
+    assert (tmp_path / "sweep" / "1spk" / "kmax_2" / "preds" / "scene_0001.pred.csv").is_file()
+    assert not list((tmp_path / "sweep").rglob("eval"))
 
 
 THREE_CELLS = {"subsets": [{"n_speakers": 1, "n_scenes": 2}], "k_max_values": [2, 3, None],

@@ -86,6 +86,14 @@ def test_rates_zero_without_events():
     assert tfr(0, 0, 60.0) == 0.0
 
 
+def test_rates_refuse_a_duration_that_is_not_positive():
+    for duration in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="duration"):
+            tsr(0, duration)
+        with pytest.raises(ValueError, match="duration"):
+            tfr(0, 0, duration)
+
+
 def test_one_swap_in_ten_seconds():
     assert tsr(1, 10.0) == 0.1
     assert tfr(1, 2, 10.0) == pytest.approx(0.3)

@@ -67,6 +67,11 @@ def test_elevation_out_of_range_rejected():
         Direction(0.0, 2.0)
 
 
+def test_nan_azimuth_rejected():
+    with pytest.raises(ValueError, match="NaN"):
+        Direction(math.nan, 0.0)
+
+
 @given(directions(), directions())
 def test_distance_symmetric(a, b):
     assert angular_distance(a, b) == pytest.approx(angular_distance(b, a), abs=1e-15)
@@ -167,6 +172,12 @@ def test_separated_set_infeasible_raises():
         sample_separated_set(
             3, math.radians(179.9), np.random.default_rng(1), max_attempts=50
         )
+
+
+@pytest.mark.parametrize("n, min_sep", [(0, 1.0), (2, 0.0), (2, math.nextafter(math.pi, 4))])
+def test_separated_set_refuses_bad_arguments(n, min_sep):
+    with pytest.raises(ValueError):
+        sample_separated_set(n, min_sep, np.random.default_rng(0))
 
 
 def test_separated_set_deterministic_per_seed():
