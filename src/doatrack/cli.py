@@ -451,7 +451,6 @@ def evaluate_corpus(
     out_dir: Path | None,
     ospa_cutoff: float = math.radians(DEFAULT_OSPA_CUTOFF_DEG),
     ospa_order: float = 1.0,
-    fraction: float = DEFAULT_BOOTSTRAP_FRACTION,
     replicates: int = DEFAULT_REPLICATES,
     seed: int = 0,
     jobs: int = 1,
@@ -466,7 +465,7 @@ def evaluate_corpus(
     """
     check_gate(gate)
     check_ospa(ospa_cutoff, ospa_order)
-    check_bootstrap(fraction, replicates)
+    check_bootstrap(DEFAULT_BOOTSTRAP_FRACTION, replicates)
     seed = _int_in(seed, "seed", 0)
     grid, gt_ids, _scenario = _open_corpus(gt_dir)
     pred_manifest = pred_dir / "manifest.json"
@@ -483,7 +482,7 @@ def evaluate_corpus(
     worker = partial(_score_scene, gt_dir, pred_dir, grid, gate, ospa_cutoff, ospa_order)
     with _pool(jobs, len(gt_ids)) as pool:
         reports, failures = _map_scenes(worker, gt_ids, pool)
-    aggregate = aggregate_reports(reports, fraction, replicates, seed) if reports else None
+    aggregate = aggregate_reports(reports, replicates=replicates, seed=seed) if reports else None
     if out_dir is not None:
         _write_reports(out_dir, reports, aggregate, gate)
     return reports, aggregate, failures
@@ -641,8 +640,8 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
     and cells of the sweep's plan, all checked before the first write.
 
     Each cell writes what track_corpus and evaluate_corpus would write
-    for it, byte for byte (what the evaluate command, lacking --fraction,
-    writes only at the default bootstrap fraction). One task per scene
+    for it, byte for byte (evaluate_corpus, which takes no fraction, at
+    the default bootstrap fraction only). One task per scene
     tracks and scores it in every cell (see _sweep_scene), on at most one
     process pool for the whole sweep. A failed scene raises, before any
     cell of its subset is aggregated, a DoatrackError naming the first

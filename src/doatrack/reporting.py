@@ -132,7 +132,8 @@ def bootstrap_aggregate(
     values,
     fraction: float = DEFAULT_BOOTSTRAP_FRACTION,
     replicates: int = DEFAULT_REPLICATES,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> tuple[float, float | None]:
     """Mean and std of subsample means.
 
@@ -166,8 +167,6 @@ def bootstrap_aggregate(
     check_bootstrap(fraction, replicates)
     if replicates == 0:
         return float(vals.mean()), None
-    if rng is None:
-        rng = np.random.default_rng(0)
     n = len(vals)
     m = math.ceil(fraction * n)
     if m > MAX_ONE_CALL_SUBSAMPLE:
@@ -215,7 +214,7 @@ def aggregate_reports(
         elif len(defined) == 1:
             entry = {"mean": defined[0], "std": None}
         else:
-            mean, std = bootstrap_aggregate(defined, fraction, replicates, rng)
+            mean, std = bootstrap_aggregate(defined, fraction, replicates, rng=rng)
             entry = {"mean": mean, "std": std}
         entry["n_defined"] = len(defined)
         entry["n_excluded"] = excluded

@@ -13,12 +13,15 @@ unrelated namespaces and nothing may compare them except through
 matching.
 
 File formats (all UTF-8, LF line endings):
-  - track CSV: header ``frame,time_s,track_id,azimuth_deg,elevation_deg``,
-    one row per active (track, frame), rows sorted by (frame, track_id),
-    angles with 6 decimal places; time_s is frame * frame_period with 6
-    decimal places, and a reader rejects a row whose time_s is further
-    than TIME_TOLERANCE_S from it;
-  - observation CSV: same with an extra ``source_id`` column (may be empty);
+  - scene CSVs: a header, then one row per entry,
+    ``frame,time_s,<label>,<azimuth_deg>,<elevation_deg><tail>``;
+    time_s is frame * frame_period and the angles are degrees, all to 6
+    decimals, and a reader rejects a time_s more than TIME_TOLERANCE_S
+    off. A track CSV (TRACK_CSV_HEADER) has one row per active (track,
+    frame), sorted by (frame, track_id), the track id as label and an
+    empty tail. An observation CSV (OBS_CSV_HEADER) labels a row with its
+    within-frame index, ignored on read, and ends it with
+    ``,<source_id>``, empty for an untagged row;
   - sidecar manifest JSON carrying the frame grid:
     ``{"frame_period_s": ..., "n_frames": ...}``.
 """
@@ -31,9 +34,9 @@ import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
-from typing import NamedTuple, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -50,7 +53,6 @@ PARTIAL_SUFFIX = ".partial"
 TIME_TOLERANCE_S = 1e-6
 
 _HALF_PI = math.pi / 2
-_RADIANS_PER_DEGREE = math.pi / 180.0  # the factor of math.radians
 
 
 MAX_FRAMES = 1_000_000  # the most frames a FrameGrid holds
@@ -273,6 +275,19 @@ def open_text(target: str | Path | TextIO, mode: str):
             raise
 
 
+def _write_rows(dest, header: str, grid: FrameGrid, frame, label, azimuth, elevation, tail):
+    """The one scene-CSV writer: header, then a row per entry of the
+    columns (angles in radians), laid out as the module docstring says."""
+    with open_text(dest, "w") as stream:
+        stream.write(header + "\n")
+        for f, lab, az, el, end in zip(
+            frame.tolist(), label, azimuth.tolist(), elevation.tolist(), tail
+        ):
+            stream.write(
+                f"{f},{grid.time_of(f):.6f},{lab},{_fmt_angle(az)},{_fmt_angle(el)}{end}\n"
+            )
+
+
 def write_trackset(ts: TrackSet, dest: str | Path | TextIO) -> None:
     """Write the track CSV; byte-stable for equal TrackSets.
 
@@ -280,14 +295,10 @@ def write_trackset(ts: TrackSet, dest: str | Path | TextIO) -> None:
     """
     for tid in ts.ids:
         _check_id(tid)
-    with open_text(dest, "w") as stream:
-        stream.write(TRACK_CSV_HEADER + "\n")
-        for f, code, az, el in zip(
-            ts.frame.tolist(), ts.id_code.tolist(), ts.azimuth.tolist(), ts.elevation.tolist()
-        ):
-            stream.write(
-                f"{f},{ts.grid.time_of(f):.6f},{ts.ids[code]},{_fmt_angle(az)},{_fmt_angle(el)}\n"
-            )
+    labels = map(ts.ids.__getitem__, ts.id_code.tolist())
+    _write_rows(
+        dest, TRACK_CSV_HEADER, ts.grid, ts.frame, labels, ts.azimuth, ts.elevation, repeat("")
+    )
 
 
 def read_trackset(src: str | Path | TextIO, grid: FrameGrid) -> TrackSet:
@@ -299,54 +310,34 @@ def read_trackset(src: str | Path | TextIO, grid: FrameGrid) -> TrackSet:
             line of the repeat).
     """
     with open_text(src, "r") as stream:
-        rows = _parse_rows(stream, grid, expect_source=False)
-    return TrackSet.from_rows(
-        grid, rows.frame, rows.track_id, rows.azimuth, rows.elevation, lines=rows.lines
-    )
+        lines, (frame, track_id, azimuth, elevation, _source) = _parse_rows(
+            stream, grid, expect_source=False
+        )
+    return TrackSet.from_rows(grid, frame, track_id, azimuth, elevation, lines=lines)
 
 
 def write_observations(obs: ObservationSet, dest: str | Path | TextIO) -> None:
-    """Write the observation CSV, rows in the order of the set.
-
-    The track_id column carries the within-frame observation index; it
-    is not semantic and is ignored on read. An untagged row has an
-    empty source_id.
-    """
-    starts = obs.offsets.tolist()
-    with open_text(dest, "w") as stream:
-        stream.write(OBS_CSV_HEADER + "\n")
-        for i, (f, az, el, source_id) in enumerate(
-            zip(obs.frame.tolist(), obs.azimuth.tolist(), obs.elevation.tolist(), obs.source)
-        ):
-            tag = "" if source_id is None else _check_id(source_id)
-            t = obs.grid.time_of(f)
-            stream.write(f"{f},{t:.6f},{i - starts[f]},{_fmt_angle(az)},{_fmt_angle(el)},{tag}\n")
+    """Write the observation CSV, rows in the order of the set. Every tag
+    is checked before the first row is written."""
+    tails = ["," + ("" if tag is None else _check_id(tag)) for tag in obs.source]
+    index = np.arange(len(obs.frame)) - obs.offsets[obs.frame]  # within its frame
+    _write_rows(
+        dest, OBS_CSV_HEADER, obs.grid, obs.frame, index.tolist(), obs.azimuth, obs.elevation, tails
+    )
 
 
 def read_observations(src: str | Path | TextIO, grid: FrameGrid) -> ObservationSet:
     """Parse an observation CSV; within-frame order follows file order."""
     with open_text(src, "r") as stream:
-        rows = _parse_rows(stream, grid, expect_source=True)
-    return ObservationSet(grid, rows.frame, rows.azimuth, rows.elevation, rows.source)
+        _lines, (frame, _index, azimuth, elevation, source) = _parse_rows(
+            stream, grid, expect_source=True
+        )
+    return ObservationSet(grid, frame, azimuth, elevation, source)
 
 
-class _Rows(NamedTuple):
-    """The checked rows of a track or observation CSV, in file order.
-
-    Angles are radians as a Direction holds them. source holds each
-    row's source_id, None where the column is empty or absent.
-    """
-
-    lines: Sequence[int]
-    frame: np.ndarray
-    track_id: tuple[str, ...]
-    azimuth: np.ndarray
-    elevation: np.ndarray
-    source: tuple[str | None, ...]
-
-
-def _parse_rows(stream: TextIO, grid: FrameGrid, expect_source: bool) -> _Rows:
-    """The one row parser of track and observation CSVs.
+def _parse_rows(stream: TextIO, grid: FrameGrid, expect_source: bool):
+    """The one row parser of track and observation CSVs: (lines, columns),
+    the file line of each data row and _checked_columns' columns.
 
     Rows are checked a column at a time. If a check fails, the same
     checks run again on one row at a time, and the first bad row in file
@@ -368,7 +359,7 @@ def _parse_rows(stream: TextIO, grid: FrameGrid, expect_source: bool) -> _Rows:
         lines = [n for n, text in zip(lines, texts) if text]
         texts = [text for text in texts if text]
     try:
-        return _Rows(lines, *_checked_columns(texts, n_fields, grid, expect_source))
+        return lines, _checked_columns(texts, n_fields, grid, expect_source)
     except ParseError:
         for line, text in zip(lines, texts):
             try:
@@ -414,7 +405,7 @@ def _checked_columns(texts: list[str], n_fields: int, grid: FrameGrid, expect_so
         raise ParseError(
             f"time_s {cols[1][i]} is not frame {frame[i]} x frame period {grid.frame_period} s"
         )
-    azimuth, elevation = az_deg * _RADIANS_PER_DEGREE, el_deg * _RADIANS_PER_DEGREE
+    azimuth, elevation = np.radians(az_deg), np.radians(el_deg)
     bad = ~((elevation >= -_HALF_PI - 1e-12) & (elevation <= _HALF_PI + 1e-12))
     if bad.any():
         raise ParseError(f"elevation_deg {cols[4][np.argmax(bad)]} outside [-90, 90]")

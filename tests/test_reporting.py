@@ -29,6 +29,14 @@ from doatrack.reporting import (
     evaluate_scene,
     report_csv_rows,
 )
+from doatrack.scenesim import ObservationModel, ScenarioConfig, generate_scene, simulate_observations
+from doatrack.trackers import (
+    TrackerConfig,
+    merger_tracker,
+    pf_tracker,
+    splitter_tracker,
+    swapper_tracker,
+)
 from doatrack.trackmodel import (
     FrameGrid,
     TrackSet,
@@ -53,18 +61,18 @@ def test_bootstrap_mixed_values_statistics():
 
 def test_bootstrap_single_value_raises():
     with pytest.raises(InsufficientData):
-        bootstrap_aggregate([1.0])
+        bootstrap_aggregate([1.0], rng=np.random.default_rng(0))
 
 
 def test_bootstrap_rejects_fraction_and_replicates_out_of_bounds():
     for fraction, replicates in ((0.0, 10), (1.5, 10), (math.nan, 10), (0.8, -1), (0.8, 2.5),
                                  (0.8, 2.0), (0.8, True), (0.8, "3"), (True, 10), ("0.8", 10)):
         with pytest.raises(InvalidConfig):
-            bootstrap_aggregate([1.0, 2.0], fraction, replicates)
+            bootstrap_aggregate([1.0, 2.0], fraction, replicates, rng=np.random.default_rng(0))
 
 
 def test_bootstrap_zero_replicates_gives_plain_mean():
-    mean, std = bootstrap_aggregate([1.0, 2.0, 3.0], replicates=0)
+    mean, std = bootstrap_aggregate([1.0, 2.0, 3.0], replicates=0, rng=np.random.default_rng(0))
     assert mean == 2.0
     assert std is None
 
@@ -84,7 +92,7 @@ def test_bootstrap_deterministic_per_rng_seed():
 )
 def test_bootstrap_equals_one_value_draw_per_replicate(values, fraction, replicates, seed):
     # index draws consume the generator as value draws do: equal with ==
-    fast = bootstrap_aggregate(values, fraction, replicates, np.random.default_rng(seed))
+    fast = bootstrap_aggregate(values, fraction, replicates, rng=np.random.default_rng(seed))
     naive = naive_bootstrap_aggregate(values, fraction, replicates, np.random.default_rng(seed))
     assert fast == naive
 
@@ -114,7 +122,7 @@ def test_bootstrap_leaves_the_generator_where_choice_leaves_it(
     for rng in (fast_rng, naive_rng):
         rng.integers(0, 2**32, size=words_before, dtype=np.uint32)
         assert rng.bit_generator.state["has_uint32"] == words_before % 2
-    fast = bootstrap_aggregate(values, fraction, replicates, fast_rng)
+    fast = bootstrap_aggregate(values, fraction, replicates, rng=fast_rng)
     naive = naive_bootstrap_aggregate(values, fraction, replicates, naive_rng)
     assert fast == naive
     assert fast_rng.bit_generator.state == naive_rng.bit_generator.state
@@ -247,3 +255,40 @@ def test_evaluate_scene_equals_the_oracles(scene, gate, cutoff):
         for order in (1.0, 2.0):
             report = evaluate_scene("s", g, p, gate, cutoff, order)
             assert vars(report) == oracle_report(g, p, gate, cutoff, order)
+
+
+def _time_reversed(ts: TrackSet) -> TrackSet:
+    """ts with frame f moved to frame n_frames - 1 - f."""
+    labels = [ts.ids[code] for code in ts.id_code]
+    return TrackSet.from_rows(
+        ts.grid, ts.grid.n_frames - 1 - ts.frame, labels, ts.azimuth, ts.elevation, ids=ts.ids
+    )
+
+
+TRACKERS = {
+    "splitter": lambda gt, obs, seed: splitter_tracker(gt, 3),
+    "swapper": lambda gt, obs, seed: swapper_tracker(gt, 2.0),
+    "merger": lambda gt, obs, seed: merger_tracker(gt),
+    "pf": lambda gt, obs, seed: pf_tracker(obs, TrackerConfig(max_active=3, seed=seed)),
+}
+# Unchanged when time runs backwards: each frame's matching is, and so is
+# every count of events between neighbouring frames except a broken
+# track's, whose "not matched next" is directional (n_broken, tfr).
+TIME_SYMMETRIC = ("n_tp", "n_fp", "n_fn", "n_swaps", "tsr", "tsr_per_track", "mota",
+                  "ass_a", "ass_pr", "ass_re")
+
+
+@pytest.mark.parametrize("tracker", sorted(TRACKERS))
+def test_scores_do_not_move_when_time_runs_backwards(tracker):
+    # 3-speaker jump scenes with misses and clutter
+    for seed in range(4):
+        gt = generate_scene(ScenarioConfig(3, duration_s=20.0, seed=seed))
+        obs = simulate_observations(gt, ObservationModel(p_miss=0.05, clutter_rate=0.3, seed=seed))
+        preds = TRACKERS[tracker](gt, obs, seed)
+        forward = evaluate_scene("s", gt, preds, math.radians(20))
+        backward = evaluate_scene("s", _time_reversed(gt), _time_reversed(preds), math.radians(20))
+        assert forward.n_tp > 0
+        for name in TIME_SYMMETRIC:
+            assert getattr(backward, name) == getattr(forward, name), (seed, name)
+        for name in ("ospa_mean", "mean_loc_error"):  # means over frames, summed in another order
+            assert getattr(backward, name) == pytest.approx(getattr(forward, name), rel=1e-12)

@@ -24,6 +24,7 @@ from doatrack.trackmodel import (
     FrameGrid,
     ObservationSet,
     TrackSet,
+    open_text,
     read_manifest,
     read_observations,
     read_trackset,
@@ -289,6 +290,28 @@ def test_failed_write_leaves_the_old_file_and_no_partial(tmp_path):
     # the file gets the mode a plain open gives it
     (tmp_path / "plain").write_text("")
     assert path.stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
+def test_a_write_that_fails_midway_leaves_the_old_file_and_no_partial(tmp_path):
+    path = tmp_path / "scene_0000.gt.csv"
+    path.write_text("old\n")
+    with pytest.raises(OSError, match="disk full"):
+        with open_text(path, "w") as stream:
+            stream.write(TRACK_CSV_HEADER + "\n")
+            raise OSError("disk full")
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["scene_0000.gt.csv"]
+
+
+def test_a_bad_id_or_tag_raises_before_any_row_reaches_a_stream():
+    grid = FrameGrid(0.1, 3)
+    tracks = TrackSet(grid, {"A": {0: D(1, 2)}, "a,b": {2: D(3, 4)}})
+    tags = observation_set(grid, ([(D(1, 2), "spk0")], [], [(D(3, 4), "a,b")]))
+    for writer, bad in ((write_trackset, tracks), (write_observations, tags)):
+        stream = io.StringIO()
+        with pytest.raises(ValueError, match="not representable"):
+            writer(bad, stream)
+        assert stream.getvalue() == ""
 
 
 def test_read_observations_accepts_plain_track_header():
