@@ -69,7 +69,10 @@ MUTANTS = (
            '"" if tag is None else _check_id(tag)', '"" if tag is None else tag', _CSV_TESTS),
     # scene-CSV reader and open_text
     Mutant("reader_no_cr_rule", _TRACKMODEL,
-           'if "\\r" in "".join(texts):', "if False:", ("tests/test_trackmodel.py",)),
+           'if "\\r" in joined:', "if False:", ("tests/test_trackmodel.py",)),
+    Mutant("reader_no_field_count_rule", _TRACKMODEL,
+           'if set(map(str.count, texts, repeat(","))) - {n_fields - 1}:', "if False:",
+           ("tests/test_trackmodel.py",)),
     Mutant("reader_no_empty_id_rule", _TRACKMODEL,
            'if not expect_source and "" in cols[2]:', "if False:", ("tests/test_trackmodel.py",)),
     Mutant("reader_no_row_rerun", _TRACKMODEL,

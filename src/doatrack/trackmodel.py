@@ -339,15 +339,19 @@ def _parse_rows(stream: TextIO, grid: FrameGrid, expect_source: bool):
     """The one row parser of track and observation CSVs: (lines, columns),
     the file line of each data row and _checked_columns' columns.
 
-    Rows are checked a column at a time. If a check fails, the same
-    checks run again on one row at a time, and the first bad row in file
-    order raises its ParseError, naming its line.
+    The header is read with readline(), the body with one read() that is
+    split into rows at "\\n" only, so a row keeps any "\\r" for the
+    carriage-return rule. Rows are checked a column at a time. If a
+    check fails, the same checks run again on one row at a time, and the
+    first bad row in file order raises its ParseError, naming its line.
     """
     try:
         header = stream.readline().rstrip("\n")
-        texts = [raw.rstrip("\n") for raw in stream]
+        texts = stream.read().split("\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8: {exc}") from None
+    if not texts[-1]:  # the empty string after the final "\n"
+        texts.pop()
     allowed = {OBS_CSV_HEADER} if expect_source else {TRACK_CSV_HEADER}
     if expect_source:
         allowed.add(TRACK_CSV_HEADER)  # untagged observation files are fine
@@ -373,17 +377,21 @@ def _checked_columns(texts: list[str], n_fields: int, grid: FrameGrid, expect_so
     """(frame, track_id, azimuth, elevation, source) of CSV data rows,
     each row rule checked once, on whole columns. Refusing "\\r" and a
     track file's empty track_id keeps every id and tag read writable.
+    Once every row holds n_fields - 1 commas, the rows joined by commas
+    split into one flat list of fields, and column j is every
+    n_fields-th field from j.
 
     Raises the ParseError of the first rule some row breaks, worded from
     the first such row, without its line.
     """
-    if "\r" in "".join(texts):
+    joined = ",".join(texts)
+    if "\r" in joined:
         raise ParseError("carriage return in a row: files are LF only")
     n = len(texts)
-    parts = [text.split(",") for text in texts]
-    if set(map(len, parts)) - {n_fields}:
+    if set(map(str.count, texts, repeat(","))) - {n_fields - 1}:
         raise ParseError(f"expected {n_fields} fields")
-    cols = list(zip(*parts)) or [()] * n_fields
+    flat = joined.split(",") if n else []
+    cols = [flat[j::n_fields] for j in range(n_fields)]
     if not expect_source and "" in cols[2]:
         raise ParseError("empty track_id")
     # int and float also take "1_0", " 3" and non-ASCII digits such as "\u0663"

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: per-TP double loops for the
 association scores, exhaustive injection enumeration for matching,
 literal walk-the-frames counters, a bootstrap that draws one replicate
-at a time and a particle filter that steps one track at a time. These
+at a time, a scene-CSV reader that splits one line at a time and a
+particle filter that steps one track at a time. These
 stay independent of the code
 paths they verify. The package stores tracks, observations and matches
 only as columns; the per-object views the tests read (a track's
@@ -16,14 +17,33 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from itertools import chain
+from pathlib import Path
+from typing import Sequence, TextIO
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from doatrack.geometry import Direction, angles_of_unit_vector, angular_distance, unit_xyz
+from doatrack.errors import ParseError
+from doatrack.geometry import (
+    Direction,
+    angles_of_unit_vector,
+    angular_distance,
+    unit_xyz,
+    wrap_azimuth,
+)
 from doatrack.matching import FrameAssignment, MatchSequence
 from doatrack.trackers import TrackerConfig
-from doatrack.trackmodel import FrameGrid, ObservationSet, TrackSet, columns_of
+from doatrack.trackmodel import (
+    OBS_CSV_HEADER,
+    TIME_TOLERANCE_S,
+    TRACK_CSV_HEADER,
+    FrameGrid,
+    ObservationSet,
+    TrackSet,
+    columns_of,
+    open_text,
+)
 
 
 def unit_vector(d: Direction) -> np.ndarray:
@@ -293,6 +313,120 @@ def naive_bootstrap_aggregate(values, fraction, replicates, rng) -> tuple[float,
     for i in range(replicates):
         means[i] = rng.choice(vals, size=m, replace=False).mean()
     return float(means.mean()), float(means.std())
+
+
+# ---------------------------------------------------------------------------
+# scene-CSV reader, one line at a time
+# ---------------------------------------------------------------------------
+
+_HALF_PI = math.pi / 2
+
+
+def naive_read_trackset(src: str | Path | TextIO, grid: FrameGrid) -> TrackSet:
+    """read_trackset through the line-at-a-time row parser below."""
+    with open_text(src, "r") as stream:
+        lines, (frame, track_id, azimuth, elevation, _source) = naive_parse_rows(
+            stream, grid, expect_source=False
+        )
+    return TrackSet.from_rows(grid, frame, track_id, azimuth, elevation, lines=lines)
+
+
+def naive_read_observations(src: str | Path | TextIO, grid: FrameGrid) -> ObservationSet:
+    """read_observations through the line-at-a-time row parser below."""
+    with open_text(src, "r") as stream:
+        _lines, (frame, _index, azimuth, elevation, source) = naive_parse_rows(
+            stream, grid, expect_source=True
+        )
+    return ObservationSet(grid, frame, azimuth, elevation, source)
+
+
+def naive_parse_rows(stream: TextIO, grid: FrameGrid, expect_source: bool):
+    """The line-at-a-time reference of trackmodel._parse_rows: the body
+    is iterated line by line (a file opened with newline="" also ends a
+    line at a lone "\\r") and each row is split on its own. (lines,
+    columns), the file line of each data row and _naive_checked_columns'
+    columns.
+
+    Rows are checked a column at a time. If a check fails, the same
+    checks run again on one row at a time, and the first bad row in file
+    order raises its ParseError, naming its line.
+    """
+    try:
+        header = stream.readline().rstrip("\n")
+        texts = [raw.rstrip("\n") for raw in stream]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc}") from None
+    allowed = {OBS_CSV_HEADER} if expect_source else {TRACK_CSV_HEADER}
+    if expect_source:
+        allowed.add(TRACK_CSV_HEADER)  # untagged observation files are fine
+    if header not in allowed:
+        raise ParseError(f"unexpected header {header!r}", line=1)
+    n_fields = 6 if header == OBS_CSV_HEADER else 5
+    lines: Sequence[int] = range(2, len(texts) + 2)
+    if not all(texts):  # blank lines are skipped
+        lines = [n for n, text in zip(lines, texts) if text]
+        texts = [text for text in texts if text]
+    try:
+        return lines, _naive_checked_columns(texts, n_fields, grid, expect_source)
+    except ParseError:
+        for line, text in zip(lines, texts):
+            try:
+                _naive_checked_columns([text], n_fields, grid, expect_source)
+            except ParseError as exc:
+                raise ParseError(str(exc), line=line) from None
+        raise
+
+
+def _naive_checked_columns(
+    texts: list[str], n_fields: int, grid: FrameGrid, expect_source: bool
+):
+    """(frame, track_id, azimuth, elevation, source) of CSV data rows,
+    each row rule checked once, on whole columns. Refusing "\\r" and a
+    track file's empty track_id keeps every id and tag read writable.
+
+    Raises the ParseError of the first rule some row breaks, worded from
+    the first such row, without its line.
+    """
+    if "\r" in "".join(texts):
+        raise ParseError("carriage return in a row: files are LF only")
+    n = len(texts)
+    parts = [text.split(",") for text in texts]
+    if set(map(len, parts)) - {n_fields}:
+        raise ParseError(f"expected {n_fields} fields")
+    cols = list(zip(*parts)) or [()] * n_fields
+    if not expect_source and "" in cols[2]:
+        raise ParseError("empty track_id")
+    # int and float also take "1_0", " 3" and non-ASCII digits such as "\u0663"
+    numbers = "".join(chain(cols[0], cols[1], cols[3], cols[4]))
+    if not numbers.isascii() or any(c in numbers for c in "_ \t\v\f"):
+        raise ParseError("a number holds an underscore, a space or a non-ASCII character")
+    try:
+        frame = list(map(int, cols[0]))
+        time_s, az_deg, el_deg = (np.fromiter(map(float, cols[j]), float, n) for j in (1, 3, 4))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    if not (min(frame, default=0) >= 0 and max(frame, default=0) < grid.n_frames):
+        outside = next(f for f in frame if not 0 <= f < grid.n_frames)
+        raise ParseError(f"frame {outside} outside [0, {grid.n_frames})")
+    frame = np.array(frame, dtype=np.int64)
+    bad = ~(np.abs(time_s - grid.time_of(frame)) <= TIME_TOLERANCE_S)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ParseError(
+            f"time_s {cols[1][i]} is not frame {frame[i]} x frame period {grid.frame_period} s"
+        )
+    azimuth, elevation = np.radians(az_deg), np.radians(el_deg)
+    bad = ~((elevation >= -_HALF_PI - 1e-12) & (elevation <= _HALF_PI + 1e-12))
+    if bad.any():
+        raise ParseError(f"elevation_deg {cols[4][np.argmax(bad)]} outside [-90, 90]")
+    bad = ~np.isfinite(azimuth)
+    if bad.any():
+        raise ParseError(f"azimuth_deg {cols[3][np.argmax(bad)]} is not finite")
+    for i in np.flatnonzero((azimuth < -math.pi) | (azimuth >= math.pi)):
+        azimuth[i] = wrap_azimuth(float(azimuth[i]))
+    elevation = np.minimum(np.maximum(elevation, -_HALF_PI), _HALF_PI)
+    source = tuple(tag or None for tag in cols[5]) if n_fields == 6 else (None,) * n
+    return frame, cols[2], azimuth, elevation, source
 
 
 # ---------------------------------------------------------------------------

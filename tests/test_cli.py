@@ -8,7 +8,7 @@ import pytest
 
 from doatrack import cli, trackers
 from doatrack.cli import _available_cpus, _map_scenes, _pool, config_from_json, lint_corpus, main
-from doatrack.errors import DoatrackError
+from doatrack.errors import DoatrackError, ParseError
 from doatrack.geometry import Direction
 from doatrack.trackers import TrackerConfig
 from doatrack.trackmodel import (
@@ -296,6 +296,26 @@ def test_evaluate_reports_nan_azimuth_per_scene(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "FAILED scene_0001: ParseError" in err
     assert "FAILED scene_0002: ParseError: not UTF-8" in err and "Traceback" not in err
+
+
+def test_a_bad_byte_deep_in_a_long_file_fails_its_scene(tmp_path, capsys):
+    # the bad byte lies past the first 8 KiB, so the body's decode meets
+    # it, not the header's readline
+    corpus = _simulated_corpus(tmp_path)
+    tcfg = write_config(tmp_path, "oracle.json", {"type": "oracle"})
+    preds = tmp_path / "preds"
+    assert main(["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(preds)]) == 0
+    target = preds / "scene_0001.pred.csv"
+    raw = target.read_bytes()
+    assert len(raw) > 8192
+    target.write_bytes(raw[:-20] + b"\xff" + raw[-19:])
+    grid, _doc = read_manifest(corpus / "manifest.json")
+    with pytest.raises(ParseError) as exc:
+        read_trackset(target, grid)
+    assert str(exc.value).startswith("not UTF-8") and exc.value.line is None
+    assert main(["evaluate", "--gt", str(corpus), "--pred", str(preds)]) == 2
+    err = capsys.readouterr().err
+    assert "FAILED scene_0001: ParseError: not UTF-8" in err and "Traceback" not in err
 
 
 def test_evaluate_rejects_mismatched_scene_sets(tmp_path):

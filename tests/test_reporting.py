@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 from fractions import Fraction
 
@@ -201,6 +202,32 @@ def test_aggregate_single_defined_value_has_no_std():
     # a metric that no scene defines
     undefined = aggregate_reports(reports[1:], replicates=10, seed=0)["metrics"]["ass_re"]
     assert undefined == {"mean": None, "std": None, "n_defined": 0, "n_excluded": 1}
+
+
+def test_plain_means_do_not_move_when_the_scenes_come_in_another_order():
+    # six PF scenes with clutter, one with every speaker missed (no TPs,
+    # so its association scores and location error are undefined); with
+    # replicates 0 the aggregate is a plain mean, which only sums in
+    # another order when the reports are permuted
+    reports = []
+    for seed, (n_speakers, p_miss) in enumerate(
+        [(1, 0.05), (2, 0.05), (3, 0.05), (1, 1.0), (2, 0.05), (3, 0.5)]
+    ):
+        gt = generate_scene(ScenarioConfig(n_speakers, duration_s=10.0, seed=seed))
+        model = ObservationModel(p_miss=p_miss, clutter_rate=0.3, seed=seed)
+        preds = pf_tracker(simulate_observations(gt, model), TrackerConfig(max_active=3, seed=seed))
+        reports.append(evaluate_scene(f"s{seed}", gt, preds, math.radians(20)))
+    base = aggregate_reports(reports, replicates=0)
+    assert base["metrics"]["ass_a"]["n_excluded"] == 1
+    for order in itertools.permutations(range(len(reports))):
+        agg = aggregate_reports([reports[i] for i in order], replicates=0)
+        assert agg["n_scenes"] == base["n_scenes"] == 6
+        for metric, entry in agg["metrics"].items():
+            want = base["metrics"][metric]
+            assert entry["std"] is want["std"] is None
+            assert (entry["n_defined"], entry["n_excluded"]) == (
+                want["n_defined"], want["n_excluded"]), (order, metric)
+            assert entry["mean"] == pytest.approx(want["mean"], rel=1e-12, abs=0), (order, metric)
 
 
 def test_report_degrees_properties():

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from _oracles import activity_mask, entries, observation_frames, observation_set, per_frame_entries
+from _oracles import (
+    activity_mask,
+    entries,
+    naive_read_observations,
+    naive_read_trackset,
+    observation_frames,
+    observation_set,
+    per_frame_entries,
+)
 from doatrack.errors import DuplicateEntry, ParseError
 from doatrack.geometry import Direction, angular_distance
 from doatrack.reporting import evaluate_scene
@@ -142,6 +150,8 @@ def test_malformed_row_raises_parse_error_with_line():
     for rows, message in (
         (["0,0.500000,A,1.0,2.0", "1,0.100000,A,1.0,2.0,x"], "line 2: time_s 0.500000 is not "),
         (["0,0.000000,A,1.0,2.0,x", "12,1.200000,A,1.0,2.0"], "line 2: expected 5 fields"),
+        # 6 fields and then 4: the field total is right, each row's count is not
+        (["0,0.000000,A,1.0,2.0,x", "1,0.100000,A,1.0"], "line 2: expected 5 fields"),
         (["0,0.000000,A,1.0,2.0", "1,0.100000,A,nan,90.0001"],
          "line 3: elevation_deg 90.0001 outside [-90, 90]"),
         (["0,0.000000,A,1.0,2.0", "1,0.100000,A,-inf,0.0"],
@@ -281,7 +291,9 @@ def test_failed_write_leaves_the_old_file_and_no_partial(tmp_path):
     path = tmp_path / "scene_0000.obs.csv"
     write_observations(observation_set(grid, ([], [(D(5, 6), "spk0")], [])), path)
     before = path.read_bytes()
-    # the bad tag sits in the last frame, after a row that was already written
+    # a write refused for a bad tag, which is checked before the file is
+    # opened, leaves the old file and no partial; a write that fails once
+    # the partial exists is test_a_write_that_fails_midway_...'s case
     bad = observation_set(grid, ([(D(1, 2), "spk0")], [], [(D(3, 4), "a,b")]))
     with pytest.raises(ValueError):
         write_observations(bad, path)
@@ -544,6 +556,30 @@ def test_scene_csv_fuzz_gives_a_container_or_a_parse_error(which, mutations):
         writer(back, io.StringIO())
     if not mutations:
         assert text == SCENE_TEXTS[which]
+
+
+@given(st.sampled_from([0, 1]), MUTATIONS)
+@settings(max_examples=300)
+def test_scene_csv_fuzz_reads_as_the_line_at_a_time_reader_reads(
+    tmp_path_factory, which, mutations
+):
+    # a mutated scene CSV, read from a StringIO and from a real file (opened
+    # with newline="", so the line-at-a-time reader also ends a line at a
+    # lone "\r"): both readers give equal containers, or ParseErrors with
+    # equal text and line
+    text = _mutated(SCENE_TEXTS[which], mutations)
+    path = tmp_path_factory.getbasetemp() / "mutated_scene.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for reader, oracle in ((read_trackset, naive_read_trackset),
+                           (read_observations, naive_read_observations)):
+        for source in (lambda: io.StringIO(text), lambda: path):
+            outcomes = []
+            for read in (reader, oracle):
+                try:
+                    outcomes.append(read(source(), SCENE_GRID))
+                except ParseError as exc:
+                    outcomes.append((type(exc), str(exc), exc.line))
+            assert outcomes[0] == outcomes[1], (reader.__name__, source(), outcomes)
 
 
 # The one row builder, TrackSet.from_rows, behind every TrackSet.
