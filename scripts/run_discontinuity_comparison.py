@@ -5,85 +5,75 @@ Three single-speaker scene families share one observation model and one
 tracker profile:
 
   moving   continuously moving source, always active (continuous track);
-  zeroed   the same kind of trajectory with activity deleted on random
-           windows, so the source moves while silent (discontinuous);
+  zeroed   the same trajectory with activity deleted on random windows,
+           so the source moves while silent (discontinuous);
   jump     static-while-speaking source relocating during each silence
            (strongly discontinuous).
+
+Each family is a one-cell sweep (k_max unbounded) written under
+--out/<family>/. The sweeps share the master seed, so every scene,
+observation and PF seed is shared across families. The table prints
+each sweep's bootstrap means and its share of scenes with TSR = 0.
 
 Expected pattern: TSR = 0 on most moving scenes, then swap rate rises
 and association recall falls as discontinuity grows.
 """
 
 import argparse
-import math
+import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from doatrack import (  # noqa: E402
-    ObservationModel,
-    ScenarioConfig,
-    TrackerConfig,
-    evaluate_scene,
-    generate_scene,
-    pf_tracker,
-    simulate_observations,
-)
+from doatrack.cli import run_command, run_sweep  # noqa: E402
 
+SEGMENTS = {"segment_len_s": [1.0, 4.0], "gap_len_s": [0.2, 1.2]}
 VARIANTS = {
-    "moving": dict(mode="moving", angular_speed=math.radians(30)),
-    "zeroed": dict(
-        mode="moving_zeroed",
-        angular_speed=math.radians(30),
-        segment_len_s=(1.0, 4.0),
-        gap_len_s=(0.2, 1.2),
-    ),
-    "jump": dict(mode="jump", segment_len_s=(1.0, 4.0), gap_len_s=(0.2, 1.2)),
+    "moving": {"mode": "moving", "angular_speed_deg_s": 30},
+    "zeroed": {"mode": "moving_zeroed", "angular_speed_deg_s": 30, **SEGMENTS},
+    "jump": {"mode": "jump", **SEGMENTS},
 }
+TABLE_METRICS = ["tsr", "tfr", "ass_re", "ass_pr"]
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--out", default="out/discontinuity", help="output directory")
     parser.add_argument("--scenes", type=int, default=40)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--gate-deg", type=float, default=20.0)
     args = parser.parse_args()
 
-    obs_model = dict(
-        angular_noise_sigma=math.radians(1.5), p_miss=0.02, clutter_rate=0.0
-    )
-    tracker = dict(
-        max_active=1,
-        birth_frames=2,
-        death_frames=12,
-        process_noise_sigma=math.radians(4.0),
-        likelihood_sigma=math.radians(3.0),
-    )
-    gate = math.radians(args.gate_deg)
+    spec = {
+        "subsets": [{"n_speakers": 1, "n_scenes": args.scenes}],
+        "k_max_values": [None],
+        "observation": {"angular_noise_sigma_deg": 1.5, "p_miss": 0.02, "clutter_rate": 0.0},
+        "tracker": {
+            "birth_frames": 2,
+            "death_frames": 12,
+            "process_noise_sigma_deg": 4,
+            "likelihood_sigma_deg": 3,
+        },
+        "gate_deg": args.gate_deg,
+    }
+
+    out = Path(args.out)
+    rows = []
+    for name, scenario in VARIANTS.items():
+        summary = run_sweep({**spec, "scenario": scenario}, out / name, args.seed)
+        metrics = summary["subsets"]["1spk"]["inf"]["metrics"]
+        means = (metrics[m]["mean"] for m in TABLE_METRICS)
+        cells = " ".join(" " * 7 if v is None else f"{v:7.3f}" for v in means)
+        with open(out / name / "1spk" / "kmax_inf" / "eval" / "per_scene.csv") as stream:
+            tsrs = [float(row["tsr"]) for row in csv.DictReader(stream)]
+        rows.append(f"{name:>8} {cells} {tsrs.count(0.0) / len(tsrs):6.0%}")
 
     print(f"{'variant':>8} {'TSR':>7} {'TFR':>7} {'AssRe':>7} {'AssPr':>7} {'TSR=0':>6}")
-    for name, scen in VARIANTS.items():
-        rows = []
-        for i in range(args.scenes):
-            gt = generate_scene(
-                ScenarioConfig(n_speakers=1, seed=args.seed + 10 * i, **scen)
-            )
-            obs = simulate_observations(
-                gt, ObservationModel(seed=args.seed + 10 * i + 1, **obs_model)
-            )
-            preds = pf_tracker(obs, TrackerConfig(seed=args.seed + 10 * i + 2, **tracker))
-            rows.append(evaluate_scene(f"s{i}", gt, preds, gate))
-        tsr = np.mean([r.tsr for r in rows])
-        tfr = np.mean([r.tfr for r in rows])
-        re_ = np.mean([r.ass_re for r in rows if r.ass_re is not None])
-        pr_ = np.mean([r.ass_pr for r in rows if r.ass_pr is not None])
-        zero = np.mean([r.tsr == 0.0 for r in rows])
-        print(f"{name:>8} {tsr:7.3f} {tfr:7.3f} {re_:7.3f} {pr_:7.3f} {zero:6.0%}")
+    print("\n".join(rows))
+    print(f"\nfull reports under {out}/")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_command(main))

@@ -14,7 +14,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from doatrack.cli import run_sweep  # noqa: E402
+from doatrack.cli import run_command, run_sweep  # noqa: E402
+from doatrack.errors import InvalidConfig  # noqa: E402
 
 TABLE_METRICS = ["ass_re", "ass_pr", "ass_a", "tsr", "tfr"]
 
@@ -29,10 +30,10 @@ def main() -> int:
         "--speakers", type=int, nargs="+", default=[1, 2, 3], help="subset sizes J"
     )
     args = parser.parse_args()
+    if args.seed < 0:  # subset j runs on seed + j, which could hide a negative seed
+        raise InvalidConfig(f"seed must be an integer in [0, inf], got {args.seed}")
 
     spec = {
-        "subsets": [{"n_speakers": j, "n_scenes": args.scenes} for j in args.speakers],
-        "k_max_values": None,  # filled per subset below
         "scenario": {
             "mode": "jump",
             "segment_len_s": [1.0, 4.0],
@@ -47,9 +48,8 @@ def main() -> int:
     out = Path(args.out)
     combined: dict[str, dict] = {}
     for j in args.speakers:
-        sub_spec = dict(spec)
-        sub_spec["subsets"] = [{"n_speakers": j, "n_scenes": args.scenes}]
-        sub_spec["k_max_values"] = [j, 2 * j, 4 * j, None]
+        subset = {"n_speakers": j, "n_scenes": args.scenes}
+        sub_spec = {**spec, "subsets": [subset], "k_max_values": [j, 2 * j, 4 * j, None]}
         summary = run_sweep(sub_spec, out / f"{j}spk", args.seed + j, jobs=args.jobs)
         combined.update(summary["subsets"])
 
@@ -68,4 +68,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_command(main))

@@ -813,19 +813,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def run_command(func, *args) -> int:
+    """func(*args)'s exit code; a config error exits 1, a data error 2, each with one line."""
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
-        return args.func(args)
+        return func(*args)
     except InvalidConfig as exc:
         print(f"doatrack: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DoatrackError, OSError) as exc:
         print(f"doatrack: data error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
+
+
+def main(argv=None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_OK
+    return run_command(args.func, args)
 
 
 if __name__ == "__main__":

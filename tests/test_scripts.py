@@ -1,21 +1,28 @@
-"""Smoke tests of the experiment scripts: exit 0 and the printed tables.
+"""Smoke tests of the experiment scripts: exit 0, the printed tables,
+the sweep trees they write, and exit 1 on bad input.
 
 The tables were recorded from the scripts' own output; they pin the
-in-memory evaluation path (evaluate_scene on TrackSets that never went
-through a CSV) and the sweep path end to end.
+sweep path end to end. Both scripts score predictions read back from
+their CSV files. The in-memory evaluation path (evaluate_scene on
+TrackSets that never went through a CSV) is pinned by acceptance
+criteria 2-8 and by
+test_reporting.py::test_scores_do_not_move_when_time_runs_backwards.
 """
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 DISCONTINUITY_TABLE = """\
  variant     TSR     TFR   AssRe   AssPr  TSR=0
-  moving   0.000   0.192   0.979   1.000   100%
-  zeroed   0.267   0.383   0.057   1.000     0%
-    jump   0.292   0.392   0.045   1.000     0%
+  moving   0.000   0.208   0.978   1.000   100%
+  zeroed   0.258   0.367   0.073   1.000     0%
+    jump   0.308   0.417   0.046   1.000     0%
 """
 
 KMAX_TABLE = """\
@@ -36,25 +43,53 @@ KMAX_TABLE = """\
 """
 
 
-def run_script(name: str, *args: str, cwd: Path) -> str:
+def run_script(name: str, *args: str, cwd: Path, code: int = 0) -> subprocess.CompletedProcess:
     done = subprocess.run(
         [sys.executable, str(SCRIPTS / name), *args],
         capture_output=True, text=True, cwd=cwd, timeout=300,
     )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
+    assert done.returncode == code, done.stderr
+    return done
+
+
+def _digests(root: Path) -> dict[str, str]:
+    return {
+        str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
 
 
 def test_discontinuity_comparison_prints_its_table(tmp_path):
-    assert run_script("run_discontinuity_comparison.py", "--scenes", "2", cwd=tmp_path) == (
-        DISCONTINUITY_TABLE
-    )
+    # writes one sweep per variant, and a rerun writes the same bytes
+    trees = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        printed = run_script(
+            "run_discontinuity_comparison.py", "--scenes", "2", "--out", str(out), cwd=tmp_path
+        ).stdout
+        assert printed == DISCONTINUITY_TABLE + f"\nfull reports under {out}/\n"
+        for variant in ("moving", "zeroed", "jump"):
+            assert (out / variant / "sweep.json").is_file()
+        trees.append(_digests(out))
+    assert trees[0] == trees[1]
 
 
 def test_kmax_sweep_prints_its_table_and_writes_the_tree(tmp_path):
     out = tmp_path / "sweep"
-    printed = run_script("run_kmax_sweep.py", "--scenes", "2", "--out", str(out), cwd=tmp_path)
+    printed = run_script(
+        "run_kmax_sweep.py", "--scenes", "2", "--out", str(out), cwd=tmp_path
+    ).stdout
     assert printed == KMAX_TABLE + f"\nfull reports under {out}/\n"
     for j in (1, 2, 3):
         assert (out / f"{j}spk" / "sweep.json").is_file()
         assert (out / f"{j}spk" / "sweep_long.csv").is_file()
+
+
+@pytest.mark.parametrize("bad", ["--scenes=0", "--seed=-1"])
+@pytest.mark.parametrize("script", ["run_kmax_sweep.py", "run_discontinuity_comparison.py"])
+def test_bad_input_exits_1_with_one_line_and_writes_nothing(tmp_path, script, bad):
+    out = tmp_path / "out"
+    done = run_script(script, bad, "--out", str(out), cwd=tmp_path, code=1)
+    assert "Traceback" not in done.stderr
+    assert done.stderr.count("\n") == 1 and "config error" in done.stderr
+    assert not out.exists()

@@ -100,6 +100,17 @@ def test_sparse_entry_count():
     assert ts.n_entries() == 3
 
 
+def test_containers_equal_only_their_own_kind_and_repr_names_grid_ids_and_size():
+    grid = FrameGrid(0.1, 100)
+    ts = TrackSet(grid, {"A": {0: D(0, 0), 50: D(1, 1)}, "B": {3: D(2, 2)}})
+    obs = ObservationSet(grid, [0], [0.0], [0.0], [None])
+    for container in (ts, obs):
+        for other in (None, "A", grid, obs if container is ts else ts):
+            assert not container == other
+            assert container != other
+    assert repr(ts) == f"TrackSet(grid={grid!r}, ids=('A', 'B'), n_entries=3)"
+
+
 def test_empty_body_reads_as_zero_tracks():
     grid = FrameGrid(0.1, 10)
     ts = read_trackset(io.StringIO("frame,time_s,track_id,azimuth_deg,elevation_deg\n"), grid)
