@@ -119,6 +119,9 @@ MUTANTS = (
     Mutant("ospa_no_unpaired_column_rule", "src/doatrack/frame_metrics.py",
            "forced &= near.any(axis=1).all(axis=1)", "forced &= True",
            ("tests/test_matching.py",)),
+    Mutant("sweep_scores_at_ospa_order_2", "src/doatrack/reporting.py",
+           "ospa_order: float = DEFAULT_OSPA_ORDER,", "ospa_order: float = 2.0,",
+           ("tests/test_cli.py", "-k", "sweep_cell_writes_what_track_then_evaluate_write")),
     # association scores
     Mutant("recall_over_precision_denominator", "src/doatrack/assoc_metrics.py",
            "re += Fraction(t * t, t + n)", "re += Fraction(t * t, t + p)",

@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from doatrack.cli import run_command, run_sweep  # noqa: E402
+from doatrack.cli import _sweep_plan, run_command, run_sweep  # noqa: E402
 from doatrack.errors import InvalidConfig  # noqa: E402
 
 TABLE_METRICS = ["ass_re", "ass_pr", "ass_a", "tsr", "tfr"]
@@ -46,12 +46,16 @@ def main() -> int:
     }
 
     out = Path(args.out)
+    sweeps = [
+        ({**spec, "subsets": [{"n_speakers": j, "n_scenes": args.scenes}],
+          "k_max_values": [j, 2 * j, 4 * j, None]}, out / f"{j}spk", args.seed + j)
+        for j in args.speakers
+    ]
+    for sub_spec, _sub_out, seed in sweeps:  # every subset is checked before the first write
+        _sweep_plan(sub_spec, seed)
     combined: dict[str, dict] = {}
-    for j in args.speakers:
-        subset = {"n_speakers": j, "n_scenes": args.scenes}
-        sub_spec = {**spec, "subsets": [subset], "k_max_values": [j, 2 * j, 4 * j, None]}
-        summary = run_sweep(sub_spec, out / f"{j}spk", args.seed + j, jobs=args.jobs)
-        combined.update(summary["subsets"])
+    for sub_spec, sub_out, seed in sweeps:
+        combined.update(run_sweep(sub_spec, sub_out, seed, jobs=args.jobs)["subsets"])
 
     header = f"{'subset':>7} {'k_max':>6} " + " ".join(f"{m:>8}" for m in TABLE_METRICS)
     print(header)

@@ -33,7 +33,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .errors import DoatrackError, GridMismatch, InvalidConfig, ParseError, coerce
-from .frame_metrics import check_ospa
+from .frame_metrics import DEFAULT_OSPA_ORDER, check_ospa
 from .geometry import Direction, angular_distance
 from .matching import check_gate
 from .reporting import (
@@ -406,6 +406,7 @@ def track_corpus(scenes_dir: Path, tracker_doc: dict, out_dir: Path, jobs: int =
     out_dir must not be the corpus itself: its manifest would replace
     the corpus manifest.
     """
+    jobs = _int_in(jobs, "jobs", 1)
     if out_dir.resolve() == scenes_dir.resolve():
         raise InvalidConfig(f"track --out {out_dir} is the corpus directory {scenes_dir}")
     grid, scene_ids, scenario = _open_corpus(scenes_dir)
@@ -450,7 +451,7 @@ def evaluate_corpus(
     gate: float,
     out_dir: Path | None,
     ospa_cutoff: float = math.radians(DEFAULT_OSPA_CUTOFF_DEG),
-    ospa_order: float = 1.0,
+    ospa_order: float = DEFAULT_OSPA_ORDER,
     replicates: int = DEFAULT_REPLICATES,
     seed: int = 0,
     jobs: int = 1,
@@ -459,14 +460,14 @@ def evaluate_corpus(
 
     Returns (reports, aggregate, failures); writes per_scene.csv and
     aggregate.json to out_dir when given. The gate, OSPA and bootstrap
-    parameters and the seed are checked before any file is read, and the
-    prediction manifest's frame grid before any scene, so a bad value is
-    one error, not one failure per scene.
+    parameters, the seed and jobs are checked before any file is read,
+    and the prediction manifest's frame grid before any scene, so a bad
+    value is one error, not one failure per scene.
     """
     check_gate(gate)
     check_ospa(ospa_cutoff, ospa_order)
     check_bootstrap(DEFAULT_BOOTSTRAP_FRACTION, replicates)
-    seed = _int_in(seed, "seed", 0)
+    seed, jobs = _int_in(seed, "seed", 0), _int_in(jobs, "jobs", 1)
     grid, gt_ids, _scenario = _open_corpus(gt_dir)
     pred_manifest = pred_dir / "manifest.json"
     if pred_manifest.exists():
@@ -579,8 +580,6 @@ def _sweep_plan(doc: dict, master_seed) -> tuple:
     replicates = coerce(boot.get("replicates", DEFAULT_REPLICATES), int, "replicates")
     check_bootstrap(fraction, replicates)
     labels = ["inf" if k is None else str(coerce(k, int, "k_max")) for k in k_values]
-    if len(set(labels)) < len(labels):
-        raise InvalidConfig(f"k_max_values name one cell twice: {labels}")
     planned: dict[str, tuple] = {}
     for si, sub in enumerate(subsets):
         _json_object(sub, "sweep subset", _SUBSET_KEYS)
@@ -601,6 +600,9 @@ def _sweep_plan(doc: dict, master_seed) -> tuple:
             cfg = _tracker_spec(tracker, n_speakers)[1]
             cells.append((label, cfg, derive_seed(master_seed, si, ki, 12)))
         planned[name] = (scenario, observation_doc, corpus[2], corpus_seed), cells
+    # after the subsets, whose k_max values may be derived from a bad n_speakers
+    if len(set(labels)) < len(labels):
+        raise InvalidConfig(f"k_max_values name one cell twice: {labels}")
     return master_seed, gate, fraction, replicates, labels, planned
 
 
@@ -649,6 +651,7 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
     that step's first three failure lines in scene order.
     """
     master_seed, gate, fraction, replicates, labels, planned = _sweep_plan(doc, master_seed)
+    jobs = _int_in(jobs, "jobs", 1)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"seed": master_seed, "gate_deg": math.degrees(gate), "k_max_values": labels,
                "subsets": {name: {} for name in planned}}
@@ -787,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", default=None, help="report output directory")
     p_eval.add_argument("--gate-deg", type=float, default=DEFAULT_GATE_DEG)
     p_eval.add_argument("--ospa-cutoff-deg", type=float, default=DEFAULT_OSPA_CUTOFF_DEG)
-    p_eval.add_argument("--ospa-order", type=float, default=1.0)
+    p_eval.add_argument("--ospa-order", type=float, default=DEFAULT_OSPA_ORDER)
     p_eval.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES,
                         help="bootstrap replicates")
     p_eval.add_argument("--seed", type=int, default=None, help="bootstrap seed")

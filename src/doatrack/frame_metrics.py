@@ -90,8 +90,10 @@ def mota(n_fn: int, n_fp: int, n_idsw: int, n_gt_detections: int) -> float | Non
     return float(1 - Fraction(n_fn + n_fp + n_idsw, n_gt_detections))
 
 
-# The largest OSPA order p. Up to it, cutoff**p and d**p stay normal
-# floats for a cutoff <= pi and d >= 1e-30 rad; OSPA is used with p 1 or 2.
+# The OSPA order p a caller that names none gets, and the largest one.
+# Up to MAX_OSPA_ORDER, cutoff**p and d**p stay normal floats for a
+# cutoff <= pi and d >= 1e-30 rad; OSPA is used with p 1 or 2.
+DEFAULT_OSPA_ORDER = 1.0
 MAX_OSPA_ORDER = 10
 
 
@@ -172,7 +174,7 @@ def ospa_frame(
     preds: list[Direction],
     gts: list[Direction],
     cutoff: float,
-    order: float = 1.0,
+    order: float = DEFAULT_OSPA_ORDER,
 ) -> float:
     """Optimal subpattern assignment distance between two direction sets.
 
@@ -189,7 +191,9 @@ def ospa_frame(
     return values[0] if values else 0.0
 
 
-def ospa_sequence(ms: MatchSequence, cutoff: float, order: float = 1.0) -> float | None:
+def ospa_sequence(
+    ms: MatchSequence, cutoff: float, order: float = DEFAULT_OSPA_ORDER
+) -> float | None:
     """Per-frame OSPA averaged over frames where either set is non-empty.
 
     Reads the distance table match_sequence stored on ms. None when no
@@ -236,7 +240,7 @@ def frame_metrics_report(
     ms: MatchSequence,
     gts: TrackSet,
     ospa_cutoff: float,
-    ospa_order: float = 1.0,
+    ospa_order: float = DEFAULT_OSPA_ORDER,
 ) -> FrameMetricsReport:
     """Assemble the full frame-level report for one matched scene.
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .assoc_metrics import association_scores
 from .errors import InsufficientData, InvalidConfig
-from .frame_metrics import FrameMetricsReport, frame_metrics_report
+from .frame_metrics import DEFAULT_OSPA_ORDER, FrameMetricsReport, frame_metrics_report
 from .matching import match_sequence
 from .trackmodel import TrackSet
 
@@ -76,7 +76,7 @@ def evaluate_scene(
     preds: TrackSet,
     gate: float,
     ospa_cutoff: float = math.radians(DEFAULT_OSPA_CUTOFF_DEG),
-    ospa_order: float = 1.0,
+    ospa_order: float = DEFAULT_OSPA_ORDER,
 ) -> MetricsReport:
     """Match one scene and compute every frame-level and association metric."""
     ms = match_sequence(preds, gts, gate)

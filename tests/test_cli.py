@@ -373,6 +373,25 @@ def test_evaluate_rejects_gate_and_ospa_parameters_once(tmp_path, capsys):
         assert not (tmp_path / "sweep").exists(), bad
 
 
+def test_jobs_below_one_is_a_config_error(tmp_path, capsys):
+    corpus = _simulated_corpus(tmp_path)
+    tcfg = write_config(tmp_path, "oracle.json", {"type": "oracle"})
+    preds = tmp_path / "preds"
+    assert main(["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(preds)]) == 0
+    sweep = write_config(tmp_path, "sweep.json",
+                         {"subsets": [{"n_speakers": 1, "n_scenes": 2}], "k_max_values": [1]})
+    capsys.readouterr()
+    out = tmp_path / "out"
+    for jobs in ("0", "-4"):
+        for argv in (["track", "--config", tcfg, "--scenes", str(corpus)],
+                     ["evaluate", "--gt", str(corpus), "--pred", str(preds)],
+                     ["sweep", "--config", sweep]):
+            assert main([*argv, "--out", str(out), "--jobs", jobs]) == 1, (argv, jobs)
+            err = _config_error(capsys)
+            assert "jobs" in err and err.count("\n") == 1, (argv, jobs)
+            assert not out.exists(), (argv, jobs)
+
+
 def test_config_path_that_cannot_be_read_is_a_config_error(tmp_path, capsys):
     # a directory, like a missing file, is no config: exit 1 before any write
     corpus = _simulated_corpus(tmp_path)

@@ -1,6 +1,6 @@
-"""Every module-level import in the package is read by its module, and
+"""Every module-level import in the package is read by its module,
 every top-level definition in the package is read somewhere in the
-repository.
+repository, and the package root is a docstring only.
 
 The one exception to the first is a name perfbench/tracer.py replaces
 on that module to observe the package: the tracer needs the attribute
@@ -43,6 +43,14 @@ def test_every_module_level_import_is_read():
         for name in _unread_imports(path.read_text(encoding="utf-8"))
     }
     assert unread - patched == set()
+
+
+def test_package_root_holds_its_docstring_only():
+    # each name has one import path, its defining module: the root
+    # re-exports nothing and restates no version
+    body = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+    assert len(body) == 1 and isinstance(body[0], ast.Expr), [type(n).__name__ for n in body]
+    assert isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
 
 
 def _names(tree: ast.AST) -> set[str]:

@@ -85,11 +85,23 @@ def test_kmax_sweep_prints_its_table_and_writes_the_tree(tmp_path):
         assert (out / f"{j}spk" / "sweep_long.csv").is_file()
 
 
-@pytest.mark.parametrize("bad", ["--scenes=0", "--seed=-1"])
-@pytest.mark.parametrize("script", ["run_kmax_sweep.py", "run_discontinuity_comparison.py"])
+# Each bad input, and the key its one error line names.
+BAD_INPUT_KEYS = {"--scenes=0": "n_scenes", "--seed=-1": "seed",
+                  "--speakers 1 0": "n_speakers", "--jobs=0": "jobs"}
+
+
+@pytest.mark.parametrize("script, bad", [
+    *((script, bad) for script in ("run_kmax_sweep.py", "run_discontinuity_comparison.py")
+      for bad in ("--scenes=0", "--seed=-1")),
+    # the k_max script alone takes --speakers and --jobs; its bad second
+    # subset is refused before the first subset's tree is written
+    ("run_kmax_sweep.py", "--speakers 1 0"),
+    ("run_kmax_sweep.py", "--jobs=0"),
+])
 def test_bad_input_exits_1_with_one_line_and_writes_nothing(tmp_path, script, bad):
     out = tmp_path / "out"
-    done = run_script(script, bad, "--out", str(out), cwd=tmp_path, code=1)
+    done = run_script(script, *bad.split(), "--out", str(out), cwd=tmp_path, code=1)
     assert "Traceback" not in done.stderr
     assert done.stderr.count("\n") == 1 and "config error" in done.stderr
+    assert f" {BAD_INPUT_KEYS[bad]} " in done.stderr
     assert not out.exists()
