@@ -107,6 +107,18 @@ MUTANTS = (
     Mutant("bootstrap_fortran_order", "src/doatrack/reporting.py",
            "idx = np.ascontiguousarray(picks.T)", "idx = picks.T",
            ("tests/test_reporting.py", "-k", "bootstrap")),
+    # assignment solver
+    Mutant("solver_scans_first_to_last", "src/doatrack/matching.py",
+           "last_first = list(range(n_cols - 1, -1, -1))", "last_first = list(range(n_cols))",
+           ("tests/test_matching.py", "-k", "scipys_assignment")),
+    Mutant("solver_no_free_column_tie_break", "src/doatrack/matching.py",
+           "if s < lowest or (s == lowest and row4col[j] < 0):", "if s < lowest:",
+           ("tests/test_matching.py", "-k", "scipys_assignment")),
+    Mutant("solver_transposed_unsorted", "src/doatrack/matching.py",
+           "order = sorted(range(n_rows), key=col4row.__getitem__)", "order = range(n_rows)",
+           ("tests/test_matching.py", "-k", "scipys_assignment")),
+    Mutant("solver_path_cost_non_strict", "src/doatrack/matching.py",
+           "if r < s:", "if r <= s:", ("tests/test_matching.py", "-k", "scipys_assignment")),
     # matching and OSPA
     Mutant("strict_gate", "src/doatrack/matching.py",
            "in_gate = dist <= gate", "in_gate = dist < gate", ("tests/test_matching.py",)),

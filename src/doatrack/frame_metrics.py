@@ -27,14 +27,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidConfig
 from .geometry import Direction
 # Unused here since OSPA reads matching's distance tables; kept as the
 # attribute perfbench/tracer.py wraps to count distance calls in this module.
 from .geometry import pairwise_angular_distance
-from .matching import FrameTable, MatchSequence, _disjoint, _frame_table, _one_frame
+from .matching import (
+    FrameTable, MatchSequence, _disjoint, _frame_table, _one_frame, linear_sum_assignment,
+)
 from .trackmodel import TrackSet
 
 

@@ -9,6 +9,12 @@ cost-driven. A frame whose in-gate pairs share no row or column has
 those pairs as its only optimum, so it skips the solver; only frames
 where in-gate pairs compete for a row or column are solved.
 
+The assignment is solved in-package by linear_sum_assignment, the
+shortest augmenting path method of Crouse ("On implementing 2D
+rectangular assignment algorithms", IEEE TAES 2016) as scipy implements
+it: the same float operations in the same order and scipy's tie-breaks,
+so every optimum, among equal-cost ones too, is the one scipy returns.
+
 Matching works on the angle columns of two TrackSets. The unit vectors
 it measures distances between are derived from them once per scene,
 and only when some frame has entries on both sides.
@@ -21,7 +27,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import GridMismatch, InvalidConfig
 from .geometry import Direction, pairwise_angular_distance, unit_vectors_from_angles
@@ -30,6 +35,82 @@ from .trackmodel import FrameGrid, TrackSet
 # Must dominate any achievable sum of in-gate costs (<= n * pi) so the
 # assignment never trades a real match away to avoid a prohibited pair.
 _PROHIBITIVE = 1e6
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[list[int], list[int]]:
+    """Minimum-cost assignment of a 2-D cost array: (rows, cols) lists,
+    rows ascending, one pair per row or column of the smaller side.
+
+    A port of scipy.optimize.linear_sum_assignment that returns what it
+    returns: each augmenting path scans the free columns last-first, a
+    free column wins among equal path costs, and a matrix with more rows
+    than columns is solved transposed. Entries must be finite or +inf;
+    ValueError when some row can reach only infinite costs.
+    """
+    c = cost.tolist()
+    n_rows, n_cols = cost.shape
+    if not (n_rows and n_cols):
+        return [], []
+    transpose = n_cols < n_rows
+    if transpose:
+        c = list(zip(*c))
+        n_rows, n_cols = n_cols, n_rows
+    inf = math.inf
+    u, v = [0.0] * n_rows, [0.0] * n_cols  # the dual variables
+    path, row4col, col4row = [-1] * n_cols, [-1] * n_cols, [-1] * n_rows
+    # Row 0's search meets zero duals and only free columns: it settles
+    # the first column of its row minimum and leaves v at 0.
+    min_val = min(c[0])
+    if min_val == inf:
+        raise ValueError("cost matrix is infeasible")
+    u[0] += min_val
+    col4row[0] = c[0].index(min_val)
+    row4col[col4row[0]] = 0
+    last_first = list(range(n_cols - 1, -1, -1))
+    for cur in range(1, n_rows):
+        # Dijkstra from row cur over reduced costs, to the nearest free column.
+        spc = [inf] * n_cols  # shortest path cost to each column
+        remaining = last_first[:]
+        settled = []  # the assigned columns the search passes, in order
+        min_val, i = 0.0, cur
+        while True:
+            ci, ui = c[i], u[i]
+            lowest = inf
+            for j in remaining:
+                r = min_val + ci[j] - ui - v[j]
+                s = spc[j]
+                if r < s:
+                    path[j] = i
+                    spc[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] < 0):
+                    lowest, best = s, j
+            if lowest == inf:
+                raise ValueError("cost matrix is infeasible")
+            min_val = lowest
+            i = row4col[best]
+            if i < 0:
+                break
+            settled.append(best)
+            index = remaining.index(best)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # The sink's own dual term, min_val - spc[sink], is zero.
+        u[cur] += min_val
+        for j in settled:
+            d = min_val - spc[j]
+            v[j] -= d
+            u[row4col[j]] += d
+        j = best
+        while True:  # augment along the path back to cur
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        order = sorted(range(n_rows), key=col4row.__getitem__)
+        return [col4row[j] for j in order], order
+    return list(range(n_rows)), col4row
 
 
 def check_gate(gate: float) -> None:
@@ -154,10 +235,15 @@ def _match_stack(dist: np.ndarray, gate: float) -> tuple[np.ndarray, np.ndarray,
     forced = _disjoint(in_gate)
     tp = in_gate & forced[:, None, None]
     unforced = np.flatnonzero(~forced)
-    cost = np.where(in_gate[unforced], dist[unforced], _PROHIBITIVE)
-    for i, c in zip(unforced, cost):
-        rows, cols = linear_sum_assignment(c)
-        tp[i, rows, cols] = in_gate[i, rows, cols]
+    if len(unforced):
+        cost = np.where(in_gate[unforced], dist[unforced], _PROHIBITIVE)
+        solved: tuple[list, list, list] = ([], [], [])  # (stack index, row, column)
+        for i, c in zip(unforced.tolist(), cost):
+            rows, cols = linear_sum_assignment(c)
+            solved[0].extend([i] * len(rows))
+            solved[1].extend(rows)
+            solved[2].extend(cols)
+        tp[solved] = in_gate[solved]
     return np.nonzero(tp)
 
 

@@ -180,7 +180,10 @@ def generate_scene(cfg: ScenarioConfig) -> TrackSet:
     rng = np.random.default_rng(cfg.seed)
     grid = cfg.grid
     names = [f"spk{j}" for j in range(cfg.n_speakers)]
-    rows: list[tuple[int, str, float, float]] = []  # (frame, id, azimuth, elevation)
+    frame: list[int] = []
+    track_id: list[str] = []
+    azimuth: list[float] = []
+    elevation: list[float] = []
     for name in names:
         if cfg.mode in ("jump", "static"):
             candidates = sample_separated_set(
@@ -195,8 +198,11 @@ def generate_scene(cfg: ScenarioConfig) -> TrackSet:
                         idx = step if step < idx else step + 1
                     else:
                         idx = int(rng.integers(cfg.n_positions))
-                az, el = candidates[idx].azimuth, candidates[idx].elevation
-                rows += [(f, name, az, el) for f in _segment_frames(start, end, grid)]
+                frames = _segment_frames(start, end, grid)
+                frame += frames
+                track_id += [name] * len(frames)
+                azimuth += [candidates[idx].azimuth] * len(frames)
+                elevation += [candidates[idx].elevation] * len(frames)
         else:
             # Trajectory parameters are drawn before the activity pattern
             # so moving and moving_zeroed share trajectories per seed.
@@ -214,8 +220,12 @@ def generate_scene(cfg: ScenarioConfig) -> TrackSet:
                 ]
             az, el = start_dir.azimuth, start_dir.elevation
             for f in active:
-                rows.append((f, name, *move_along_great_circle(az, el, heading, f * step)))
-    return TrackSet.from_rows(grid, *columns_of(rows, 4), ids=names)
+                a, e = move_along_great_circle(az, el, heading, f * step)
+                frame.append(f)
+                track_id.append(name)
+                azimuth.append(a)
+                elevation.append(e)
+    return TrackSet.from_rows(grid, frame, track_id, azimuth, elevation, ids=names)
 
 
 def simulate_observations(gt: TrackSet, om: ObservationModel) -> ObservationSet:

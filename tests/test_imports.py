@@ -1,6 +1,7 @@
 """Every module-level import in the package is read by its module,
 every top-level definition in the package is read somewhere in the
-repository, and the package root is a docstring only.
+repository, the package root is a docstring only, and no module of
+the package loads scipy.
 
 The one exception to the first is a name perfbench/tracer.py replaces
 on that module to observe the package: the tracer needs the attribute
@@ -8,6 +9,9 @@ to exist even where the module itself no longer calls it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -51,6 +55,19 @@ def test_package_root_holds_its_docstring_only():
     body = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
     assert len(body) == 1 and isinstance(body[0], ast.Expr), [type(n).__name__ for n in body]
     assert isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
+
+
+def test_no_module_of_the_package_loads_scipy():
+    # the package solves its assignments itself; scipy is a test oracle only
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+    code = "".join(f"import doatrack.{m}\n" for m in modules) + (
+        "import sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert modules and out.stdout == "[]\n", out.stdout
 
 
 def _names(tree: ast.AST) -> set[str]:

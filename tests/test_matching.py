@@ -5,6 +5,8 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment as scipy_linear_sum_assignment
 
 from _oracles import (
     _frame_distances, brute_force_match, entries, lsa_match_frame, lsa_ospa_frame,
@@ -344,3 +346,49 @@ def test_only_frames_whose_optimum_is_open_call_the_solver(solver_calls):
     # Forced frames call neither solver, and most N x M frames are forced.
     assert solver_calls == {"matching": open_match, "ospa": open_ospa}
     assert 0 < open_match and 0 < open_ospa and 2 * max(open_match, open_ospa) < len(nxm_frames)
+
+
+def _solver_inputs(seed):
+    """Cost matrices of every kind the matching and OSPA solves meet, in
+    both orientations: random, small-integer (full of ties), constant,
+    and gated with _PROHIBITIVE entries."""
+    rng = np.random.default_rng(seed)
+    shapes = [(r, k) for r in range(1, 9) for k in range(1, 9) for _ in range(8)]
+    for r, k in shapes + [(0, 0), (0, 3), (3, 0), (40, 37), (37, 40), (41, 41)]:
+        yield rng.random((r, k))
+        yield rng.integers(0, 4, (r, k)).astype(float)
+        yield np.full((r, k), float(rng.integers(3)))
+        yield np.where(rng.random((r, k)) < 0.5, matching._PROHIBITIVE, rng.random((r, k)))
+
+
+def _assert_solves_as_scipy(cost):
+    rows, cols = matching.linear_sum_assignment(cost)
+    want_rows, want_cols = scipy_linear_sum_assignment(cost)
+    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols), cost
+
+
+def test_solver_returns_scipys_assignment():
+    for cost in _solver_inputs(seed=11):
+        _assert_solves_as_scipy(cost)
+
+
+_SOLVER_ENTRIES = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, matching._PROHIBITIVE]), st.floats(0.0, 4.0)
+)
+
+
+@given(arrays(float, st.tuples(st.integers(1, 8), st.integers(1, 8)), elements=_SOLVER_ENTRIES))
+def test_solver_returns_scipys_assignment_on_any_matrix(cost):
+    _assert_solves_as_scipy(cost)
+
+
+@pytest.mark.parametrize("cost", [
+    [[1.0, 2.0], [math.inf, math.inf]],
+    [[math.inf, math.inf, math.inf], [0.0, 1.0, 2.0]],
+    [[math.inf, 1.0], [math.inf, 2.0], [math.inf, 3.0]],  # a row once transposed
+])
+def test_a_row_of_infinite_costs_is_infeasible(cost):
+    with pytest.raises(ValueError):
+        scipy_linear_sum_assignment(np.array(cost))
+    with pytest.raises(ValueError):
+        matching.linear_sum_assignment(np.array(cost))
