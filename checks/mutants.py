@@ -90,6 +90,21 @@ MUTANTS = (
     Mutant("no_manifest_unlink", "src/doatrack/cli.py",
            '(out_dir / "manifest.json").unlink(missing_ok=True)', "pass",
            ("tests/test_cli.py", "-k", "failed_simulate")),
+    Mutant("scene_files_kept_on_entry", "src/doatrack/cli.py",
+           '(out_dir / f"{sid}{suffix}").unlink()', "pass",
+           ("tests/test_cli.py", "-k", "rerun_of_track or stale_scenes or rows_per_subset")),
+    Mutant("manifest_written_before_block", "src/doatrack/cli.py",
+           "    yield\n    for out_dir in dirs:\n"
+           '        write_manifest(grid, out_dir / "manifest.json", extra=extra)\n',
+           "    for out_dir in dirs:\n"
+           '        write_manifest(grid, out_dir / "manifest.json", extra=extra)\n    yield\n',
+           ("tests/test_cli.py", "-k", "failed_sweep")),
+    Mutant("sweep_summary_kept", "src/doatrack/cli.py",
+           "path.unlink(missing_ok=True)", "pass",
+           ("tests/test_cli.py", "-k", "failed_sweep_leaves_no_summary")),
+    Mutant("stale_aggregate_kept", "src/doatrack/cli.py",
+           '(out_dir / "aggregate.json").unlink(missing_ok=True)', "pass",
+           ("tests/test_cli.py", "-k", "nan_azimuth")),
     Mutant("sweep_reports_last_failing_cell", "src/doatrack/cli.py",
            "cell, scoring = min(step for step, _line in failures)",
            "cell, scoring = max(step for step, _line in failures)",

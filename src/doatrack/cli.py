@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, fields, replace
 from functools import partial
 from itertools import combinations
@@ -233,6 +233,22 @@ def _list_scene_ids(directory: Path, suffix: str) -> list[str]:
     return sorted(p.name[: -len(suffix)] for p in directory.glob(f"scene_*{suffix}"))
 
 
+@contextmanager
+def _scene_dirs(dirs: list[Path], grid: FrameGrid, suffixes: tuple[str, ...], extra=None):
+    """Before the block, create each directory and remove its manifest and
+    every scene file with these suffixes; after a block that completes,
+    write each manifest. A run that raises leaves no manifest."""
+    for out_dir in dirs:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "manifest.json").unlink(missing_ok=True)
+        for suffix in suffixes:
+            for sid in _list_scene_ids(out_dir, suffix):
+                (out_dir / f"{sid}{suffix}").unlink()
+    yield
+    for out_dir in dirs:
+        write_manifest(grid, out_dir / "manifest.json", extra=extra)
+
+
 def _int_in(value, key: str, lo: int, hi: float = math.inf) -> int:
     """value, checked to be an integer in [lo, hi]; raises InvalidConfig naming key."""
     n = coerce(value, int, key)
@@ -296,38 +312,19 @@ def simulate_corpus(
     master_seed: int,
     out_dir: Path,
 ) -> FrameGrid:
-    """Write a seeded scene corpus; per-scene seeds derive from the master.
-
-    An earlier corpus's manifest is removed before the first scene is
-    written, and the new manifest is written last: a run that fails
-    leaves no manifest, so no command takes the directory for a corpus.
-    """
+    """Write a seeded scene corpus into out_dir (see _scene_dirs), so a run
+    that fails leaves no manifest; per-scene seeds derive from the master."""
     base, om_base, n_scenes, master_seed = _simulate_plan(
         scenario_doc, observation_doc, n_scenes, master_seed
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "manifest.json").unlink(missing_ok=True)
-    for i in range(n_scenes):
-        gt = generate_scene(replace(base, seed=derive_seed(master_seed, i, 0)))
-        obs = simulate_observations(gt, replace(om_base, seed=derive_seed(master_seed, i, 1)))
-        write_trackset(gt, out_dir / f"{_scene_name(i)}.gt.csv")
-        write_observations(obs, out_dir / f"{_scene_name(i)}.obs.csv")
-    # Scenes of an earlier, larger corpus in out_dir are no longer ours.
-    for suffix in (".gt.csv", ".obs.csv"):
-        for sid in _list_scene_ids(out_dir, suffix):
-            index = sid[len("scene_"):]
-            if index.isdecimal() and sid == _scene_name(int(index)) and int(index) >= n_scenes:
-                (out_dir / f"{sid}{suffix}").unlink()
-    write_manifest(
-        base.grid,
-        out_dir / "manifest.json",
-        extra={
-            "scenario": config_to_json(base),
-            "observation": config_to_json(om_base),
-            "n_scenes": n_scenes,
-            "seed": master_seed,
-        },
-    )
+    echo = {"scenario": config_to_json(base), "observation": config_to_json(om_base),
+            "n_scenes": n_scenes, "seed": master_seed}
+    with _scene_dirs([out_dir], base.grid, (".gt.csv", ".obs.csv"), echo):
+        for i in range(n_scenes):
+            gt = generate_scene(replace(base, seed=derive_seed(master_seed, i, 0)))
+            obs = simulate_observations(gt, replace(om_base, seed=derive_seed(master_seed, i, 1)))
+            write_trackset(gt, out_dir / f"{_scene_name(i)}.gt.csv")
+            write_observations(obs, out_dir / f"{_scene_name(i)}.obs.csv")
     return base.grid
 
 
@@ -401,10 +398,9 @@ def _run_tracker_scene(
 
 
 def track_corpus(scenes_dir: Path, tracker_doc: dict, out_dir: Path, jobs: int = 1) -> list[str]:
-    """Run a tracker over every scene; returns per-scene failure messages.
-
-    out_dir must not be the corpus itself: its manifest would replace
-    the corpus manifest.
+    """Run a tracker over every scene into out_dir (see _scene_dirs);
+    returns per-scene failure messages. out_dir must not be the corpus
+    itself: its manifest would replace the corpus manifest.
     """
     jobs = _int_in(jobs, "jobs", 1)
     if out_dir.resolve() == scenes_dir.resolve():
@@ -421,10 +417,8 @@ def track_corpus(scenes_dir: Path, tracker_doc: dict, out_dir: Path, jobs: int =
     # Without a scenario echo a one-track scene fails on its own, as a data error.
     if ttype == "swapper" and scenario.get("n_speakers") == 1:
         raise InvalidConfig("swapper needs at least two tracks, but the corpus has 1 speaker")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_manifest(grid, out_dir / "manifest.json")
     worker = partial(_run_tracker_scene, scenes_dir, out_dir, grid, ttype, param)
-    with _pool(jobs, len(scene_ids)) as pool:
+    with _scene_dirs([out_dir], grid, (".pred.csv",)), _pool(jobs, len(scene_ids)) as pool:
         return _map_scenes(worker, scene_ids, pool)[1]
 
 
@@ -490,11 +484,14 @@ def evaluate_corpus(
 
 
 def _write_reports(out_dir: Path, reports: list, aggregate: dict | None, gate: float) -> None:
-    """Write per_scene.csv, and aggregate.json when there is an aggregate."""
+    """Write per_scene.csv, and aggregate.json when there is an aggregate;
+    without one, an earlier run's aggregate.json is removed."""
     out_dir.mkdir(parents=True, exist_ok=True)
     with open_text(out_dir / "per_scene.csv", "w") as stream:
         stream.write(report_csv_rows(reports))
-    if aggregate is not None:
+    if aggregate is None:
+        (out_dir / "aggregate.json").unlink(missing_ok=True)
+    else:
         write_json({**aggregate, "gate_deg": math.degrees(gate)}, out_dir / "aggregate.json")
 
 
@@ -649,10 +646,17 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
     cell of its subset is aggregated, a DoatrackError naming the first
     failing cell in k_max order and stage, tracking before scoring, with
     that step's first three failure lines in scene order.
+
+    Corpora and prediction directories follow _scene_dirs. An earlier
+    sweep.json and sweep_long.csv go before the first subset and the new
+    ones are written last, so a sweep that raises leaves no summary.
     """
     master_seed, gate, fraction, replicates, labels, planned = _sweep_plan(doc, master_seed)
     jobs = _int_in(jobs, "jobs", 1)
     out_dir.mkdir(parents=True, exist_ok=True)
+    summary_path, long_path = (out_dir / file_name for file_name in _SWEEP_FILES)
+    for path in (summary_path, long_path):
+        path.unlink(missing_ok=True)
     summary = {"seed": master_seed, "gate_deg": math.degrees(gate), "k_max_values": labels,
                "subsets": {name: {} for name in planned}}
     long_rows = ["subset,k_max,metric,mean,std"]
@@ -662,18 +666,16 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
             grid = simulate_corpus(*corpus, scenes_dir)
             cell_names = [f"{name}/kmax_{label}" for label, _cfg, _eval_seed in cells]
             pred_dirs = [out_dir / cell_name / "preds" for cell_name in cell_names]
-            for pred_dir in pred_dirs:
-                pred_dir.mkdir(parents=True, exist_ok=True)
-                write_manifest(grid, pred_dir / "manifest.json")
             worker = partial(_sweep_scene, scenes_dir, grid, gate, cells, pred_dirs)
             scene_ids = [_scene_name(i) for i in range(corpus[2])]
-            outcomes = _map_scenes(worker, scene_ids, pool)[0]
-            failures = [failure for _reports, failure in outcomes if failure is not None]
-            if failures:
-                cell, scoring = min(step for step, _line in failures)
-                lines = [line for step, line in failures if step == (cell, scoring)][:3]
-                stage = "evaluation failed" if scoring else "had failures"
-                raise DoatrackError(f"sweep cell {cell_names[cell]} {stage}: {lines}")
+            with _scene_dirs(pred_dirs, grid, (".pred.csv",)):
+                outcomes = _map_scenes(worker, scene_ids, pool)[0]
+                failures = [failure for _reports, failure in outcomes if failure is not None]
+                if failures:
+                    cell, scoring = min(step for step, _line in failures)
+                    lines = [line for step, line in failures if step == (cell, scoring)][:3]
+                    stage = "evaluation failed" if scoring else "had failures"
+                    raise DoatrackError(f"sweep cell {cell_names[cell]} {stage}: {lines}")
             by_cell = zip(*(reports for reports, _failure in outcomes))
             for (label, _cfg, eval_seed), cell_name, reports in zip(cells, cell_names, by_cell):
                 aggregate = aggregate_reports(reports, fraction, replicates, eval_seed)
@@ -682,7 +684,6 @@ def run_sweep(doc: dict, out_dir: Path, master_seed: int, jobs: int = 1) -> dict
                 for metric, entry in aggregate["metrics"].items():
                     mean, std = csv_cell(entry["mean"]), csv_cell(entry["std"])
                     long_rows.append(f"{name},{label},{metric},{mean},{std}")
-    summary_path, long_path = (out_dir / file_name for file_name in _SWEEP_FILES)
     with open_text(long_path, "w") as stream:
         stream.write("\n".join(long_rows) + "\n")
     write_json(summary, summary_path)

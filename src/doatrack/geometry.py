@@ -135,8 +135,10 @@ def pairwise_angular_distance(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
 
 def sample_direction(rng: np.random.Generator) -> Direction:
     """Draw one direction uniformly on the sphere (area measure)."""
-    az = rng.uniform(-math.pi, math.pi)
-    el = math.asin(rng.uniform(-1.0, 1.0))
+    # uniform(lo, hi) computes lo + (hi - lo) * random(), draw for draw;
+    # spelled out, each draw skips the cost of a scalar uniform call.
+    az = -math.pi + TWO_PI * rng.random()
+    el = math.asin(-1.0 + 2.0 * rng.random())
     return Direction(az, el)
 
 
@@ -212,7 +214,7 @@ def perturb_direction(
     """
     # Both draws happen regardless of sigma so the stream position does
     # not depend on the noise setting.
-    heading = rng.uniform(0.0, TWO_PI)
+    heading = TWO_PI * rng.random()  # uniform(0, TWO_PI), as in sample_direction
     arc = abs(rng.normal(0.0, sigma))
     if arc == 0.0:
         return azimuth, elevation

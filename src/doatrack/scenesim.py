@@ -154,13 +154,15 @@ def _draw_segments(
     gap_len_s: tuple[float, float],
     rng: np.random.Generator,
 ) -> list[tuple[float, float]]:
-    """Alternating speech/silence spans tiling [0, duration]."""
+    """Alternating speech/silence spans tiling [0, duration]. Each length
+    is lo + (hi - lo) * random(), what uniform(lo, hi) draws."""
+    (seg_lo, seg_hi), (gap_lo, gap_hi) = segment_len_s, gap_len_s
     t = 0.0
     segments = []
     while t < duration:
-        end = min(t + rng.uniform(*segment_len_s), duration)
+        end = min(t + (seg_lo + (seg_hi - seg_lo) * rng.random()), duration)
         segments.append((t, end))
-        t = end + rng.uniform(*gap_len_s)
+        t = end + (gap_lo + (gap_hi - gap_lo) * rng.random())
     return segments
 
 
@@ -207,7 +209,7 @@ def generate_scene(cfg: ScenarioConfig) -> TrackSet:
             # Trajectory parameters are drawn before the activity pattern
             # so moving and moving_zeroed share trajectories per seed.
             start_dir = sample_direction(rng)
-            heading = rng.uniform(0.0, TWO_PI)
+            heading = TWO_PI * rng.random()  # uniform(0, TWO_PI)
             step = cfg.angular_speed * grid.frame_period
             if cfg.mode == "moving":
                 active = range(grid.n_frames)

@@ -218,6 +218,22 @@ def test_track_reports_missing_observation_file(tmp_path, capsys):
     assert "k_max" in capsys.readouterr().err
 
 
+def test_a_scene_that_fails_a_rerun_of_track_keeps_no_earlier_prediction(tmp_path, capsys):
+    corpus = _simulated_corpus(tmp_path)
+    tcfg = write_config(tmp_path, "oracle.json", {"type": "oracle"})
+    preds = tmp_path / "preds"
+    track = ["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(preds)]
+    assert main(track) == 0
+    (corpus / "scene_0001.obs.csv").write_text("frame,time_s,azimuth_deg\n")
+    capsys.readouterr()
+    assert main(track) == 2
+    assert "FAILED scene_0001: ParseError" in capsys.readouterr().err
+    assert sorted(p.name for p in preds.iterdir()) == [
+        "manifest.json", "scene_0000.pred.csv", "scene_0002.pred.csv"]
+    assert main(["evaluate", "--gt", str(corpus), "--pred", str(preds)]) == 2
+    assert "scene sets differ" in (err := capsys.readouterr().err) and "['scene_0001']" in err
+
+
 def _write_manual_corpus(root: Path, scenes: dict[str, TrackSet], grid: FrameGrid):
     root.mkdir(parents=True, exist_ok=True)
     write_manifest(grid, root / "manifest.json", extra={"scenario": {"mode": "manual"}})
@@ -281,6 +297,8 @@ def test_evaluate_reports_nan_azimuth_per_scene(tmp_path, capsys):
     tcfg = write_config(tmp_path, "oracle.json", {"type": "oracle"})
     preds = tmp_path / "preds"
     assert main(["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(preds)]) == 0
+    report = ["evaluate", "--gt", str(corpus), "--pred", str(preds), "--out", str(tmp_path / "ev")]
+    assert main(report) == 0 and (tmp_path / "ev" / "aggregate.json").is_file()
     target = preds / "scene_0001.pred.csv"
     header, first, *rest = target.read_text().split("\n")
     cells = first.split(",")
@@ -296,6 +314,12 @@ def test_evaluate_reports_nan_azimuth_per_scene(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "FAILED scene_0001: ParseError" in err
     assert "FAILED scene_0002: ParseError: not UTF-8" in err and "Traceback" not in err
+    # every scene failing: no aggregate, and the earlier run's is removed
+    (preds / "scene_0000.pred.csv").write_bytes(b"\xff")
+    assert main(report) == 2
+    assert capsys.readouterr().err.count("FAILED") == 3
+    assert sorted(p.name for p in (tmp_path / "ev").iterdir()) == ["per_scene.csv"]
+    assert (tmp_path / "ev" / "per_scene.csv").read_text().count("\n") == 1
 
 
 def test_a_bad_byte_deep_in_a_long_file_fails_its_scene(tmp_path, capsys):
@@ -584,6 +608,11 @@ def test_stale_scenes_beyond_the_manifest_are_a_data_error(tmp_path, capsys):
         "scene_0001.gt.csv", "scene_0001.obs.csv",
     ]
     assert main(["lint", "--scenes", str(corpus)]) == 0
+    # track, run again into the same --out, removes the earlier predictions
+    assert main(["track", "--config", tcfg, "--scenes", str(corpus), "--out", str(preds)]) == 0
+    assert sorted(p.name for p in preds.iterdir()) == [
+        "manifest.json", "scene_0000.pred.csv", "scene_0001.pred.csv"]
+    assert main(["evaluate", "--gt", str(corpus), "--pred", str(preds)]) == 0
     # stale scenes put there some other way are still found, by every command
     for sid in ("scene_0002", "scene_0003"):
         for suffix in (".gt.csv", ".obs.csv"):
@@ -767,9 +796,26 @@ def test_a_failed_sweep_writes_no_cell_report(stage, failed, tmp_path, monkeypat
            "scenario": {"duration_s": 5.0}, "bootstrap": {"replicates": 0}}
     with pytest.raises(DoatrackError, match=rf"^sweep cell 1spk/kmax_inf {failed}: \['scene_0000"):
         cli.run_sweep(doc, tmp_path / "sweep", 0)
-    # every scene was tracked, and no cell was scored
+    # every scene was tracked, and no cell was scored or given a manifest
     assert (tmp_path / "sweep" / "1spk" / "kmax_2" / "preds" / "scene_0001.pred.csv").is_file()
     assert not list((tmp_path / "sweep").rglob("eval"))
+    assert not list((tmp_path / "sweep").glob("1spk/kmax_*/preds/manifest.json"))
+
+
+def test_a_failed_sweep_leaves_no_summary_of_an_earlier_one(tmp_path, capsys):
+    doc = {"subsets": [{"n_speakers": 2, "n_scenes": 2}], "k_max_values": [2, None],
+           "scenario": {"duration_s": 5.0}, "bootstrap": {"replicates": 0}}
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_config(tmp_path, "ok.json", doc),
+                 "--out", str(out)]) == 0
+    # passes the cap bound, but 14 positions cannot lie 60 deg apart
+    bad = {**doc, "scenario": {**doc["scenario"], "n_positions": 14, "max_attempts": 3}}
+    capsys.readouterr()
+    assert main(["sweep", "--config", write_config(tmp_path, "bad.json", bad),
+                 "--out", str(out)]) == 2
+    assert "FeasibilityExhausted" in capsys.readouterr().err
+    assert not (out / "sweep.json").exists() and not (out / "sweep_long.csv").exists()
+    assert not (out / "2spk" / "scenes" / "manifest.json").exists()
 
 
 THREE_CELLS = {"subsets": [{"n_speakers": 1, "n_scenes": 2}], "k_max_values": [2, 3, None],
@@ -951,6 +997,15 @@ def test_sweep_produces_rows_per_subset_and_k(tmp_path):
     assert len(ass_re_rows) == 2
     # replicates=0: std column empty
     assert all(l.endswith(",") for l in ass_re_rows)
+    # a rerun with fewer scenes leaves the tree a fresh run writes
+    fewer = {**doc, "subsets": [{"n_speakers": 1, "n_scenes": 2}]}
+    cfg = write_config(tmp_path, "sweep.json", fewer)
+    for run in (out, tmp_path / "fresh"):
+        assert main(["sweep", "--config", cfg, "--out", str(run)]) == 0
+    for label in ("1", "inf"):
+        assert sorted(p.name for p in (out / "1spk" / f"kmax_{label}" / "preds").iterdir()) == [
+            "manifest.json", "scene_0000.pred.csv", "scene_0001.pred.csv"]
+    assert dir_digest(out) == dir_digest(tmp_path / "fresh")
 
 
 def test_oracle_aggregate_std_is_small_on_large_subset(tmp_path):

@@ -5,10 +5,18 @@ import pytest
 
 from _oracles import activity_mask, entries, observation_frames
 from doatrack.errors import InvalidConfig
-from doatrack.geometry import angular_distance
+from doatrack.geometry import (
+    TWO_PI,
+    Direction,
+    angular_distance,
+    move_along_great_circle,
+    perturb_direction,
+    sample_direction,
+)
 from doatrack.scenesim import (
     ObservationModel,
     ScenarioConfig,
+    _draw_segments,
     generate_scene,
     simulate_observations,
 )
@@ -237,3 +245,40 @@ def test_observations_deterministic_per_seed():
     gt = generate_scene(ScenarioConfig(n_speakers=2, seed=17))
     om = ObservationModel(p_miss=0.1, clutter_rate=0.4, seed=9)
     assert simulate_observations(gt, om) == simulate_observations(gt, om)
+
+
+# Every (lo, hi) the samplers draw uniformly from: the fixed bounds, the
+# ScenarioConfig defaults and the segment and gap bounds the tests,
+# including subnormal ones, pass.
+UNIFORM_BOUNDS = [
+    (-math.pi, math.pi), (-1.0, 1.0), (0.0, TWO_PI),
+    ScenarioConfig.segment_len_s, ScenarioConfig.gap_len_s,
+    (1.0, 4.0), (1.0, 3.0), (0.2, 1.2), (1.0, 4.5), (0.5, 2.0), (0.01, 0.02),
+    (1e-320, 1e-319), (1e-321, 1e-320),
+]
+
+
+def test_scalar_draws_are_numpys_uniform_draw_for_draw():
+    # The samplers spell uniform(lo, hi) as lo + (hi - lo) * random(),
+    # which is how numpy computes it: same values, same stream position.
+    for lo, hi in UNIFORM_BOUNDS:
+        a, b = np.random.default_rng(7), np.random.default_rng(7)
+        assert [a.uniform(lo, hi) for _ in range(2000)] == [
+            lo + (hi - lo) * b.random() for _ in range(2000)], (lo, hi)
+        assert a.random() == b.random()
+    # and each sampler against the same draws made with uniform
+    a, b = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(500):
+        az, el = b.uniform(-math.pi, math.pi), math.asin(b.uniform(-1.0, 1.0))
+        d = sample_direction(a)
+        assert d == Direction(az, el)
+        heading, arc = b.uniform(0.0, TWO_PI), abs(b.normal(0.0, 0.1))
+        assert perturb_direction(d.azimuth, d.elevation, 0.1, a) == move_along_great_circle(
+            d.azimuth, d.elevation, heading, arc)
+    for seg, gap in ((ScenarioConfig.segment_len_s, ScenarioConfig.gap_len_s),
+                     ((1.0, 4.0), (1.0, 3.0)), ((1.0, 4.5), (0.5, 2.0))):
+        t, expected = 0.0, []
+        while t < 60.0:
+            expected.append((t, min(t + b.uniform(*seg), 60.0)))
+            t = expected[-1][1] + b.uniform(*gap)
+        assert _draw_segments(60.0, seg, gap, a) == expected, (seg, gap)
